@@ -3,9 +3,10 @@
 // map built from raw replies (no dedup, no unsolicited/late filters),
 // scoring both against the simulator's ground truth.
 #include <unordered_map>
+#include <vector>
 
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -25,16 +26,21 @@ int main() {
   std::uint64_t raw_replies = 0;
   util::SimTime now{};
   const util::SimTime gap = util::SimTime::from_seconds(1.0 / 10'000.0);
+  std::vector<std::uint8_t> probe;
+  std::vector<sim::DeliveryView> deliveries;
+  std::vector<std::uint8_t> reply;
+  sim::DataplaneTally dataplane;
   for (const auto& entry : hitlist.entries()) {
     net::ProbePayload payload;
     payload.measurement_id = 424242;
     payload.tx_time_usec = now.usec;
     payload.original_target = entry.target;
-    const auto probe = net::build_echo_request(
-        scenario.broot().measurement_address, entry.target, 42, 1, payload);
-    for (const auto& delivery : internet.probe(routes, probe.data, now, 0)) {
+    net::build_echo_request_into(probe, scenario.broot().measurement_address,
+                                 entry.target, 42, 1, payload);
+    internet.probe_into(routes, probe, now, 0, deliveries, reply, dataplane);
+    const auto parsed = net::parse_reply_view(reply);
+    for (const sim::DeliveryView& delivery : deliveries) {
       ++raw_replies;
-      const auto parsed = net::parse_reply(delivery.packet.data);
       if (!parsed) continue;
       naive[net::Block24::containing(parsed->ip.source).index()] =
           delivery.site;  // last reply wins; no filters at all
@@ -45,7 +51,7 @@ int main() {
   core::RoundSpec spec;
   spec.probe.measurement_id = 424242;
   bench::RoundTally tally;
-  const auto clean = scenario.verfploeter().run(routes, spec, &tally).map;
+  const auto clean = scenario.engine().run(routes, spec, &tally).map;
 
   std::uint64_t clean_correct = 0, clean_wrong = 0;
   for (const auto& [block, site] : clean.entries()) {

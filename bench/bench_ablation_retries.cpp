@@ -4,8 +4,10 @@
 // is future work.") — we explore both: coverage and traffic cost per
 // extra target, and retry/backoff sweeps against an injected-loss plan
 // (sim::FaultInjector), including the cross of the two knobs.
+#include <vector>
+
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace vp;
@@ -26,7 +28,7 @@ int main() {
     core::ProbeConfig probe;
     probe.measurement_id = static_cast<std::uint32_t>(9000 + extra);
     probe.extra_targets_per_block = extra;
-    const auto map = scenario.verfploeter().run(routes, {probe, 0}).map;
+    const auto map = scenario.engine().run(routes, {probe, 0}).map;
     const double coverage =
         static_cast<double>(map.mapped_blocks()) /
         static_cast<double>(map.blocks_probed);
@@ -52,11 +54,11 @@ int main() {
 
   // Traffic cost accounting (paper §3.1: one probe per /24 cuts traffic
   // to 0.4% of a complete IPv4 scan; a whole measurement is ~128 MB).
-  const std::size_t probe_bytes =
-      net::build_echo_request(net::Ipv4Address{192, 0, 2, 1},
-                              net::Ipv4Address{1, 2, 3, 4}, 1, 1,
-                              net::ProbePayload{})
-          .data.size();
+  std::vector<std::uint8_t> probe;
+  net::build_echo_request_into(probe, net::Ipv4Address{192, 0, 2, 1},
+                               net::Ipv4Address{1, 2, 3, 4}, 1, 1,
+                               net::ProbePayload{});
+  const std::size_t probe_bytes = probe.size();
   const double hitlist_mb =
       static_cast<double>(base_probes) * probe_bytes / 1e6;
   const double full_scan_mb =
@@ -87,7 +89,7 @@ int main() {
     spec.probe.max_retries = retries;
     spec.probe.retry_backoff_ms = backoff_ms;
     spec.faults = &injector;
-    return scenario.verfploeter().run(routes, spec);
+    return scenario.engine().run(routes, spec);
   };
 
   const double clean_coverage = coverages.front();

@@ -6,7 +6,7 @@
 #include "analysis/latency.hpp"
 #include "analysis/load_analysis.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "topology/generator.hpp"
 
 using namespace vp;
@@ -45,7 +45,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 11000;
-  const auto before = scenario.verfploeter().run(routes, {probe, 0});
+  const auto before = scenario.engine().run(routes, {probe, 0});
   const auto report_before = analysis::analyze_latency(
       scenario.topo(), before, load, scenario.broot());
 
@@ -88,7 +88,7 @@ int main() {
   const auto new_routes_ptr = scenario.route(expanded);
   const auto& new_routes = *new_routes_ptr;
   probe.measurement_id = 11001;
-  const auto after = scenario.verfploeter().run(new_routes, {probe, 1});
+  const auto after = scenario.engine().run(new_routes, {probe, 1});
   const auto report_after =
       analysis::analyze_latency(scenario.topo(), after, load, expanded);
 

@@ -6,7 +6,7 @@
 // AMPATH effect in eastern South America.
 #include "analysis/geomaps.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -19,7 +19,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 215;
-  const auto map = scenario.verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario.engine().run(routes, {probe, 0}).map;
   const auto campaign =
       scenario.atlas().measure(routes, scenario.internet().flips(), 0);
 

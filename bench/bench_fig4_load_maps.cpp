@@ -5,7 +5,7 @@
 // regional services.
 #include "analysis/geomaps.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -18,7 +18,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 412;
-  const auto map = scenario.verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario.engine().run(routes, {probe, 0}).map;
   const auto broot_load = scenario.broot_load(0x20170412);  // LB-4-12
   const auto nl_load = scenario.nl_load();                  // LN-4-12
 

@@ -3,7 +3,7 @@
 // measured both with Atlas (VPs) and Verfploeter (/24 blocks).
 #include "analysis/scenario.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -43,7 +43,7 @@ int main() {
         static_cast<std::uint32_t>(5000 + config.amount * 7 +
                                    (config.site[0] == 'L' ? 100 : 0));
     const auto map =
-        scenario.verfploeter()
+        scenario.engine()
             .run(routes,
                  {probe, static_cast<std::uint32_t>(&config - configs)})
             .map;

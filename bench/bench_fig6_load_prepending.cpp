@@ -4,7 +4,7 @@
 // blocks Verfploeter could not map.
 #include "analysis/load_analysis.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -38,7 +38,7 @@ int main() {
     probe.measurement_id = static_cast<std::uint32_t>(
         6000 + (&config - configs));
     const auto map =
-        scenario.verfploeter()
+        scenario.engine()
             .run(routes,
                  {probe, static_cast<std::uint32_t>(&config - configs)})
             .map;

@@ -5,7 +5,7 @@
 #include "analysis/divisions.hpp"
 #include "analysis/stability.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -25,7 +25,7 @@ int main() {
   core::CatchmentMap last_map;
   for (std::uint32_t round = 0; round < 8; ++round) {
     probe.measurement_id = 7000 + round;
-    auto result = scenario.verfploeter().run(
+    auto result = scenario.engine().run(
         routes, {probe, round, util::SimTime::from_minutes(15.0 * round)});
     accumulator.add_round(result.map);
     last_map = std::move(result.map);

@@ -4,7 +4,7 @@
 // Also reports the §6.2 address-space share needing multiple VPs (~38%).
 #include "analysis/divisions.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -17,7 +17,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 8000;
-  const auto map = scenario.verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario.engine().run(routes, {probe, 0}).map;
   const auto rows = analysis::analyze_prefix_sites(scenario.topo(), map);
 
   util::Table table{{"len", "prefixes", "1 site", "2", "3", "4", "5", "6+",

@@ -3,7 +3,7 @@
 // to-non-responsive / from-non-responsive against the previous round.
 #include "analysis/stability.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -21,7 +21,7 @@ int main() {
   probe.order_seed = 97;
   for (std::uint32_t round = 0; round < 96; ++round) {
     probe.measurement_id = 3000 + round;
-    const auto result = scenario.verfploeter().run(
+    const auto result = scenario.engine().run(
         routes, {probe, round, util::SimTime::from_minutes(15.0 * round)});
     accumulator.add_round(result.map);
     if (round % 24 == 23)

@@ -55,7 +55,7 @@ int main() {
   core::ProbeConfig probe;
   probe.measurement_id = 7000;
   const auto make_campaign = [&] {
-    core::Campaign campaign{scenario.verfploeter(), routes};
+    core::Campaign campaign{scenario.engine(), routes};
     campaign.probe(probe).rounds(kRounds).interval(
         util::SimTime::from_minutes(15));
     return campaign;

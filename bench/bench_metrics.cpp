@@ -108,7 +108,7 @@ void BM_RoundMetrics(benchmark::State& state) {
   for (auto _ : state) {
     spec.probe.measurement_id = 100 + round;
     spec.round = round++;
-    benchmark::DoNotOptimize(scenario.verfploeter().run(routes, spec));
+    benchmark::DoNotOptimize(scenario.engine().run(routes, spec));
   }
   obs::metrics().set_enabled(true);
 }

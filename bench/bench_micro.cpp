@@ -35,32 +35,36 @@ void BM_ChecksumPerByte(benchmark::State& state) {
 }
 BENCHMARK(BM_ChecksumPerByte)->Arg(48)->Arg(512)->Arg(4096);
 
+// The probe engine builds every probe into one reused per-shard buffer.
 void BM_BuildEchoRequest(benchmark::State& state) {
   net::ProbePayload payload;
   payload.measurement_id = 7;
   payload.original_target = net::Ipv4Address{1, 2, 3, 4};
+  std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::build_echo_request(
-        net::Ipv4Address{192, 0, 2, 1}, payload.original_target, 1, 2,
-        payload));
+    net::build_echo_request_into(bytes, net::Ipv4Address{192, 0, 2, 1},
+                                 payload.original_target, 1, 2, payload);
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BuildEchoRequest);
 
+// The collector-side parse the engine runs once per probe attempt.
 void BM_ParseReply(benchmark::State& state) {
   net::ProbePayload payload;
   payload.measurement_id = 7;
   payload.original_target = net::Ipv4Address{1, 2, 3, 4};
-  const auto request = net::build_echo_request(
-      net::Ipv4Address{192, 0, 2, 1}, payload.original_target, 1, 2, payload);
-  const auto ip = net::Ipv4Header::parse(request.data);
-  const auto icmp = net::IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(
-          net::Ipv4Header::kSize));
-  const auto reply =
-      net::build_echo_reply(*ip, *icmp, payload.original_target);
+  std::vector<std::uint8_t> request;
+  net::build_echo_request_into(request, net::Ipv4Address{192, 0, 2, 1},
+                               payload.original_target, 1, 2, payload);
+  const auto ip = net::Ipv4Header::parse(request);
+  const auto icmp = net::parse_icmp_echo_view(
+      std::span{request}.subspan(net::Ipv4Header::kSize));
+  std::vector<std::uint8_t> reply;
+  net::build_echo_reply_into(reply, *ip, *icmp, payload.original_target);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::parse_reply(reply.data));
+    benchmark::DoNotOptimize(net::parse_reply_view(reply));
   }
 }
 BENCHMARK(BM_ParseReply);
@@ -119,13 +123,12 @@ void BM_GroundTruthSiteUncached(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const bgp::RoutingTable& routes = broot_routes();
   const auto blocks = sample_blocks(scenario, 3);
-  bgp::set_catchment_cache_enabled(false);
+  const sim::FlipModel& flips = scenario.internet().flips();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scenario.internet().ground_truth_site(
-        routes, blocks[i++ & 1023], 0));
+    benchmark::DoNotOptimize(
+        flips.site_in_round_uncached(routes, blocks[i++ & 1023], 0));
   }
-  bgp::set_catchment_cache_enabled(true);
 }
 BENCHMARK(BM_GroundTruthSiteUncached);
 
@@ -153,10 +156,18 @@ void BM_SiteForBlockUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_SiteForBlockUncached);
 
+// One probe attempt as a shard of the engine runs it: build into a reused
+// buffer, inject, deliveries and counts into caller-owned scratch.
 void BM_ProbeRoundTrip(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const bgp::RoutingTable& routes = broot_routes();
+  scenario.internet().warm(routes);
   const auto& hitlist = scenario.hitlist();
+  std::vector<std::uint8_t> probe;
+  std::vector<sim::DeliveryView> deliveries;
+  std::vector<std::uint8_t> reply;
+  sim::DataplaneTally tally;
+  sim::ResolveTally resolve;
   std::size_t i = 0;
   std::uint64_t replies = 0;
   for (auto _ : state) {
@@ -164,14 +175,18 @@ void BM_ProbeRoundTrip(benchmark::State& state) {
     net::ProbePayload payload;
     payload.measurement_id = 1;
     payload.original_target = entry.target;
-    const auto probe = net::build_echo_request(
-        scenario.broot().measurement_address, entry.target, 1,
-        static_cast<std::uint16_t>(i), payload);
-    auto deliveries =
-        scenario.internet().probe(routes, probe.data, {}, 0);
+    net::build_echo_request_into(probe, scenario.broot().measurement_address,
+                                 entry.target, 1,
+                                 static_cast<std::uint16_t>(i), payload);
+    scenario.internet().probe_into(routes, probe, {}, 0, deliveries, reply,
+                                   tally, &resolve);
     replies += deliveries.size();
-    benchmark::DoNotOptimize(deliveries);
+    benchmark::DoNotOptimize(deliveries.data());
+    benchmark::DoNotOptimize(reply.data());
+    benchmark::ClobberMemory();
   }
+  sim::InternetSim::flush(tally);
+  sim::FlipModel::flush(resolve);
   state.counters["replies_per_probe"] =
       benchmark::Counter(static_cast<double>(replies),
                          benchmark::Counter::kAvgIterations);
@@ -205,7 +220,7 @@ void BM_FullMeasurementRound(benchmark::State& state) {
   for (auto _ : state) {
     spec.probe.measurement_id = 100 + round;
     spec.round = round++;
-    benchmark::DoNotOptimize(scenario.verfploeter().run(routes, spec));
+    benchmark::DoNotOptimize(scenario.engine().run(routes, spec));
   }
   state.counters["blocks"] =
       static_cast<double>(scenario.hitlist().size());

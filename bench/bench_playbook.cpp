@@ -16,7 +16,8 @@
 //       reroute either way, see BM_DeltaWithdraw).
 //   BM_PlaybookDelta28 / BM_PlaybookFull28
 //       the 28-config prepend sweep (9 sites x depths 1..3 + baseline),
-//       the optimizer's default path vs vpctl --no-route-cache. Walking
+//       the optimizer's default path vs its use_delta = false reference
+//       (every candidate routed from scratch). Walking
 //       *between* sites unions two frontiers per boundary step, so the
 //       ratio here is lower (~3x measured, gated >= 2.5x as a
 //       regression tripwire).

@@ -7,9 +7,7 @@
 // nine-site prepend sweep routed through a warm cache vs computed fresh
 // — and tools/bench_compare.py gates the ratio against baseline.json.
 // BM_ResolverBuild pins the one-time cost of precomputing a
-// block->site catchment table, and BM_RouteCacheRound compares a full
-// measurement round with catchment precomputation on vs off (the
-// per-probe saving the resolver buys, isolated from route computation).
+// block->site catchment table.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -104,33 +102,6 @@ void BM_ResolverBuild(benchmark::State& state) {
       static_cast<double>(scenario.topo().block_count());
 }
 BENCHMARK(BM_ResolverBuild)->Unit(benchmark::kMillisecond);
-
-// A full measurement round with catchment precomputation off (Arg 0) vs
-// on (Arg 1). Routes are prebuilt either way, so the difference is the
-// per-probe resolution path: three hash-map probes per target vs one
-// vector load. Results are bit-identical (tests/route_cache_test.cpp).
-void BM_RouteCacheRound(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  static const auto routes_ptr = scenario.route(scenario.broot());
-  const bgp::RoutingTable& routes = *routes_ptr;
-  scenario.internet().warm(routes);  // resolver build outside the loop
-  bgp::set_catchment_cache_enabled(state.range(0) != 0);
-  core::RoundSpec spec;
-  spec.threads = 2;
-  std::uint32_t round = 0;
-  for (auto _ : state) {
-    spec.probe.measurement_id = 100 + round;
-    spec.round = round++;
-    benchmark::DoNotOptimize(scenario.verfploeter().run(routes, spec));
-  }
-  bgp::set_catchment_cache_enabled(true);
-  state.counters["blocks"] =
-      static_cast<double>(scenario.hitlist().size());
-}
-BENCHMARK(BM_RouteCacheRound)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(0)
-    ->Arg(1);
 
 }  // namespace
 

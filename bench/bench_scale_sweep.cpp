@@ -17,7 +17,7 @@
 
 #include "anycast/deployment.hpp"
 #include "bgp/routing_engine.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "hitlist/hitlist.hpp"
 #include "sim/internet.hpp"
 #include "topology/scale_generator.hpp"
@@ -48,7 +48,7 @@ struct ScaleWorld {
   anycast::Deployment deployment;
   std::unique_ptr<sim::InternetSim> internet;
   hitlist::Hitlist hitlist;
-  std::unique_ptr<core::Verfploeter> verfploeter;
+  std::unique_ptr<core::ProbeEngine> engine;
   std::shared_ptr<const bgp::RoutingTable> routes;
 
   explicit ScaleWorld(std::uint64_t blocks)
@@ -62,7 +62,7 @@ struct ScaleWorld {
     hitlist_config.seed = util::hash_combine(kSeed, 3);
     hitlist = hitlist::Hitlist::build(topo, internet->responsiveness(),
                                       hitlist_config, /*threads=*/0);
-    verfploeter = std::make_unique<core::Verfploeter>(*internet, hitlist);
+    engine = std::make_unique<core::ProbeEngine>(*internet, hitlist);
     routes = bgp::RoutingEngine{topo, deployment}.full();
   }
 };
@@ -115,7 +115,7 @@ void BM_ScaleProbeRound(benchmark::State& state) {
     spec.round = round++;
     spec.threads = 0;  // all hardware threads
     spec.arena = &arena;
-    const auto result = world.verfploeter->run(*world.routes, spec);
+    const auto result = world.engine->run(*world.routes, spec);
     probed = result.map.blocks_probed;
     benchmark::DoNotOptimize(probed);
   }

@@ -3,7 +3,7 @@
 // plus the unique-block overlap and the ~430x coverage ratio.
 #include "analysis/coverage.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -16,7 +16,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 515;  // the SBV-5-15 dataset
-  const auto round = scenario.verfploeter().run(routes, {probe, 0});
+  const auto round = scenario.engine().run(routes, {probe, 0});
   const auto campaign = scenario.atlas().measure(
       routes, scenario.internet().flips(), 0);
   const auto report = analysis::compute_coverage(

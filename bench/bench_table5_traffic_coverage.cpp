@@ -3,7 +3,7 @@
 // catchment map attribute to a site?
 #include "analysis/load_analysis.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -16,7 +16,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 515;
-  const auto map = scenario.verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario.engine().run(routes, {probe, 0}).map;
   const auto load = scenario.broot_load(0x20170515);  // LB-5-15
   const auto coverage = analysis::compute_traffic_coverage(load, map);
 

@@ -5,7 +5,7 @@
 #include "analysis/catchment_diff.hpp"
 #include "analysis/load_analysis.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -23,9 +23,9 @@ int main() {
   core::ProbeConfig probe;
   probe.measurement_id = 421;
   const auto verf_april =
-      scenario.verfploeter().run(april, {probe, 10}).map;
+      scenario.engine().run(april, {probe, 10}).map;
   probe.measurement_id = 515;
-  const auto verf_may = scenario.verfploeter().run(may, {probe, 20}).map;
+  const auto verf_may = scenario.engine().run(may, {probe, 20}).map;
 
   const auto atlas_april = scenario.atlas_small().measure(
       april, scenario.internet().flips(), 10);

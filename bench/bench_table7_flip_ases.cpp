@@ -3,7 +3,7 @@
 // 63% in the top five ASes.
 #include "analysis/stability.hpp"
 #include "bench/harness.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 using namespace vp;
 
@@ -20,7 +20,7 @@ int main() {
   for (std::uint32_t round = 0; round < 96; ++round) {
     probe.measurement_id = 4000 + round;
     accumulator.add_round(
-        scenario.verfploeter()
+        scenario.engine()
             .run(routes,
                  {probe, round, util::SimTime::from_minutes(15.0 * round)})
             .map);

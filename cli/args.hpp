@@ -1,0 +1,156 @@
+// The argument layer vpctl and vpd share: `--key value` parsing, the
+// exit-code contract, and the option helpers both binaries read the same
+// way (scenario, deployment, probe retries, the --fault-seed plan, the
+// journal refusal messages and the --metrics-out flush).
+#pragma once
+
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <map>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "analysis/scenario.hpp"
+#include "core/journal.hpp"
+#include "core/round.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "sim/fault_injector.hpp"
+
+namespace vp::cli {
+
+/// Exit codes beyond 0/1/2 (ok / runtime error / usage), so scripts and
+/// the crash harnesses can tell resume outcomes apart.
+inline constexpr int kExitResumed = 3;              // completed after a resume
+inline constexpr int kExitFingerprintMismatch = 4;  // journal is another run's
+inline constexpr int kExitCorruptJournal = 5;       // corrupt record, refused
+// Any output artifact (--out, --metrics-out, --port-file, the journal)
+// failed to write. Writes go through util::atomic_file (and journal
+// appends fail fast on I/O errors), so failure surfaces at flush time — a
+// command must never exit 0 after silently losing its artifact.
+inline constexpr int kExitWriteFailed = 6;
+// SIGINT/SIGTERM landed mid-campaign: the in-flight round and its journal
+// append completed, metrics flushed, later rounds were skipped. The
+// journal is a resumable prefix; rerun with --resume to finish.
+inline constexpr int kExitInterrupted = 7;
+
+struct Args {
+  std::string command;  // vpctl's subcommand; empty for vpd
+  std::map<std::string, std::string> options;
+
+  bool has(const std::string& key) const { return options.count(key) > 0; }
+  std::string get(const std::string& key, const std::string& fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : it->second;
+  }
+  double get_double(const std::string& key, double fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : std::atof(it->second.c_str());
+  }
+  long get_long(const std::string& key, long fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback : std::atol(it->second.c_str());
+  }
+};
+
+/// Parses `argv`. With `has_command`, argv[1] is a required subcommand.
+/// Every later word is `--key value`, or a bare `--key` when the key is
+/// one of `boolean_flags`. nullopt on a missing command or value, or on a
+/// word that is not a `--key`.
+inline std::optional<Args> parse_args(
+    int argc, char** argv, bool has_command,
+    std::initializer_list<std::string_view> boolean_flags) {
+  Args args;
+  int i = 1;
+  if (has_command) {
+    if (argc < 2) return std::nullopt;
+    args.command = argv[i++];
+  }
+  for (; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) return std::nullopt;
+    const std::string key{arg.substr(2)};
+    bool boolean = false;
+    for (const std::string_view flag : boolean_flags) boolean |= flag == key;
+    if (boolean) {
+      args.options[key] = "1";
+      continue;
+    }
+    if (i + 1 >= argc) return std::nullopt;
+    args.options[key] = argv[++i];
+  }
+  return args;
+}
+
+/// The simulated Internet behind --scale/--seed, announced before the
+/// (slow) build. `route_cache_bytes` caps the scenario's route cache.
+inline analysis::Scenario make_scenario(const Args& args,
+                                        std::size_t route_cache_bytes = 0) {
+  analysis::ScenarioConfig config;
+  config.scale = args.get_double("scale", 0.4);
+  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
+  config.route_cache_bytes = route_cache_bytes;
+  std::printf("building simulated Internet (scale %.2f, seed %llu)...\n",
+              config.scale, static_cast<unsigned long long>(config.seed));
+  return analysis::Scenario{config};
+}
+
+/// --deployment broot (default) | tangled.
+inline const anycast::Deployment& pick_deployment(
+    const analysis::Scenario& scenario, const Args& args) {
+  return args.get("deployment", "broot") == "tangled" ? scenario.tangled()
+                                                      : scenario.broot();
+}
+
+/// --retries / --timeout-ms / --backoff-ms.
+inline void apply_retry_args(core::ProbeConfig& probe, const Args& args) {
+  probe.max_retries = static_cast<int>(args.get_long("retries", 0));
+  probe.probe_timeout_ms = args.get_double("timeout-ms", 1000.0);
+  probe.retry_backoff_ms = args.get_double("backoff-ms", 250.0);
+}
+
+/// The seeded fault plan behind --fault-seed (nullopt = run clean).
+inline std::optional<sim::FaultInjector> make_injector(const Args& args) {
+  if (!args.has("fault-seed")) return std::nullopt;
+  const auto seed = static_cast<std::uint64_t>(args.get_long("fault-seed", 1));
+  std::printf("injecting faults (plan seed %llu)\n",
+              static_cast<unsigned long long>(seed));
+  return sim::FaultInjector{sim::FaultPlan::from_seed(seed)};
+}
+
+/// Explains a refused resume on stderr and returns its exit code; 0 when
+/// `status` is no refusal.
+inline int journal_refusal(core::JournalStatus status) {
+  switch (status) {
+    case core::JournalStatus::kFingerprintMismatch:
+      std::fprintf(stderr,
+                   "error: journal was written by a different campaign "
+                   "config; refusing to resume\n");
+      return kExitFingerprintMismatch;
+    case core::JournalStatus::kCorrupt:
+      std::fprintf(stderr,
+                   "error: journal has a corrupt record (bad checksum or "
+                   "content); refusing to resume\n");
+      return kExitCorruptJournal;
+    default:
+      return 0;
+  }
+}
+
+/// Dumps the metrics registry to --metrics-out, if given, and returns the
+/// command's final exit code. A failed dump turns only a successful-so-far
+/// run into kExitWriteFailed; a more specific failure in `rc` wins.
+inline int finish_metrics(const Args& args, int rc) {
+  if (!args.has("metrics-out")) return rc;
+  const std::string path = args.get("metrics-out", "metrics.json");
+  if (obs::write_metrics_file(path, obs::metrics().snapshot())) {
+    std::printf("metrics written to %s\n", path.c_str());
+    return rc;
+  }
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return rc == 0 || rc == kExitResumed ? kExitWriteFailed : rc;
+}
+
+}  // namespace vp::cli

@@ -7,7 +7,6 @@
 //   vpctl scan      [--deployment broot|tangled] [--prepend SITE=N]
 //                   [--out catchment.csv]
 //   vpctl sweep     [--deployment ...] [--site CODE] [--max-prepend N]
-//                   [--delta-sweep]
 //   vpctl campaign  [--deployment ...] [--rounds N] [--interval-min M]
 //   vpctl atlas     [--deployment ...]
 //   vpctl predict   [--catchment file.csv] [--date apr|may]
@@ -27,8 +26,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -37,18 +34,14 @@
 
 #include "agility/attack.hpp"
 #include "agility/playbook.hpp"
-#include "analysis/coverage.hpp"
 #include "analysis/latency.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "analysis/load_analysis.hpp"
-#include "analysis/scenario.hpp"
 #include "analysis/stability.hpp"
 #include "anycast/deployment.hpp"
+#include "args.hpp"
 #include "bgp/routing_engine.hpp"
 #include "core/campaign.hpp"
 #include "core/dataset_io.hpp"
-#include "sim/fault_injector.hpp"
 #include "topology/scale_generator.hpp"
 #include "topology/topo_io.hpp"
 #include "util/atomic_file.hpp"
@@ -60,64 +53,13 @@ using namespace vp;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  long get_long(const std::string& key, long fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atol(it->second.c_str());
-  }
-};
-
-/// Flags that take no value.
-bool is_boolean_flag(std::string_view key) {
-  return key == "resume" || key == "no-metrics" || key == "no-route-cache" ||
-         key == "delta-sweep" || key == "probe" || key == "no-withdraw" ||
-         key == "exhaustive";
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) return std::nullopt;
-    const std::string key{arg.substr(2)};
-    if (is_boolean_flag(key)) {
-      args.options[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    args.options[key] = argv[++i];
-  }
-  return args;
-}
-
-/// Exit codes beyond 0/1/2 (ok / runtime error / usage), so scripts and
-/// the crash harness can tell resume outcomes apart.
-constexpr int kExitResumed = 3;             // completed after a resume
-constexpr int kExitFingerprintMismatch = 4; // journal is another campaign's
-constexpr int kExitCorruptJournal = 5;      // checksum failure, refused
-// Any output artifact (--out, --metrics-out, the journal) failed to
-// write. Writes go through util::atomic_file (and journal appends fail
-// fast on I/O errors), so failure surfaces at flush time — a command
-// must never exit 0 after silently losing its artifact.
-constexpr int kExitWriteFailed = 6;
-// SIGINT/SIGTERM landed mid-campaign: the in-flight round and its
-// journal append completed, metrics flushed, later rounds were skipped.
-// The journal is a resumable prefix; rerun with --resume to finish.
-constexpr int kExitInterrupted = 7;
+using cli::apply_retry_args;
+using cli::Args;
+using cli::kExitInterrupted;
+using cli::kExitResumed;
+using cli::kExitWriteFailed;
+using cli::make_injector;
+using cli::pick_deployment;
 
 /// Set by the signal handler, polled by Campaign between rounds. Signal
 /// handlers may only touch lock-free atomics; everything else (the final
@@ -160,9 +102,6 @@ int usage() {
       "  --metrics-out FILE dump the run's metrics registry on exit\n"
       "                     (.json = JSON, .prom/.txt = Prometheus text)\n"
       "  --no-metrics       disable metric collection (results identical)\n"
-      "  --no-route-cache   recompute routes and resolve catchments\n"
-      "                     per probe instead of using the precomputed\n"
-      "                     tables (results identical; A/B escape hatch)\n"
       "  --route-cache-bytes N  cap retained route-cache table memory;\n"
       "                     least-recently-used tables are evicted\n"
       "                     (default 0 = unbounded; env VP_ROUTE_CACHE_BYTES)\n"
@@ -172,11 +111,9 @@ int usage() {
       "sweep options:\n"
       "  --site CODE        site whose announcement is prepended\n"
       "                     (default MIA)\n"
-      "  --max-prepend N    sweep prepend 0..N (default 3)\n"
-      "  --delta-sweep      walk the sweep as one incremental routing\n"
-      "                     session: each step recomputes only the ASes\n"
-      "                     whose best path changes (results identical\n"
-      "                     to full per-config recomputation)\n"
+      "  --max-prepend N    sweep prepend 0..N (default 3); the sweep is\n"
+      "                     one incremental routing session, so each step\n"
+      "                     recomputes only the ASes whose best path changes\n"
       "campaign options:\n"
       "  --rounds N         number of rounds (default 16)\n"
       "  --interval-min M   minutes between rounds (default 15)\n"
@@ -231,33 +168,21 @@ int usage() {
       "                     instead of the staged single+pair search\n"
       "  --top K            ranked responses kept per attack (default 5)\n"
       "  --date apr|may     load dataset for baseline + capacity\n"
-      "  --out FILE         write the playbook (.json = JSON, else CSV)\n"
-      "  (--no-route-cache re-routes every candidate from scratch instead\n"
-      "   of the incremental delta session; results are identical)\n");
+      "  --out FILE         write the playbook (.json = JSON, else CSV)\n");
   return 2;
 }
 
-analysis::Scenario make_scenario(const Args& args) {
-  analysis::ScenarioConfig config;
-  config.scale = args.get_double("scale", 0.4);
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
-  config.route_cache = !args.has("no-route-cache");
+/// cli::make_scenario plus vpctl's route-cache cap (--route-cache-bytes,
+/// else VP_ROUTE_CACHE_BYTES).
+analysis::Scenario build_scenario(const Args& args) {
+  std::size_t cache_bytes = 0;
   if (args.has("route-cache-bytes")) {
-    config.route_cache_bytes =
+    cache_bytes =
         static_cast<std::size_t>(args.get_long("route-cache-bytes", 0));
   } else if (const char* env = std::getenv("VP_ROUTE_CACHE_BYTES")) {
-    config.route_cache_bytes = std::strtoull(env, nullptr, 10);
+    cache_bytes = std::strtoull(env, nullptr, 10);
   }
-  std::printf("building simulated Internet (scale %.2f, seed %llu)...\n",
-              config.scale,
-              static_cast<unsigned long long>(config.seed));
-  return analysis::Scenario{config};
-}
-
-const anycast::Deployment& pick_deployment(const analysis::Scenario& scenario,
-                                           const Args& args) {
-  return args.get("deployment", "broot") == "tangled" ? scenario.tangled()
-                                                      : scenario.broot();
+  return cli::make_scenario(args, cache_bytes);
 }
 
 std::uint64_t load_date_seed(const Args& args) {
@@ -304,22 +229,6 @@ class ProgressObserver : public core::RoundObserver {
 
 unsigned probe_threads(const Args& args) {
   return static_cast<unsigned>(args.get_long("threads", 1));
-}
-
-/// Retry/backoff knobs shared by scan-style commands and campaigns.
-void apply_retry_args(core::ProbeConfig& probe, const Args& args) {
-  probe.max_retries = static_cast<int>(args.get_long("retries", 0));
-  probe.probe_timeout_ms = args.get_double("timeout-ms", 1000.0);
-  probe.retry_backoff_ms = args.get_double("backoff-ms", 250.0);
-}
-
-/// The seeded fault plan behind --fault-seed (nullopt = run clean).
-std::optional<sim::FaultInjector> make_injector(const Args& args) {
-  if (!args.has("fault-seed")) return std::nullopt;
-  const auto seed = static_cast<std::uint64_t>(args.get_long("fault-seed", 1));
-  std::printf("injecting faults (plan seed %llu)\n",
-              static_cast<unsigned long long>(seed));
-  return sim::FaultInjector{sim::FaultPlan::from_seed(seed)};
 }
 
 void print_fault_summary(const sim::FaultStats& faults) {
@@ -381,11 +290,11 @@ core::RoundResult run_scan(const analysis::Scenario& scenario,
   const auto injector = make_injector(args);
   if (injector) spec.faults = &*injector;
   ProgressObserver progress;
-  return scenario.verfploeter().run(routes, spec, &progress);
+  return scenario.engine().run(routes, spec, &progress);
 }
 
 int cmd_scan(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   anycast::Deployment deployment = pick_deployment(scenario, args);
   if (args.has("prepend")) {
     const std::string spec = args.get("prepend", "");
@@ -411,7 +320,7 @@ int cmd_scan(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto& base = pick_deployment(scenario, args);
   const std::string site_code = args.get("site", "MIA");
   const auto site = base.site_by_code(site_code);
@@ -421,38 +330,28 @@ int cmd_sweep(const Args& args) {
     return usage();
   }
   const int max_prepend = static_cast<int>(args.get_long("max-prepend", 3));
-  const bool delta = args.has("delta-sweep");
-  std::printf("sweeping %s prepend 0..%d (%s routing)\n", site_code.c_str(),
-              max_prepend, delta ? "incremental delta" : "full per config");
+  std::printf("sweeping %s prepend 0..%d (incremental delta routing)\n",
+              site_code.c_str(), max_prepend);
 
   // One engine session for the whole sweep; consecutive configurations
-  // differ in one site, so each --delta-sweep step touches only the
-  // affected-AS set. Without the flag every step routes from scratch
-  // (through the scenario's cache) — the tables are identical either way.
+  // differ in one site, so each step touches only the affected-AS set
+  // (delta_routing_test proves the tables equal full recomputation).
   auto session = scenario.delta_session(base);
   util::Table table{{"prepend", "recomputed ASes", site_code + " share",
                      "largest share"},
                     {util::Align::kRight}};
   for (int n = 0; n <= max_prepend; ++n) {
-    std::shared_ptr<const bgp::RoutingTable> routes;
-    std::string recomputed = "-";
-    if (delta) {
-      const auto result =
-          session.apply(anycast::ConfigDelta::set_prepend(*site, n));
-      routes = result.table;
-      recomputed = util::with_commas(result.recomputed_ases) + " / " +
-                   util::with_commas(scenario.topo().as_count());
-    } else {
-      anycast::Deployment config = base;
-      config.sites[static_cast<std::size_t>(*site)].prepend = n;
-      routes = scenario.route(config);
-    }
+    const auto result =
+        session.apply(anycast::ConfigDelta::set_prepend(*site, n));
+    const std::string recomputed =
+        util::with_commas(result.recomputed_ases) + " / " +
+        util::with_commas(scenario.topo().as_count());
     core::RoundSpec spec;
     spec.probe.measurement_id = static_cast<std::uint32_t>(9100 + n);
     apply_retry_args(spec.probe, args);
     spec.round = static_cast<std::uint32_t>(n);
     spec.threads = probe_threads(args);
-    const auto round = scenario.verfploeter().run(*routes, spec);
+    const auto round = scenario.engine().run(*result.table, spec);
     const auto counts = round.map.per_site_counts(base.sites.size());
     std::size_t largest = 0;
     for (std::size_t s = 1; s < counts.size(); ++s)
@@ -475,7 +374,7 @@ int cmd_campaign(const Args& args) {
   // Installed before the (slow) scenario build so an early ^C is caught.
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto rounds = static_cast<std::uint32_t>(args.get_long("rounds", 16));
   const double interval = args.get_double("interval-min", 15.0);
@@ -486,7 +385,7 @@ int cmd_campaign(const Args& args) {
   apply_retry_args(probe, args);
   const auto injector = make_injector(args);
   ProgressObserver progress;
-  core::Campaign campaign{scenario.verfploeter(), routes};
+  core::Campaign campaign{scenario.engine(), routes};
   campaign.probe(probe)
       .rounds(rounds)
       .interval(util::SimTime::from_minutes(interval))
@@ -501,17 +400,8 @@ int cmd_campaign(const Args& args) {
     campaign.resume(args.has("resume"));
   }
   const auto outcome = campaign.run_reported();
+  if (const int refused = cli::journal_refusal(outcome.journal)) return refused;
   switch (outcome.journal) {
-    case core::JournalStatus::kFingerprintMismatch:
-      std::fprintf(stderr,
-                   "error: journal was written by a different campaign "
-                   "config; refusing to resume\n");
-      return kExitFingerprintMismatch;
-    case core::JournalStatus::kCorrupt:
-      std::fprintf(stderr,
-                   "error: journal failed its checksum (corrupt record); "
-                   "refusing to resume\n");
-      return kExitCorruptJournal;
     case core::JournalStatus::kIoError:
       // The journal is an output artifact like --out: losing frames must
       // surface as the write-failure exit code, never a generic error
@@ -586,7 +476,7 @@ int cmd_campaign(const Args& args) {
 }
 
 int cmd_atlas(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto routes_ptr = scenario.route(deployment);
   const auto& routes = *routes_ptr;
@@ -606,7 +496,7 @@ int cmd_atlas(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   core::RoundResult round;
   if (args.has("catchment")) {
@@ -637,7 +527,7 @@ int cmd_predict(const Args& args) {
 }
 
 int cmd_recommend(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto round = run_scan(scenario, deployment, 0, args);
   const auto load = scenario.broot_load(load_date_seed(args));
@@ -660,7 +550,7 @@ int cmd_recommend(const Args& args) {
 }
 
 int cmd_export_load(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto load = scenario.broot_load(load_date_seed(args));
   const std::string path = args.get("out", "load.csv");
   if (!core::save_load_csv(path, load)) {
@@ -777,15 +667,14 @@ int cmd_gen(const Args& args) {
     hitlist_config.seed = util::hash_combine(seed, 3);
     const auto hitlist = hitlist::Hitlist::build(
         topo, internet.responsiveness(), hitlist_config, probe_threads(args));
-    const core::Verfploeter verfploeter{internet, hitlist};
-    bgp::RoutingEngine engine{topo, deployment};
-    const auto routes = engine.full();
+    const core::ProbeEngine engine{internet, hitlist};
+    const auto routes = bgp::RoutingEngine{topo, deployment}.full();
     core::RoundSpec spec;
     spec.probe.measurement_id = 9500;
     apply_retry_args(spec.probe, args);
     spec.threads = probe_threads(args);
     ProgressObserver progress;
-    const auto round = verfploeter.run(*routes, spec, &progress);
+    const auto round = engine.run(*routes, spec, &progress);
     print_catchment_summary(deployment, round);
   }
   return 0;
@@ -869,7 +758,7 @@ std::string playbook_json(const agility::Playbook& playbook,
 }
 
 int cmd_playbook(const Args& args) {
-  const auto scenario = make_scenario(args);
+  const auto scenario = build_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
 
   agility::PlaybookConfig config;
@@ -879,10 +768,6 @@ int cmd_playbook(const Args& args) {
                         ? agility::SearchStrategy::kExhaustive
                         : agility::SearchStrategy::kStaged;
   config.threads = static_cast<unsigned>(args.get_long("threads", 1));
-  // The A/B escape hatch reaches the optimizer too: without the route
-  // cache every candidate is routed and scored from scratch. The
-  // playbook is bit-identical either way (cli_exit_test proves it).
-  config.use_delta = !args.has("no-route-cache");
   config.capacity_headroom = args.get_double("headroom", 1.6);
   config.top_k = static_cast<std::size_t>(args.get_long("top", 5));
 
@@ -993,20 +878,11 @@ int dispatch(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args =
+      cli::parse_args(argc, argv, /*has_command=*/true,
+                      {"resume", "no-metrics", "probe", "no-withdraw",
+                       "exhaustive"});
   if (!args) return usage();
   if (args->has("no-metrics")) obs::metrics().set_enabled(false);
-  int rc = dispatch(*args);
-  if (args->has("metrics-out")) {
-    const std::string path = args->get("metrics-out", "metrics.json");
-    if (obs::write_metrics_file(path, obs::metrics().snapshot())) {
-      std::printf("metrics written to %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      // Don't mask a more specific failure (journal mismatch/corruption)
-      // already carried in rc; only successful-so-far runs become 6.
-      if (rc == 0 || rc == kExitResumed) rc = kExitWriteFailed;
-    }
-  }
-  return rc;
+  return cli::finish_metrics(*args, dispatch(*args));
 }

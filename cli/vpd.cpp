@@ -23,68 +23,17 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <optional>
 #include <string>
 #include <thread>
 
-#include "analysis/scenario.hpp"
-#include "core/journal.hpp"
+#include "args.hpp"
 #include "net/http_server.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "service/daemon.hpp"
-#include "sim/fault_injector.hpp"
 #include "util/atomic_file.hpp"
 
 using namespace vp;
 
 namespace {
-
-struct Args {
-  std::map<std::string, std::string> options;
-
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  long get_long(const std::string& key, long fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atol(it->second.c_str());
-  }
-};
-
-bool is_boolean_flag(std::string_view key) {
-  return key == "resume" || key == "no-metrics" || key == "no-route-cache" ||
-         key == "exit-after-rounds";
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) return std::nullopt;
-    const std::string key{arg.substr(2)};
-    if (is_boolean_flag(key)) {
-      args.options[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    args.options[key] = argv[++i];
-  }
-  return args;
-}
-
-constexpr int kExitFingerprintMismatch = 4;  // journal is another campaign's
-constexpr int kExitCorruptJournal = 5;       // checksum failure, refused
-constexpr int kExitWriteFailed = 6;          // port-file/metrics-out failed
 
 int usage() {
   std::fprintf(
@@ -95,7 +44,6 @@ int usage() {
       "  --scale F          Internet size multiplier (default 0.4)\n"
       "  --seed N           simulation seed (default 42)\n"
       "  --deployment NAME  broot (default) or tangled\n"
-      "  --no-route-cache   recompute routes per probe (A/B escape hatch)\n"
       "measurement loop:\n"
       "  --rounds N         stop measuring after N rounds (default 0 =\n"
       "                     run until signalled)\n"
@@ -141,30 +89,22 @@ void on_signal(int) { g_signalled = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args =
+      cli::parse_args(argc, argv, /*has_command=*/false,
+                      {"resume", "no-metrics", "exit-after-rounds"});
   if (!args) return usage();
   if (args->has("no-metrics")) obs::metrics().set_enabled(false);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  analysis::ScenarioConfig scenario_config;
-  scenario_config.scale = args->get_double("scale", 0.4);
-  scenario_config.seed = static_cast<std::uint64_t>(args->get_long("seed", 42));
-  scenario_config.route_cache = !args->has("no-route-cache");
-  std::printf("building simulated Internet (scale %.2f, seed %llu)...\n",
-              scenario_config.scale,
-              static_cast<unsigned long long>(scenario_config.seed));
-  const analysis::Scenario scenario{scenario_config};
+  const analysis::Scenario scenario = cli::make_scenario(*args);
   const anycast::Deployment& deployment =
-      args->get("deployment", "broot") == "tangled" ? scenario.tangled()
-                                                    : scenario.broot();
+      cli::pick_deployment(scenario, *args);
 
   service::DaemonConfig config;
   config.probe.measurement_id = 100;  // vpctl campaign's base id
-  config.probe.max_retries = static_cast<int>(args->get_long("retries", 0));
-  config.probe.probe_timeout_ms = args->get_double("timeout-ms", 1000.0);
-  config.probe.retry_backoff_ms = args->get_double("backoff-ms", 250.0);
+  cli::apply_retry_args(config.probe, *args);
   config.rounds = static_cast<std::uint32_t>(args->get_long("rounds", 0));
   config.sim_interval =
       util::SimTime::from_minutes(args->get_double("interval-min", 15.0));
@@ -175,16 +115,8 @@ int main(int argc, char** argv) {
   config.stale_after_ms = args->get_double("stale-after-ms", 0.0);
   config.journal_path = args->get("journal", "");
   config.resume = args->has("resume");
-
-  std::optional<sim::FaultInjector> injector;
-  if (args->has("fault-seed")) {
-    const auto seed =
-        static_cast<std::uint64_t>(args->get_long("fault-seed", 1));
-    std::printf("injecting faults (plan seed %llu)\n",
-                static_cast<unsigned long long>(seed));
-    injector.emplace(sim::FaultPlan::from_seed(seed));
-    config.faults = &*injector;
-  }
+  const auto injector = cli::make_injector(*args);
+  if (injector) config.faults = &*injector;
 
   service::Daemon daemon{scenario, deployment, config};
 
@@ -205,7 +137,7 @@ int main(int argc, char** argv) {
         !util::atomic_write_file(args->get("port-file", ""),
                                  std::to_string(server.port()) + "\n")) {
       std::fprintf(stderr, "error: cannot write port file\n");
-      return kExitWriteFailed;
+      return cli::kExitWriteFailed;
     }
   }
 
@@ -231,23 +163,8 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!loop_ok) {
-    switch (daemon.journal_status()) {
-      case core::JournalStatus::kFingerprintMismatch:
-        std::fprintf(stderr,
-                     "error: journal was written by a different campaign "
-                     "config; refusing to resume\n");
-        rc = kExitFingerprintMismatch;
-        break;
-      case core::JournalStatus::kCorrupt:
-        std::fprintf(stderr,
-                     "error: journal failed its checksum (corrupt record); "
-                     "refusing to resume\n");
-        rc = kExitCorruptJournal;
-        break;
-      default:
-        rc = 1;
-        break;
-    }
+    rc = cli::journal_refusal(daemon.journal_status());
+    if (rc == 0) rc = 1;
   } else {
     const service::DaemonStatus status = daemon.status();
     std::printf("shutdown: %u rounds completed (%u resumed), %u failed, "
@@ -256,15 +173,5 @@ int main(int argc, char** argv) {
                 status.rounds_failed, status.watchdog_kills,
                 service::to_string(status.state));
   }
-
-  if (args->has("metrics-out")) {
-    const std::string path = args->get("metrics-out", "metrics.json");
-    if (obs::write_metrics_file(path, obs::metrics().snapshot())) {
-      std::printf("metrics written to %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      if (rc == 0) rc = kExitWriteFailed;
-    }
-  }
-  return rc;
+  return cli::finish_metrics(*args, rc);
 }

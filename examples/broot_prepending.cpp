@@ -51,7 +51,7 @@ int main() {
     probe.measurement_id =
         static_cast<std::uint32_t>(100 + (&option - options));
     const auto map =
-        scenario.verfploeter()
+        scenario.engine()
             .run(routes,
                  {probe, static_cast<std::uint32_t>(&option - options)})
             .map;

@@ -30,7 +30,7 @@ int main() {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 77;
-  const auto map = scenario.verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario.engine().run(routes, {probe, 0}).map;
   std::printf("test-prefix scan mapped %s blocks (%s to LAX)\n\n",
               util::with_commas(map.mapped_blocks()).c_str(),
               util::percent(map.fraction_to(0)).c_str());

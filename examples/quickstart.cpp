@@ -39,7 +39,7 @@ int main() {
   core::RoundSpec spec;
   spec.probe.measurement_id = 1001;
   spec.round = 0;
-  const core::RoundResult round = scenario.verfploeter().run(routes, spec);
+  const core::RoundResult round = scenario.engine().run(routes, spec);
   const core::CatchmentMap& map = round.map;
 
   std::printf("\nVerfploeter round %u:\n", map.measurement_id);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   probe.order_seed = 7;
   // The Campaign builder owns the per-round spacing and seeding; each
   // round gets a fresh measurement id, probe order, and start time.
-  const auto results = core::Campaign{scenario.verfploeter(), routes}
+  const auto results = core::Campaign{scenario.engine(), routes}
                            .probe(probe)
                            .rounds(rounds)
                            .interval(util::SimTime::from_minutes(15.0))

@@ -34,10 +34,11 @@
 // reuses step i-1's table and recomputes only the affected-AS set, and
 // the score is updated incrementally from the table's
 // changed_block_ranges() — exact, because the sums are integers. The
-// full path (use_delta = false, vpctl --no-route-cache) recomputes every
-// candidate's table and score from scratch. Both paths are bit-identical
-// by construction and by test (tests/playbook_property_test.cpp), at any
-// thread count (tests/playbook_determinism_test.cpp, raced under TSan).
+// full path (use_delta = false, the tests' and benches' reference)
+// recomputes every candidate's table and score from scratch. Both paths
+// are bit-identical by construction and by test
+// (tests/playbook_property_test.cpp), at any thread count
+// (tests/playbook_determinism_test.cpp, raced under TSan).
 //
 // Metrics: vp_agility_configs_evaluated_total,
 // vp_agility_search_ms (histogram), vp_agility_attacks_total.
@@ -151,8 +152,8 @@ struct PlaybookConfig {
   /// playbook is bit-identical for any value.
   unsigned threads = 1;
   /// Delta-session evaluation (default) vs full per-candidate
-  /// recomputation — the vpctl --no-route-cache A/B escape hatch.
-  /// Results are bit-identical either way.
+  /// recomputation — the reference path playbook_property_test and
+  /// bench_playbook compare against. Results are bit-identical either way.
   bool use_delta = true;
   /// Per-site capacity = headroom x (baseline legit total / active
   /// sites) — fair-share provisioning with a safety factor.

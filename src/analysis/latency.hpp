@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "anycast/deployment.hpp"
-#include "core/verfploeter.hpp"
+#include "core/round.hpp"
 #include "dnsload/load_model.hpp"
 #include "topology/topology.hpp"
 #include "util/stats.hpp"

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "bgp/catchment_resolver.hpp"
 #include "topology/scale_generator.hpp"
 #include "util/rng.hpp"
 
@@ -16,9 +15,6 @@ ScenarioConfig ScenarioConfig::from_env() {
   }
   if (const char* seed = std::getenv("VP_SEED")) {
     config.seed = std::strtoull(seed, nullptr, 10);
-  }
-  if (const char* off = std::getenv("VP_NO_ROUTE_CACHE")) {
-    if (off[0] != '\0' && off[0] != '0') config.route_cache = false;
   }
   if (const char* cap = std::getenv("VP_ROUTE_CACHE_BYTES")) {
     config.route_cache_bytes = std::strtoull(cap, nullptr, 10);
@@ -59,7 +55,7 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   hitlist_ = std::make_unique<hitlist::Hitlist>(hitlist::Hitlist::build(
       *topo_, internet_->responsiveness(), hitlist_config));
 
-  verfploeter_ = std::make_unique<core::Verfploeter>(*internet_, *hitlist_);
+  engine_ = std::make_unique<core::ProbeEngine>(*internet_, *hitlist_);
 
   // Atlas VP count: sized so the Verfploeter/Atlas responding-block ratio
   // lands near the paper's 430x (Table 4). Expected responding blocks
@@ -79,9 +75,8 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   atlas_small_ = std::make_unique<atlas::AtlasPlatform>(
       *topo_, internet_->responsiveness(), small);
 
-  route_cache_ = std::make_unique<bgp::RouteCache>(
-      *topo_, config.route_cache, config.route_cache_bytes);
-  bgp::set_catchment_cache_enabled(config.route_cache);
+  route_cache_ =
+      std::make_unique<bgp::RouteCache>(*topo_, config.route_cache_bytes);
 
   if (config.generated_ases > 0) {
     // Same site counts as the paper's deployments (Table 3), hosted at

@@ -4,8 +4,8 @@
 // Builds the simulated Internet once, then hands out the pieces every
 // experiment needs: the B-Root and Tangled deployments (Table 3), routing
 // epochs for the paper's two measurement dates (April/May 2017 — same
-// topology, different tie-break salt, §5.5), the Verfploeter instance, the
-// Atlas platform, and the load models (B-Root-like and .nl-like).
+// topology, different tie-break salt, §5.5), the probe engine, the Atlas
+// platform, and the load models (B-Root-like and .nl-like).
 //
 // Scale: the paper probes 6.4M blocks; the default scenario builds ~120k
 // and keeps every ratio (Atlas VP share, responsiveness, load skew) so the
@@ -21,7 +21,7 @@
 #include "bgp/route_cache.hpp"
 #include "bgp/routing.hpp"
 #include "bgp/routing_engine.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "dnsload/load_model.hpp"
 #include "hitlist/hitlist.hpp"
 #include "sim/internet.hpp"
@@ -38,15 +38,11 @@ struct ScenarioConfig {
   /// B-Root/Tangled deployment slots are filled by generated 2- and
   /// 9-site deployments hosted at the synthetic transit core.
   std::uint32_t generated_ases = 0;
-  /// Memoize route computation across deployment sweeps and precompute the
-  /// per-table block->site catchment tables. Results are byte-identical
-  /// either way (vpctl --no-route-cache / route_cache_test A/B).
-  bool route_cache = true;
   /// Byte cap on retained route-cache tables (0 = unbounded); LRU
   /// eviction by RoutingTable::memory_bytes() accounting.
   std::size_t route_cache_bytes = 0;
-  /// Reads VP_SCALE, VP_SEED, VP_NO_ROUTE_CACHE, and VP_ROUTE_CACHE_BYTES
-  /// from the environment (bench knobs).
+  /// Reads VP_SCALE, VP_SEED, VP_GEN_ASES and VP_ROUTE_CACHE_BYTES from
+  /// the environment (bench knobs).
   static ScenarioConfig from_env();
 };
 
@@ -58,7 +54,7 @@ inline constexpr std::uint64_t kMayEpoch = 0x20170515;
 /// bgp::RoutingEngine seeded at a base deployment under one routing epoch
 /// and walks the sweep by incremental deltas. On Tangled-scale
 /// topologies a one-site change recomputes only the affected-AS set
-/// instead of re-routing the whole Internet (vpctl --delta-sweep,
+/// instead of re-routing the whole Internet (vpctl sweep,
 /// bench_delta_routing). Not thread-safe across route_to calls; the
 /// returned tables are immutable and freely shared.
 class DeltaSession {
@@ -99,7 +95,9 @@ class Scenario {
   const topology::Topology& topo() const { return *topo_; }
   const sim::InternetSim& internet() const { return *internet_; }
   const hitlist::Hitlist& hitlist() const { return *hitlist_; }
-  const core::Verfploeter& verfploeter() const { return *verfploeter_; }
+  /// The sharded prober over this Internet and hitlist: runs one
+  /// measurement round against a routing table (core/probe_engine.hpp).
+  const core::ProbeEngine& engine() const { return *engine_; }
   const atlas::AtlasPlatform& atlas() const { return *atlas_; }
   /// The small Atlas deployment of the April B-Root measurements
   /// (Table 6: 967 VPs vs 9,682 in May).
@@ -109,9 +107,9 @@ class Scenario {
   const anycast::Deployment& tangled() const { return tangled_; }
 
   /// Routes for a deployment under a routing epoch. Served from the
-  /// scenario's route cache when enabled (sweeps that re-route the same
-  /// deployment pay the route computation once); the returned pointer keeps its
-  /// own deployment copy alive, so short-lived deployment values are fine.
+  /// scenario's route cache (sweeps that re-route the same deployment pay
+  /// the route computation once); the returned pointer keeps its own
+  /// deployment copy alive, so short-lived deployment values are fine.
   std::shared_ptr<const bgp::RoutingTable> route(
       const anycast::Deployment& deployment,
       std::uint64_t epoch_salt = kMayEpoch) const;
@@ -130,8 +128,7 @@ class Scenario {
   DeltaSession delta_session(const anycast::Deployment& base,
                              std::uint64_t epoch_salt = kMayEpoch) const;
 
-  /// The scenario's memoized routing front-end (stats, clear,
-  /// enable/disable, byte cap).
+  /// The scenario's memoized routing front-end (stats, clear).
   const bgp::RouteCache& route_cache() const { return *route_cache_; }
 
   /// B-Root-like load for a "date" (seed); .nl-like load for Figure 4b.
@@ -143,7 +140,7 @@ class Scenario {
   std::unique_ptr<topology::Topology> topo_;
   std::unique_ptr<sim::InternetSim> internet_;
   std::unique_ptr<hitlist::Hitlist> hitlist_;
-  std::unique_ptr<core::Verfploeter> verfploeter_;
+  std::unique_ptr<core::ProbeEngine> engine_;
   std::unique_ptr<atlas::AtlasPlatform> atlas_;
   std::unique_ptr<atlas::AtlasPlatform> atlas_small_;
   std::unique_ptr<bgp::RouteCache> route_cache_;

@@ -8,7 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/verfploeter.hpp"
+#include "core/round.hpp"
 #include "topology/topology.hpp"
 
 namespace vp::analysis {

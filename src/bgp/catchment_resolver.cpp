@@ -8,18 +8,6 @@
 
 namespace vp::bgp {
 
-namespace {
-std::atomic<bool> g_catchment_cache_enabled{true};
-}  // namespace
-
-void set_catchment_cache_enabled(bool on) noexcept {
-  g_catchment_cache_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool catchment_cache_enabled() noexcept {
-  return g_catchment_cache_enabled.load(std::memory_order_relaxed);
-}
-
 CatchmentResolver::CatchmentResolver(const RoutingTable& routes,
                                      std::uint64_t flip_signature,
                                      const FlappyPredicate& is_flappy)
@@ -45,10 +33,8 @@ CatchmentResolver::CatchmentResolver(const RoutingTable& routes,
     for (const topology::BlockInfo& info : blocks) {
       const std::uint32_t off = info.block.index() - first_;
       sites_[off] = routes.site_for_block(info);
-      if (is_flappy(info.block)) {
+      if (is_flappy(info.block))
         flappy_bits_[off >> 6] |= std::uint64_t{1} << (off & 63);
-        ++flappy_count_;
-      }
     }
   }
 
@@ -70,7 +56,6 @@ CatchmentResolver::CatchmentResolver(
     std::span<const std::pair<std::uint32_t, std::uint32_t>> changed_ranges)
     : first_(parent.first_),
       flip_signature_(flip_signature),
-      flappy_count_(parent.flappy_count_),
       sites_(parent.sites_),
       flappy_bits_(parent.flappy_bits_) {
   auto& registry = obs::metrics();
@@ -91,15 +76,10 @@ CatchmentResolver::CatchmentResolver(
       if (off >= sites_.size()) continue;
       sites_[off] = routes.site_for_block(info);
       const std::uint64_t bit = std::uint64_t{1} << (off & 63);
-      const bool was_flappy = (flappy_bits_[off >> 6] & bit) != 0;
-      const bool now_flappy = is_flappy(info.block);
-      if (was_flappy != now_flappy) {
-        flappy_bits_[off >> 6] ^= bit;
-        if (now_flappy)
-          ++flappy_count_;
-        else
-          --flappy_count_;
-      }
+      if (is_flappy(info.block))
+        flappy_bits_[off >> 6] |= bit;
+      else
+        flappy_bits_[off >> 6] &= ~bit;
     }
   }
 

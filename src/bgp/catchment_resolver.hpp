@@ -19,14 +19,13 @@
 //  * the deployment's visible-site list, so the transient-flip picker is
 //    O(1) instead of rebuilding the list per event.
 //
-// Invariant: the resolver is a pure materialization — cached and uncached
-// resolution give byte-identical catchment CSVs for any thread count
-// (tests/route_cache_test.cpp). Flappy membership depends on the flip
-// model's configuration, so each resolver records the `flip_signature`
-// it was built under and is bypassed on mismatch.
+// Invariant: the resolver is a pure materialization — resolution through
+// it answers exactly as FlipModel::site_in_round_uncached does, for every
+// block and round (tests/route_cache_test.cpp). Flappy membership depends
+// on the flip model's configuration, so each resolver records the
+// `flip_signature` it was built under and is bypassed on mismatch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -39,12 +38,6 @@
 namespace vp::bgp {
 
 class RoutingTable;
-
-/// Process-wide switch for catchment precomputation (vpctl
-/// --no-route-cache / tests' A-B comparisons). Results are identical
-/// either way; off means every probe resolves through the uncached path.
-void set_catchment_cache_enabled(bool on) noexcept;
-bool catchment_cache_enabled() noexcept;
 
 class CatchmentResolver {
  public:
@@ -114,7 +107,6 @@ class CatchmentResolver {
   }
 
   std::size_t block_span() const { return sites_.size(); }
-  std::size_t flappy_count() const { return flappy_count_; }
   /// Bytes materialized (table + bitset + site lists).
   std::size_t bytes() const;
 
@@ -128,7 +120,6 @@ class CatchmentResolver {
  private:
   std::uint32_t first_ = 0;  // lowest allocated /24 index
   std::uint64_t flip_signature_ = 0;
-  std::size_t flappy_count_ = 0;
   std::vector<anycast::SiteId> sites_;       // direct-mapped by index-first_
   std::vector<std::uint64_t> flappy_bits_;   // same indexing, 64 per word
   std::vector<anycast::SiteId> visible_;     // enabled && !hidden, in order

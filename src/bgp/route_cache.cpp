@@ -57,15 +57,6 @@ void RouteCache::enforce_limit_locked() const {
 std::shared_ptr<const RoutingTable> RouteCache::routes(
     const anycast::Deployment& deployment,
     const RoutingOptions& options) const {
-  const auto compute = [&] {
-    // A one-shot engine session: the produced table owns its deployment
-    // copy and shares no state with any other table.
-    RoutingEngine engine{*topo_, deployment, options};
-    return engine.full();
-  };
-
-  if (!enabled()) return compute();
-
   const Key key{anycast::fingerprint(deployment), options.tiebreak_salt,
                 std::bit_cast<std::uint64_t>(options.epoch_jitter_rate)};
   CacheMetrics& cm = CacheMetrics::get();
@@ -81,7 +72,9 @@ std::shared_ptr<const RoutingTable> RouteCache::routes(
   }
   ++misses_;
   cm.misses.add();
-  auto table = compute();
+  // A one-shot engine session: the produced table owns its deployment
+  // copy and shares no state with any other table.
+  auto table = RoutingEngine{*topo_, deployment, options}.full();
   lru_.push_front(key);
   const std::size_t table_bytes = table->memory_bytes();
   bytes_ += table_bytes;
@@ -99,17 +92,6 @@ std::shared_ptr<const RoutingTable> RouteCache::routes_delta(
   // unifies delta-derived lookups with direct ones: however a
   // configuration is reached, it has one cache entry.
   return routes(target, options);
-}
-
-void RouteCache::set_byte_limit(std::size_t bytes) {
-  std::lock_guard lock{mutex_};
-  byte_limit_ = bytes;
-  enforce_limit_locked();
-}
-
-std::size_t RouteCache::byte_limit() const {
-  std::lock_guard lock{mutex_};
-  return byte_limit_;
 }
 
 RouteCacheStats RouteCache::stats() const {

@@ -1,9 +1,9 @@
 // Memoized route computation for deployment sweeps.
 //
 // Prepending and placement searches (analysis::Scenario, bench_fig5/6,
-// bench_ext_placement, bench_table6/7, tools/debug_prepend) re-route the
-// same topology over and over — Anycast-Agility-style playbook searches
-// do it hundreds of times — and a full routing computation is the single
+// bench_ext_placement, bench_table6/7) re-route the same topology over
+// and over — Anycast-Agility-style playbook searches do it hundreds of
+// times — and a full routing computation is the single
 // most expensive call in those loops. Catchments are a pure function of
 // (topology, deployment, routing options), so the cache keys each
 // computed RoutingTable by (anycast::fingerprint(deployment),
@@ -26,11 +26,11 @@
 //
 // Determinism: a hit returns a table whose every answer is identical to
 // a fresh computation (tests/route_cache_test.cpp byte-compares whole
-// campaigns cache-on vs cache-off). Hit/miss/bytes/evictions are
-// surfaced through obs::MetricsRegistry (vp_bgp_route_cache_*).
+// rounds against fresh RoutingEngine::full() tables). Hit/miss/bytes/
+// evictions are surfaced through obs::MetricsRegistry
+// (vp_bgp_route_cache_*).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -53,16 +53,16 @@ struct RouteCacheStats {
 class RouteCache {
  public:
   /// `byte_limit` caps retained table memory (0 = unbounded).
-  explicit RouteCache(const topology::Topology& topo, bool enabled = true,
+  explicit RouteCache(const topology::Topology& topo,
                       std::size_t byte_limit = 0)
-      : topo_(&topo), enabled_(enabled), byte_limit_(byte_limit) {}
+      : topo_(&topo), byte_limit_(byte_limit) {}
 
   RouteCache(const RouteCache&) = delete;
   RouteCache& operator=(const RouteCache&) = delete;
 
   /// The routing table for (deployment, options): a shared cached table
-  /// on a hit, a freshly computed (and, when enabled, retained) one on a
-  /// miss. Thread-safe; concurrent callers of the same key compute once.
+  /// on a hit, a freshly computed and retained one on a miss. Thread-safe;
+  /// concurrent callers of the same key compute once.
   std::shared_ptr<const RoutingTable> routes(
       const anycast::Deployment& deployment,
       const RoutingOptions& options = {}) const;
@@ -73,20 +73,6 @@ class RouteCache {
   std::shared_ptr<const RoutingTable> routes_delta(
       const anycast::Deployment& base, const anycast::ConfigDelta& delta,
       const RoutingOptions& options = {}) const;
-
-  /// When disabled every call computes fresh and retains nothing —
-  /// results are identical (vpctl --no-route-cache A/B).
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Adjusts the byte cap (0 = unbounded); evicts immediately if the
-  /// retained set now exceeds it.
-  void set_byte_limit(std::size_t bytes);
-  std::size_t byte_limit() const;
 
   RouteCacheStats stats() const;
 
@@ -113,9 +99,8 @@ class RouteCache {
   void enforce_limit_locked() const;
 
   const topology::Topology* topo_;
-  std::atomic<bool> enabled_;
+  const std::size_t byte_limit_;
   mutable std::mutex mutex_;
-  mutable std::size_t byte_limit_;
   mutable std::unordered_map<Key, Entry, KeyHash> entries_;
   mutable std::list<Key> lru_;  // most recently used first
   mutable std::uint64_t hits_ = 0;

@@ -8,9 +8,6 @@
 #include <mutex>
 
 #include "bgp/catchment_resolver.hpp"
-#include "bgp/routing_engine.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "util/rng.hpp"
 
 namespace vp::bgp {
@@ -37,9 +34,8 @@ struct RoutingTable::ResolverSlot {
 
 namespace {
 
-/// Non-owning deployment handle for the legacy one-shot constructor:
-/// the caller keeps the deployment alive, exactly as before tables
-/// could own their configuration.
+/// Non-owning deployment handle for the hand-built-states constructor:
+/// the caller keeps the deployment alive.
 std::shared_ptr<const anycast::Deployment> borrow(
     const anycast::Deployment& deployment) {
   return {std::shared_ptr<const anycast::Deployment>{}, &deployment};
@@ -275,18 +271,6 @@ std::size_t RoutingTable::memory_bytes() const {
   }
   if (resolver_slot_->resolver) bytes += resolver_slot_->resolver->bytes();
   return bytes;
-}
-
-RoutingTable compute_routes(const Topology& topo,
-                            const anycast::Deployment& deployment,
-                            const RoutingOptions& options) {
-  auto& registry = obs::metrics();
-  registry.counter("vp_bgp_route_computations_total").add();
-  obs::Span span{&registry.histogram("vp_bgp_compute_routes_ms",
-                                     obs::latency_buckets_ms())};
-  return RoutingTable{topo, deployment,
-                      detail::compute_states(topo, deployment, options),
-                      options.tiebreak_salt};
 }
 
 }  // namespace vp::bgp

@@ -21,8 +21,7 @@
 // Computation lives in bgp::RoutingEngine (bgp/routing_engine.hpp): a
 // session object that produces immutable, structurally shared
 // RoutingTables and supports incremental recomputation of configuration
-// deltas. The free function compute_routes survives as a deprecated
-// one-shot wrapper.
+// deltas.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +113,7 @@ using BlockRange = std::pair<std::uint32_t, std::uint32_t>;
 /// uses to rebuild only the invalidated slice of its block->site table.
 class RoutingTable {
  public:
-  /// Legacy one-shot construction from plain per-AS states. The
+  /// Construction from hand-built per-AS states (test fixtures). The
   /// deployment is borrowed (caller keeps it alive); no provenance.
   RoutingTable(const topology::Topology& topo,
                const anycast::Deployment& deployment,
@@ -183,7 +182,7 @@ class RoutingTable {
   /// builds via `build`; concurrent callers wait, later callers get the
   /// built resolver for free. Returns nullptr when the installed
   /// resolver was built under a different `flip_signature` (callers then
-  /// use the uncached path — answers are identical either way).
+  /// resolve without it — answers are identical either way).
   const CatchmentResolver* catchment_resolver(
       std::uint64_t flip_signature,
       const std::function<std::unique_ptr<const CatchmentResolver>()>& build)
@@ -223,12 +222,5 @@ class RoutingTable {
   std::vector<BlockRange> changed_block_ranges_;
   std::shared_ptr<ResolverSlot> resolver_slot_;
 };
-
-/// One-shot valley-free propagation and hot-potato resolution.
-[[deprecated(
-    "construct a bgp::RoutingEngine and call full() / apply() instead")]]
-RoutingTable compute_routes(const topology::Topology& topo,
-                            const anycast::Deployment& deployment,
-                            const RoutingOptions& options = {});
 
 }  // namespace vp::bgp

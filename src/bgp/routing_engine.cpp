@@ -238,14 +238,6 @@ class Kernel {
     return topo_.find_as(deployment_.sites[site_index].upstream);
   }
 
-  /// Plain final states in AS order (the legacy compute_routes shape).
-  std::vector<AsRoutingState> plain_states() const {
-    std::vector<AsRoutingState> states(topo_.as_count());
-    for (AsId v = 0; v < topo_.as_count(); ++v)
-      states[v].candidates = lists_[v].final_list();
-    return states;
-  }
-
  private:
   /// Kahn layering of the customer->provider DAG: up_rank_[provider] >
   /// up_rank_[customer] for every transit edge, so processing by rank
@@ -566,7 +558,7 @@ std::shared_ptr<const RoutingTable> RoutingEngine::full() {
   std::lock_guard lock{mutex_};
   auto& registry = obs::metrics();
   registry.counter("vp_bgp_route_computations_total").add();
-  obs::Span span{&registry.histogram("vp_bgp_compute_routes_ms",
+  obs::Span span{&registry.histogram("vp_bgp_route_full_ms",
                                      obs::latency_buckets_ms())};
   impl_->run_full();
   impl_->publish(*topo_);
@@ -637,17 +629,5 @@ std::shared_ptr<const RoutingTable> RoutingEngine::current() const {
 bool RoutingEngine::incremental_supported() const {
   return impl_->incremental_supported();
 }
-
-namespace detail {
-
-std::vector<AsRoutingState> compute_states(
-    const Topology& topo, const anycast::Deployment& deployment,
-    const RoutingOptions& options) {
-  Kernel kernel{topo, deployment, options};
-  kernel.run_full();
-  return kernel.plain_states();
-}
-
-}  // namespace detail
 
 }  // namespace vp::bgp

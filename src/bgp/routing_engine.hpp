@@ -101,13 +101,4 @@ class RoutingEngine {
   std::unique_ptr<Impl> impl_;
 };
 
-namespace detail {
-/// The canonical propagation kernel as a one-shot: per-AS final states
-/// for `deployment`, in canonical order. Implementation detail shared
-/// with the deprecated compute_routes wrapper.
-std::vector<AsRoutingState> compute_states(
-    const topology::Topology& topo, const anycast::Deployment& deployment,
-    const RoutingOptions& options);
-}  // namespace detail
-
 }  // namespace vp::bgp

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/verfploeter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/rng.hpp"
@@ -14,10 +13,6 @@
 #include "util/thread_pool.hpp"
 
 namespace vp::core {
-
-Campaign::Campaign(const Verfploeter& verfploeter,
-                   const bgp::RoutingTable& routes)
-    : Campaign(verfploeter.engine(), routes) {}
 
 RoundSpec Campaign::spec_for(std::uint32_t r) const {
   RoundSpec spec;

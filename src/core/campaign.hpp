@@ -1,12 +1,11 @@
 // Campaign: a builder for multi-round measurement runs.
 //
-// Owns the per-round policy the old Verfploeter::campaign() loop hard-
-// coded: round r gets measurement id `base + r`, a fresh probe order via
-// a per-round seed, and start time `r * interval` (the paper's 24-hour
-// campaign is 96 rounds, 15 minutes apart, §4.2). Rounds are independent
-// by construction — every stochastic process is a pure function of
-// (block, round, seed) — so they can run concurrently; results land in
-// round order regardless of completion order.
+// Owns the per-round policy: round r gets measurement id `base + r`, a
+// fresh probe order via a per-round seed, and start time `r * interval`
+// (the paper's 24-hour campaign is 96 rounds, 15 minutes apart, §4.2).
+// Rounds are independent by construction — every stochastic process is a
+// pure function of (block, round, seed) — so they can run concurrently;
+// results land in round order regardless of completion order.
 //
 // With journal(path) set, every completed round is appended to a
 // crash-safe CampaignJournal (core/journal.hpp) and resume(true) skips
@@ -27,8 +26,6 @@
 #include "core/round.hpp"
 
 namespace vp::core {
-
-class Verfploeter;
 
 /// What a journaled run did, alongside the results themselves.
 struct CampaignReport {
@@ -57,8 +54,6 @@ class Campaign {
  public:
   Campaign(const ProbeEngine& engine, const bgp::RoutingTable& routes)
       : engine_(&engine), routes_(&routes) {}
-  /// Convenience overload so call sites can pass the Verfploeter facade.
-  Campaign(const Verfploeter& verfploeter, const bgp::RoutingTable& routes);
 
   /// Base probe configuration; round r runs with measurement id
   /// `base.measurement_id + r` and order seed derived from

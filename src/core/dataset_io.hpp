@@ -15,7 +15,7 @@
 #include <string>
 
 #include "anycast/deployment.hpp"
-#include "core/verfploeter.hpp"
+#include "core/round.hpp"
 #include "dnsload/load_model.hpp"
 
 namespace vp::core {

@@ -158,21 +158,27 @@ bool decode_result(Cursor& in, RoundResult& result) {
   result.raw_replies_per_site.resize(sites);
   for (std::uint32_t s = 0; s < sites; ++s)
     result.raw_replies_per_site[s] = in.u64();
+  // A CRC only proves the bytes are the ones written. The content checks
+  // below refuse what encode_result never writes — a site outside the
+  // record's own site table, a block listed twice in either section, an
+  // RTT for a block the map lacks — so a forged or miscomputed record can
+  // never reach code that indexes the deployment's sites by it.
   const std::uint32_t mapped = in.u32();
   if (!in.ok || mapped > 1u << 24) return false;
   for (std::uint32_t i = 0; i < mapped; ++i) {
     const net::Block24 block{in.u32()};
-    const auto site = static_cast<anycast::SiteId>(in.u8());
-    if (!in.ok) return false;
-    result.map.set(block, site);
+    const std::uint8_t site = in.u8();
+    if (!in.ok || site >= sites || result.map.contains(block)) return false;
+    result.map.set(block, static_cast<anycast::SiteId>(site));
   }
   const std::uint32_t rtts = in.u32();
   if (!in.ok || rtts > 1u << 24) return false;
   for (std::uint32_t i = 0; i < rtts; ++i) {
     const net::Block24 block{in.u32()};
     const float rtt = in.f32();
-    if (!in.ok) return false;
-    result.rtt_ms.emplace(block, rtt);
+    if (!in.ok || !result.map.contains(block) ||
+        !result.rtt_ms.emplace(block, rtt).second)
+      return false;
   }
   return in.ok && in.left == 0;
 }

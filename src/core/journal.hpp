@@ -28,7 +28,10 @@
 //     append) is truncated and the campaign re-runs that round;
 //   - a complete frame whose CRC fails (bit rot, manual edit) refuses the
 //     whole journal: silently resuming past corruption could split one
-//     campaign's artifacts across two realities;
+//     campaign's artifacts across two realities. So does a CRC-valid
+//     round whose content encode_round never writes: a site id outside
+//     the record's own site count, a block listed twice in the map or the
+//     RTT section, or an RTT for an unmapped block;
 //   - a manifest fingerprint mismatch refuses resume: the journal belongs
 //     to a different campaign.
 //
@@ -58,7 +61,7 @@ enum class JournalStatus {
   kFresh,                ///< new journal started (no usable prior state)
   kResumed,              ///< existing journal accepted; completed rounds loaded
   kFingerprintMismatch,  ///< journal belongs to a different campaign config
-  kCorrupt,              ///< a complete record failed its checksum
+  kCorrupt,              ///< a record failed its CRC or content checks
   kIoError,              ///< open/write/fsync failure
 };
 

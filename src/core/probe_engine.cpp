@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bgp/catchment_resolver.hpp"
+#include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/rng.hpp"
@@ -22,6 +23,51 @@ namespace {
 /// geo/responsiveness rows a tile touches comfortably inside LLC while
 /// still amortizing the per-tile bucketing work.
 constexpr std::uint32_t kDefaultTileEntries = 32768;
+
+/// One site's collector within one shard (paper §3.1, "response
+/// collection systems"): a structure-of-arrays reply accumulator whose
+/// columns are sized from the shard's block count and reused across
+/// rounds via the engine's arena, so steady-state appends never allocate
+/// and each column streams sequentially through cache. `key` is the
+/// probe's GLOBAL index in the round's probe order and `seq` the
+/// per-probe delivery counter, in append order across attempts —
+/// together they let the merge reproduce the legacy shard-concat order
+/// with one comparison-based sort (see CleanRecord).
+struct ReplyBuffer {
+  std::vector<std::int64_t> arrival_usec;
+  std::vector<std::int64_t> tx_usec;
+  std::vector<std::uint64_t> key;
+  std::vector<std::uint32_t> source;
+  std::vector<std::uint32_t> measurement_id;
+  std::vector<std::uint16_t> seq;
+  std::uint64_t malformed = 0;
+  std::uint64_t bytes_received = 0;
+
+  std::size_t size() const { return arrival_usec.size(); }
+
+  void push(std::int64_t arrival, std::int64_t tx, std::uint64_t probe_key,
+            std::uint32_t src, std::uint32_t mid, std::uint16_t delivery_seq) {
+    arrival_usec.push_back(arrival);
+    tx_usec.push_back(tx);
+    key.push_back(probe_key);
+    source.push_back(src);
+    measurement_id.push_back(mid);
+    seq.push_back(delivery_seq);
+  }
+
+  void clear() {
+    arrival_usec.clear();
+    tx_usec.clear();
+    key.clear();
+    source.clear();
+    measurement_id.clear();
+    seq.clear();
+    malformed = 0;
+    bytes_received = 0;
+  }
+
+  std::size_t capacity() const { return arrival_usec.capacity(); }
+};
 
 /// One merged reply in the cleaning array. `key` is the probe's global
 /// index in the round's probe order and `seq` its per-probe delivery
@@ -172,7 +218,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   // the serial walk's no matter which shard or tile builds them. With no
   // extra targets the index IS the order position (one probe per entry)
   // and the prefix-sum array is elided entirely — 51MB saved at 6.4M.
-  util::arena_reserve(ws.order, hitlist_->size(), *arena);
+  ws.order.reserve(hitlist_->size());
   hitlist_->probe_order_into(util::hash_combine(config.order_seed, spec.round),
                              ws.order);
   const auto& order = ws.order;
@@ -181,7 +227,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   const bool multi_target = config.extra_targets_per_block > 0;
   std::uint64_t total_probes = order.size();
   if (multi_target) {
-    util::arena_reserve(ws.offset, order.size() + 1, *arena);
+    ws.offset.reserve(order.size() + 1);
     ws.offset.assign(order.size() + 1, 0);
     std::vector<net::Ipv4Address> scratch;
     for (std::size_t i = 0; i < order.size(); ++i) {
@@ -235,7 +281,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
     // thus each block slot) belongs to exactly one order position. The
     // zero sentinel is unambiguous — probed addresses have a nonzero
     // host byte, so their value is never 0.
-    util::arena_reserve(ws.addr_by_block, block_span, *arena);
+    ws.addr_by_block.reserve(block_span);
     ws.addr_by_block.assign(block_span, 0);
   }
 
@@ -264,7 +310,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
           ? 1
           : (entry_count + tile_entries - 1) / tile_entries;
 
-  util::arena_reserve(ws.shards, shard_count, *arena);
+  ws.shards.reserve(shard_count);
   if (ws.shards.size() < shard_count) ws.shards.resize(shard_count);
   std::mutex observer_mutex;
   std::uint64_t sent_total = 0;  // guarded by observer_mutex
@@ -403,7 +449,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
                   static_cast<std::uint16_t>(probe_index & 0xffff), payload);
               internet_->probe_into(routes, shard.probe_bytes, attempt_tx,
                                     spec.round, shard.deliveries,
-                                    shard.reply_bytes, &dataplane,
+                                    shard.reply_bytes, dataplane,
                                     &resolve_tally);
               if (injector != nullptr) {
                 injector->apply_reply_faults(
@@ -415,15 +461,13 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
               }
               if (!shard.deliveries.empty()) {
                 // All deliveries of one attempt share the same bytes:
-                // parse once, then append per-site SoA rows (the legacy
-                // collectors re-parsed per delivery).
+                // parse once, then append per-site SoA rows.
                 const auto parsed = net::parse_reply_view(shard.reply_bytes);
                 for (const sim::DeliveryView& delivery : shard.deliveries) {
                   if (delivery.arrival <= attempt_tx + timeout)
                     answered_in_time = true;
                   ReplyBuffer& buf =
                       shard.replies[static_cast<std::size_t>(delivery.site)];
-                  ++buf.packets_received;
                   buf.bytes_received += shard.reply_bytes.size();
                   if (!parsed) {
                     ++buf.malformed;
@@ -490,7 +534,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
     ws.shards[s].hot_grows = 0;
   }
   em.hot_allocs.add(hot_grows);
-  arena->note_grow(hot_grows);
   result.map.probes_sent = total_probes + result.faults.retries;
   result.map.blocks_probed = order.size();
   if (observer != nullptr) observer->on_fault_stats(spec, result.faults);
@@ -532,9 +575,9 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       total_records += buf.size();
   // An eighth of headroom so round-to-round reply variance under a
   // cross-round arena doesn't force a yearly regrow.
-  util::arena_reserve(ws.merged, total_records + total_records / 8, *arena);
+  ws.merged.reserve(total_records + total_records / 8);
   ws.merged.clear();
-  util::arena_reserve(ws.site_bytes, site_count, *arena);
+  ws.site_bytes.reserve(site_count);
   ws.site_bytes.assign(site_count, 0);
   for (unsigned s = 0; s < shard_count; ++s) {
     const ShardWs& shard = ws.shards[s];
@@ -578,15 +621,15 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   std::sort(ws.merged.begin(), ws.merged.end());
   const util::SimTime cutoff =
       spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes);
-  util::arena_reserve(ws.kept_rtts, order.size(), *arena);
+  ws.kept_rtts.reserve(order.size());
   ws.kept_rtts.clear();
-  util::arena_reserve(ws.mapped_bits, (block_span + 63) / 64, *arena);
+  ws.mapped_bits.reserve((block_span + 63) / 64);
   ws.mapped_bits.assign((block_span + 63) / 64, 0);
   if (multi_target) {
     // Fallback probed-address index: concatenate the shards' (disjoint)
     // address lists and binary-search. The direct map can't be used — a
     // block probes several addresses.
-    util::arena_reserve(ws.sorted_addresses, total_probes, *arena);
+    ws.sorted_addresses.reserve(total_probes);
     ws.sorted_addresses.clear();
     for (unsigned s = 0; s < shard_count; ++s)
       ws.sorted_addresses.insert(ws.sorted_addresses.end(),

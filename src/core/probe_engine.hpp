@@ -42,7 +42,6 @@
 #pragma once
 
 #include "bgp/routing.hpp"
-#include "core/collector.hpp"
 #include "core/round.hpp"
 #include "hitlist/hitlist.hpp"
 #include "sim/internet.hpp"

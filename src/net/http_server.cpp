@@ -3,15 +3,23 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace vp::net {
 
 namespace {
+
+/// One budget for a connection's whole request, counted from accept. A
+/// per-recv timeout alone would let a client that trickles a byte just
+/// inside it hold the only serving thread for 16 KiB x that timeout.
+constexpr std::chrono::milliseconds kRequestDeadline{5000};
+constexpr std::size_t kMaxRequestBytes = 16 * 1024;
 
 int hex_digit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -159,21 +167,32 @@ void HttpServer::serve_loop() {
 }
 
 void HttpServer::handle_connection(int fd) {
-  // A stalled or malicious client must not wedge the accept loop: bound
-  // both directions, then read until the end of headers (we never accept
-  // request bodies) with a hard size cap.
+  // A stalled or malicious client must not wedge the accept loop: read
+  // until the end of headers (we never accept request bodies) with a hard
+  // size cap, against one deadline for the whole request, and bound every
+  // write of the response.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
   timeval tv{};
   tv.tv_sec = 5;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 
   std::string request;
   char buf[2048];
-  while (request.size() < 16 * 1024 &&
+  bool timed_out = false;
+  while (request.size() < kMaxRequestBytes &&
          request.find("\r\n\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd ready{fd, POLLIN, 0};
+    const int polled =
+        left.count() > 0 ? ::poll(&ready, 1, static_cast<int>(left.count()))
+                         : 0;
+    if (polled < 0 && errno == EINTR) continue;
+    timed_out = polled == 0;
+    if (polled <= 0) break;
+    const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
       break;
     }
     request.append(buf, static_cast<std::size_t>(n));
@@ -181,7 +200,10 @@ void HttpServer::handle_connection(int fd) {
 
   HttpRequest parsed;
   HttpResponse response;
-  if (!parse_http_request(request, parsed)) {
+  if (timed_out) {
+    // Headers that never ended are never served, whatever they hold.
+    response = HttpResponse::bad_request("request deadline exceeded");
+  } else if (!parse_http_request(request, parsed)) {
     response = HttpResponse::bad_request("malformed request");
   } else if (parsed.method != "GET" && parsed.method != "HEAD") {
     response = HttpResponse::bad_request("only GET is supported");

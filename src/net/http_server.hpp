@@ -7,8 +7,9 @@
 // handler (an O(1) map lookup), so a single blocking accept loop is
 // plenty for the 100k-lookups/s bar — the lookup path is benchmarked
 // in-process (bench_serve) and the socket layer only has to not wedge:
-// per-connection read/write timeouts guarantee a stalled client cannot
-// stop the daemon from serving the next one.
+// one deadline for each connection's whole request (5 s from accept) and
+// per-write timeouts guarantee a stalled or trickling client cannot stop
+// the daemon from serving the next one.
 //
 // The request/response structs are plain values so endpoint handlers are
 // unit-testable (and benchable) without a socket in sight.

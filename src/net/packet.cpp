@@ -88,34 +88,9 @@ std::optional<ProbePayload> ProbePayload::parse(
   return p;
 }
 
-void IcmpEcho::serialize(std::vector<std::uint8_t>& out) const {
-  const std::size_t start = out.size();
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // code
-  put_u16(out, 0);   // checksum placeholder
-  put_u16(out, identifier);
-  put_u16(out, sequence);
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint16_t sum = internet_checksum(std::span<const std::uint8_t>{
-      out.data() + start, out.size() - start});
-  out[start + 2] = static_cast<std::uint8_t>(sum >> 8);
-  out[start + 3] = static_cast<std::uint8_t>(sum);
-}
-
-std::optional<IcmpEcho> IcmpEcho::parse(std::span<const std::uint8_t> data) {
-  const auto view = parse_icmp_echo_view(data);
-  if (!view) return std::nullopt;
-  IcmpEcho m;
-  m.type = view->type;
-  m.identifier = view->identifier;
-  m.sequence = view->sequence;
-  m.payload.assign(view->payload.begin(), view->payload.end());
-  return m;
-}
-
 std::optional<IcmpEchoView> parse_icmp_echo_view(
     std::span<const std::uint8_t> data) {
-  if (data.size() < IcmpEcho::kHeaderSize) return std::nullopt;
+  if (data.size() < IcmpEchoView::kHeaderSize) return std::nullopt;
   if (internet_checksum(data) != 0) return std::nullopt;
   IcmpEchoView m;
   m.type = static_cast<IcmpType>(data[0]);
@@ -124,15 +99,14 @@ std::optional<IcmpEchoView> parse_icmp_echo_view(
   if (data[1] != 0) return std::nullopt;  // echo code must be 0
   m.identifier = get_u16(data, 4);
   m.sequence = get_u16(data, 6);
-  m.payload = data.subspan(IcmpEcho::kHeaderSize);
+  m.payload = data.subspan(IcmpEchoView::kHeaderSize);
   return m;
 }
 
 namespace {
 
-/// Shared tail of the builders: ICMP echo header + payload bytes appended
-/// to `out` with the checksum fixed up — byte-identical to
-/// IcmpEcho::serialize without needing an owning payload vector.
+/// ICMP echo header + payload bytes appended to `out` with the checksum
+/// fixed up.
 void append_icmp_echo(std::vector<std::uint8_t>& out, IcmpType type,
                       std::uint16_t identifier, std::uint16_t sequence,
                       std::span<const std::uint8_t> payload) {
@@ -162,7 +136,7 @@ void build_echo_request_into(std::vector<std::uint8_t>& out,
   ip.destination = destination;
   ip.identification = sequence;
   ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + IcmpEcho::kHeaderSize + ProbePayload::kSize);
+      Ipv4Header::kSize + IcmpEchoView::kHeaderSize + ProbePayload::kSize);
   out.reserve(ip.total_length);
   ip.serialize(out);
   const std::size_t icmp_start = out.size();
@@ -188,44 +162,13 @@ void build_echo_reply_into(std::vector<std::uint8_t>& out,
   ip.source = reply_source;
   ip.destination = request_ip.source;
   ip.identification = request_icmp.sequence;
-  ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + IcmpEcho::kHeaderSize + request_icmp.payload.size());
+  ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize +
+                                               IcmpEchoView::kHeaderSize +
+                                               request_icmp.payload.size());
   out.reserve(ip.total_length);
   ip.serialize(out);
   append_icmp_echo(out, IcmpType::kEchoReply, request_icmp.identifier,
                    request_icmp.sequence, request_icmp.payload);
-}
-
-PacketBytes build_echo_request(Ipv4Address source, Ipv4Address destination,
-                               std::uint16_t identifier, std::uint16_t sequence,
-                               const ProbePayload& payload) {
-  PacketBytes pkt;
-  build_echo_request_into(pkt.data, source, destination, identifier, sequence,
-                          payload);
-  return pkt;
-}
-
-PacketBytes build_echo_reply(const Ipv4Header& request_ip,
-                             const IcmpEcho& request_icmp,
-                             Ipv4Address reply_source) {
-  PacketBytes pkt;
-  build_echo_reply_into(
-      pkt.data, request_ip,
-      IcmpEchoView{request_icmp.type, request_icmp.identifier,
-                   request_icmp.sequence, request_icmp.payload},
-      reply_source);
-  return pkt;
-}
-
-std::optional<ParsedReply> parse_reply(std::span<const std::uint8_t> data) {
-  const auto view = parse_reply_view(data);
-  if (!view) return std::nullopt;
-  IcmpEcho icmp;
-  icmp.type = view->icmp.type;
-  icmp.identifier = view->icmp.identifier;
-  icmp.sequence = view->icmp.sequence;
-  icmp.payload.assign(view->icmp.payload.begin(), view->icmp.payload.end());
-  return ParsedReply{view->ip, std::move(icmp), view->probe};
 }
 
 std::optional<ParsedReplyView> parse_reply_view(

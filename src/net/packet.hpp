@@ -69,80 +69,38 @@ struct ProbePayload {
   static std::optional<ProbePayload> parse(std::span<const std::uint8_t> data);
 };
 
-/// An ICMP echo request/reply: 8-byte header + payload, RFC 792.
-struct IcmpEcho {
+/// An ICMP echo request/reply (8-byte header + payload, RFC 792) whose
+/// payload is a view into the containing packet.
+struct IcmpEchoView {
   static constexpr std::size_t kHeaderSize = 8;
 
-  IcmpType type = IcmpType::kEchoRequest;
-  std::uint16_t identifier = 0;
-  std::uint16_t sequence = 0;
-  std::vector<std::uint8_t> payload;
-
-  /// Appends the serialized message (with correct checksum) to `out`.
-  void serialize(std::vector<std::uint8_t>& out) const;
-
-  /// Parses and checksum-validates an ICMP echo from `data`.
-  static std::optional<IcmpEcho> parse(std::span<const std::uint8_t> data);
-};
-
-/// A fully assembled probe packet (IPv4 + ICMP echo) as raw bytes.
-struct PacketBytes {
-  std::vector<std::uint8_t> data;
-};
-
-/// Builds the raw bytes of an ICMP Echo Request probe.
-PacketBytes build_echo_request(Ipv4Address source, Ipv4Address destination,
-                               std::uint16_t identifier, std::uint16_t sequence,
-                               const ProbePayload& payload);
-
-/// Builds an Echo Reply for a parsed request, echoing the payload verbatim
-/// (as RFC 792 requires), optionally from a different source address.
-PacketBytes build_echo_reply(const Ipv4Header& request_ip,
-                             const IcmpEcho& request_icmp,
-                             Ipv4Address reply_source);
-
-// ---- allocation-free variants (the probe hot path) -----------------------
-//
-// The sharded engine builds and parses millions of packets per round;
-// the *_into / *_view forms below produce byte-identical wire images and
-// identical accept/reject decisions while reusing caller-owned buffers,
-// so a steady-state round touches the allocator zero times per probe.
-
-/// An ICMP echo whose payload is a view into the containing packet.
-struct IcmpEchoView {
   IcmpType type = IcmpType::kEchoRequest;
   std::uint16_t identifier = 0;
   std::uint16_t sequence = 0;
   std::span<const std::uint8_t> payload;
 };
 
-/// IcmpEcho::parse without the payload copy; identical validation.
+/// Parses and checksum-validates an ICMP echo from `data`. The view
+/// borrows `data` and must not outlive it.
 std::optional<IcmpEchoView> parse_icmp_echo_view(
     std::span<const std::uint8_t> data);
 
-/// build_echo_request into a reused buffer (cleared first). Byte-identical
-/// to build_echo_request().
+/// Builds the raw bytes of an ICMP Echo Request probe into a reused buffer
+/// (cleared first), so a steady-state round never allocates per probe.
 void build_echo_request_into(std::vector<std::uint8_t>& out,
                              Ipv4Address source, Ipv4Address destination,
                              std::uint16_t identifier, std::uint16_t sequence,
                              const ProbePayload& payload);
 
-/// build_echo_reply into a reused buffer (cleared first), from the parsed
-/// request's fields and payload bytes. Byte-identical to build_echo_reply().
+/// Builds an Echo Reply for a parsed request into a reused buffer (cleared
+/// first), echoing the payload verbatim (as RFC 792 requires), optionally
+/// from a different source address.
 void build_echo_reply_into(std::vector<std::uint8_t>& out,
                            const Ipv4Header& request_ip,
                            const IcmpEchoView& request_icmp,
                            Ipv4Address reply_source);
 
-/// A parsed probe reply as seen by a collector.
-struct ParsedReply {
-  Ipv4Header ip;
-  IcmpEcho icmp;
-  ProbePayload probe;
-};
-
-/// parse_reply without materializing the payload vector; identical
-/// validation, so malformed counts match the allocating path exactly.
+/// A parsed probe reply as seen by a site's collector.
 struct ParsedReplyView {
   Ipv4Header ip;
   IcmpEchoView icmp;
@@ -151,9 +109,6 @@ struct ParsedReplyView {
 
 /// Parses and validates a full reply packet; nullopt if any layer is
 /// malformed, the checksum fails, or the payload lacks the probe magic.
-std::optional<ParsedReply> parse_reply(std::span<const std::uint8_t> data);
-
-/// View-returning twin of parse_reply: same decisions, zero allocations.
 /// The view borrows `data` and must not outlive it.
 std::optional<ParsedReplyView> parse_reply_view(
     std::span<const std::uint8_t> data);

@@ -95,7 +95,7 @@ Daemon::Daemon(const analysis::Scenario& scenario,
       deployment_(deployment),
       config_(std::move(config)),
       routes_(scenario.route(deployment_)),
-      campaign_(scenario.verfploeter(), *routes_),
+      campaign_(scenario.engine(), *routes_),
       load_(scenario.broot_load(analysis::kMayEpoch)) {
   // The campaign object is the daemon's spec/fingerprint policy — one
   // source of truth shared with `vpctl campaign`, which is what makes a
@@ -274,9 +274,9 @@ std::optional<core::RoundResult> Daemon::run_attempt(std::uint32_t round,
   // the scenario (which outlives the daemon), never `this`: if the
   // watchdog abandons it, the detached thread finishes against its own
   // Attempt and the result is discarded under the mutex.
-  const core::Verfploeter* verfploeter = &scenario_.verfploeter();
+  const core::ProbeEngine* engine = &scenario_.engine();
   std::shared_ptr<const bgp::RoutingTable> routes = routes_;
-  std::thread worker{[att, verfploeter, routes, spec, wedge_ms, arena] {
+  std::thread worker{[att, engine, routes, spec, wedge_ms, arena] {
     if (wedge_ms > 0) {
       // Sleep in slices so an abandoned wedge exits promptly instead of
       // lingering for the full (deliberately long) wedge duration.
@@ -289,7 +289,7 @@ std::optional<core::RoundResult> Daemon::run_attempt(std::uint32_t round,
         std::this_thread::sleep_for(slice);
       }
     }
-    core::RoundResult result = verfploeter->run(*routes, spec);
+    core::RoundResult result = engine->run(*routes, spec);
     std::lock_guard lock{att->mutex};
     if (att->abandoned) return;
     att->result = std::move(result);

@@ -156,17 +156,6 @@ class FaultInjector {
   ///   surviving = generated - replies_dropped().
   /// Pure given its arguments; `stats` is the caller's (per-shard)
   /// accumulator.
-  void apply_reply_faults(std::vector<Delivery>& deliveries,
-                          net::Block24 block, std::uint32_t round,
-                          std::uint32_t attempt, util::SimTime tx,
-                          std::size_t site_count,
-                          util::SimTime window_start,
-                          util::SimTime window_length,
-                          FaultStats& stats) const;
-
-  /// Same fault realization over the non-owning DeliveryView form the
-  /// hot path uses (both overloads share one implementation, so the
-  /// Bernoulli streams — keyed by delivery index — are identical).
   void apply_reply_faults(std::vector<DeliveryView>& deliveries,
                           net::Block24 block, std::uint32_t round,
                           std::uint32_t attempt, util::SimTime tx,

@@ -15,9 +15,8 @@ double to_unit(std::uint64_t h) {
 }
 
 // Per-probe resolution counters. Hits mean the O(1) precomputed path
-// served the probe; misses mean the full hash-map walk did (cache
-// disabled or flip-signature mismatch). Together these replace the old
-// vp_bgp_block_site_lookups_total: hits + misses is the same denominator.
+// served the probe; misses mean the full hash-map walk did (flip-signature
+// mismatch). hits + misses counts every site lookup.
 struct ResolveMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
@@ -59,7 +58,6 @@ std::uint64_t FlipModel::flap_signature() const {
 
 const bgp::CatchmentResolver* FlipModel::resolver_for(
     const bgp::RoutingTable& routes) const {
-  if (!bgp::catchment_cache_enabled()) return nullptr;
   const std::uint64_t signature = flap_signature();
   return routes.catchment_resolver(signature, [&] {
     const auto flappy = [&](const net::Block24& b) {
@@ -93,8 +91,6 @@ anycast::SiteId FlipModel::site_in_round(const bgp::RoutingTable& routes,
                                          net::Block24 block,
                                          std::uint32_t round,
                                          ResolveTally* tally) const {
-  anycast::SiteId site;
-
   if (const bgp::CatchmentResolver* resolver = resolver_for(routes)) {
     // Fast path: the stable majority is one bounds check + one load; only
     // flappy blocks (the §6.3 minority) still reach into the hash map for
@@ -103,6 +99,7 @@ anycast::SiteId FlipModel::site_in_round(const bgp::RoutingTable& routes,
       ++tally->hits;
     else
       ResolveMetrics::get().hits.add();
+    anycast::SiteId site;
     if (resolver->flappy(block)) {
       const topology::BlockInfo* info = routes.topology().block_info(block);
       const bgp::AsRoutingState& state = routes.state(info->as_id);
@@ -121,12 +118,19 @@ anycast::SiteId FlipModel::site_in_round(const bgp::RoutingTable& routes,
     return site;
   }
 
-  // Uncached path — must enumerate identically to the resolver so cached
-  // and uncached runs produce byte-identical CSVs.
   if (tally != nullptr)
     ++tally->misses;
   else
     ResolveMetrics::get().misses.add();
+  return site_in_round_uncached(routes, block, round);
+}
+
+anycast::SiteId FlipModel::site_in_round_uncached(
+    const bgp::RoutingTable& routes, net::Block24 block,
+    std::uint32_t round) const {
+  // Must enumerate identically to the resolver so both paths produce
+  // byte-identical CSVs.
+  anycast::SiteId site;
   const topology::BlockInfo* info = routes.topology().block_info(block);
   if (info == nullptr) return anycast::kUnknownSite;
 

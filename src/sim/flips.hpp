@@ -25,7 +25,7 @@ namespace vp::sim {
 /// site_in_round for a whole tile of blocks and flushes the totals to the
 /// striped metric counters once per tile, instead of touching the obs
 /// layer on every probe. hits = O(1) precomputed-resolver path; misses =
-/// full hash-map walk (cache disabled or flip-signature mismatch).
+/// full hash-map walk (flip-signature mismatch).
 struct ResolveTally {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -62,6 +62,14 @@ class FlipModel {
                                 net::Block24 block, std::uint32_t round,
                                 ResolveTally* tally = nullptr) const;
 
+  /// The same answer computed without the table's catchment resolver:
+  /// hash-map lookups of the block's AS state on every call. This is what
+  /// site_in_round falls back to on a flip-signature mismatch, and the
+  /// reference the resolver is tested and benchmarked against.
+  anycast::SiteId site_in_round_uncached(const bgp::RoutingTable& routes,
+                                         net::Block24 block,
+                                         std::uint32_t round) const;
+
   /// Flushes a ResolveTally accumulated via site_in_round to the metric
   /// counters, leaving `tally` zeroed.
   static void flush(ResolveTally& tally);
@@ -75,10 +83,9 @@ class FlipModel {
   std::uint64_t flap_signature() const;
 
   /// The routing table's catchment resolver for this flip configuration,
-  /// building it on first use; nullptr when catchment precomputation is
-  /// disabled or the table's resolver was built under a different flip
-  /// signature (callers fall back to the uncached path — answers are
-  /// identical either way).
+  /// building it on first use; nullptr when the table's resolver was built
+  /// under a different flip signature (callers fall back to the uncached
+  /// path — answers are identical either way).
   const bgp::CatchmentResolver* resolver_for(
       const bgp::RoutingTable& routes) const;
 

@@ -9,14 +9,11 @@ namespace vp::sim {
 
 namespace {
 
-// Dataplane counters. probe() is the hottest call in the system (once
-// per probe attempt, from every worker thread), so these are striped
-// Counters: a relaxed enabled-check plus a per-thread-stripe fetch_add,
-// a few ns against probe()'s ~µs of parsing and hashing. Observe-only —
-// probe() stays pure in its inputs and bit-identical with metrics off.
-// The probes/lookups ratio also surfaces the cache-able of a future PR:
-// every target in a block repeats the same (routes, block, round) ->
-// site ground-truth lookup.
+// Dataplane counters. probe_into() is the hottest call in the system
+// (once per probe attempt, from every worker thread), so it tallies into
+// a caller-owned DataplaneTally and these striped Counters only see the
+// caller's per-tile flush. Observe-only — probe_into() stays pure in its
+// inputs and bit-identical with metrics off.
 struct DataplaneMetrics {
   obs::Counter& probes;
   obs::Counter& malformed;
@@ -52,25 +49,6 @@ double InternetSim::rtt_ms(net::Block24 block, anycast::SiteId site,
   return propagation_ms + rng.exponential(config_.mean_queue_delay_ms);
 }
 
-std::vector<Delivery> InternetSim::probe(
-    const bgp::RoutingTable& routes,
-    std::span<const std::uint8_t> packet_bytes, util::SimTime tx_time,
-    std::uint32_t round) const {
-  std::vector<DeliveryView> views;
-  std::vector<std::uint8_t> reply;
-  probe_into(routes, packet_bytes, tx_time, round, views, reply);
-  std::vector<Delivery> out;
-  out.reserve(views.size());
-  for (const DeliveryView& v : views) {
-    Delivery d;
-    d.site = v.site;
-    d.arrival = v.arrival;
-    d.packet.data = reply;  // copy; deliveries own their bytes
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
 void InternetSim::flush(DataplaneTally& tally) {
   DataplaneMetrics& dm = DataplaneMetrics::get();
   if (tally.probes) dm.probes.add(tally.probes);
@@ -86,43 +64,33 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
                              util::SimTime tx_time, std::uint32_t round,
                              std::vector<DeliveryView>& out,
                              std::vector<std::uint8_t>& reply_scratch,
-                             DataplaneTally* tally,
+                             DataplaneTally& tally,
                              ResolveTally* resolve_tally) const {
   out.clear();
   reply_scratch.clear();
-  DataplaneTally local;
-  DataplaneTally& t = tally != nullptr ? *tally : local;
-  // With no caller-owned tally, flush the local one on every exit path so
-  // the striped counters advance exactly as before.
-  struct Flusher {
-    DataplaneTally* local;
-    ~Flusher() {
-      if (local != nullptr) InternetSim::flush(*local);
-    }
-  } flusher{tally != nullptr ? nullptr : &local};
-  ++t.probes;
+  ++tally.probes;
 
   // Parse at the "host": a real host only answers well-formed echoes.
   const auto ip = net::Ipv4Header::parse(packet_bytes);
   if (!ip || ip->protocol != net::IpProtocol::kIcmp) {
-    ++t.malformed;
+    ++tally.malformed;
     return;
   }
   if (packet_bytes.size() < ip->total_length) {
-    ++t.malformed;
+    ++tally.malformed;
     return;
   }
   const auto icmp = net::parse_icmp_echo_view(packet_bytes.subspan(
       net::Ipv4Header::kSize, ip->total_length - net::Ipv4Header::kSize));
   if (!icmp || icmp->type != net::IcmpType::kEchoRequest) {
-    ++t.malformed;
+    ++tally.malformed;
     return;
   }
 
   const net::Block24 block = net::Block24::containing(ip->destination);
   const ReplyBehavior behavior = responsiveness_.behavior(block, round);
   if (!behavior.responds) {
-    ++t.unresponsive;
+    ++tally.unresponsive;
     return;
   }
 
@@ -131,7 +99,7 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
   // still find a live secondary host).
   if (!responsiveness_.is_live_host(
           block, static_cast<std::uint8_t>(ip->destination.value() & 0xff))) {
-    ++t.unresponsive;
+    ++tally.unresponsive;
     return;
   }
 
@@ -157,7 +125,7 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
   }
 
   // Catchment: the site whose collector will receive this reply.
-  ++t.site_lookups;
+  ++tally.site_lookups;
   const anycast::SiteId site =
       flips_.site_in_round(routes, block, round, resolve_tally);
   if (site < 0) return;
@@ -175,7 +143,7 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
     out.push_back(DeliveryView{
         site, tx_time + util::SimTime::from_seconds(delay_ms / 1000.0)});
   }
-  t.replies += out.size();
+  tally.replies += out.size();
 }
 
 }  // namespace vp::sim

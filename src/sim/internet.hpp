@@ -8,11 +8,11 @@
 // query". RTTs are distance-based so reply timestamps and the late-reply
 // cleaning path are realistic.
 //
-// Thread-safety: probe() and every model beneath it (responsiveness,
+// Thread-safety: probe_into() and every model beneath it (responsiveness,
 // flips, RTT jitter) are const and PURE — each stochastic decision is a
 // stateless hash of (block, round, seed), with all generator state local
 // to the call. The parallel probe engine (core/probe_engine.hpp) depends
-// on this: concurrent probe() calls against the same InternetSim and
+// on this: concurrent probe_into() calls against the same InternetSim and
 // RoutingTable must be data-race-free and give identical answers in any
 // interleaving. Do not add mutable caches here without a lock and a
 // determinism argument.
@@ -39,15 +39,8 @@ struct InternetConfig {
   double late_extra_minutes = 20.0;
 };
 
-/// A reply packet arriving at one anycast site's collector.
-struct Delivery {
-  anycast::SiteId site = anycast::kUnknownSite;
-  util::SimTime arrival;
-  net::PacketBytes packet;
-};
-
-/// Non-owning variant for the allocation-free hot path: all deliveries of
-/// one probe attempt are copies of the SAME reply packet (only site and
+/// A reply arriving at one anycast site's collector. All deliveries of one
+/// probe attempt are copies of the SAME reply packet (only site and
 /// arrival can differ per copy), so probe_into materializes the bytes once
 /// in a caller-owned scratch buffer and hands out plain (site, arrival)
 /// pairs. Valid until the next probe_into call on the same scratch.
@@ -57,9 +50,9 @@ struct DeliveryView {
 };
 
 /// Batched dataplane counters: probe_into accumulates here instead of
-/// touching the striped metric counters per probe; the engine flushes one
-/// tally per tile via InternetSim::flush. Field meanings match the
-/// vp_sim_* counters one-to-one.
+/// touching the striped metric counters per probe; the caller flushes
+/// them (the engine once per tile) via InternetSim::flush. Field meanings
+/// match the vp_sim_* counters one-to-one.
 struct DataplaneTally {
   std::uint64_t probes = 0;
   std::uint64_t malformed = 0;
@@ -90,30 +83,22 @@ class InternetSim {
 
   /// Builds `routes`' catchment resolver up front so the first probe of a
   /// round doesn't pay the one-time block->site materialization. Safe to
-  /// call concurrently and repeatedly; a no-op when precomputation is
-  /// disabled. The probe engine calls this once before fanning out.
+  /// call concurrently and repeatedly. The probe engine calls this once
+  /// before fanning out.
   void warm(const bgp::RoutingTable& routes) const { flips_.warm(routes); }
 
   /// Injects one probe packet at `tx_time` during `round`, using `routes`
-  /// as the current BGP state. Returns every reply delivery it causes
-  /// (empty for unresponsive/unallocated targets or malformed packets).
-  std::vector<Delivery> probe(const bgp::RoutingTable& routes,
-                              std::span<const std::uint8_t> packet_bytes,
-                              util::SimTime tx_time,
-                              std::uint32_t round) const;
-
-  /// Allocation-free probe: identical decisions and bytes to probe(), but
-  /// deliveries land in `out` as views over `reply_scratch` (cleared and
-  /// refilled here; the reply bytes are built once per attempt instead of
-  /// copied per delivery). With `tally`/`resolve_tally` non-null, metric
-  /// increments accumulate there for the caller to flush per tile;
-  /// otherwise the striped counters are hit directly as in probe().
+  /// as the current BGP state. Every reply delivery it causes lands in
+  /// `out` (cleared first; empty for unresponsive/unallocated targets or
+  /// malformed packets) as a view over `reply_scratch`, which holds the
+  /// reply bytes built once per attempt. Counts accumulate in `tally` and,
+  /// when non-null, `resolve_tally`, for the caller to flush.
   void probe_into(const bgp::RoutingTable& routes,
                   std::span<const std::uint8_t> packet_bytes,
                   util::SimTime tx_time, std::uint32_t round,
                   std::vector<DeliveryView>& out,
                   std::vector<std::uint8_t>& reply_scratch,
-                  DataplaneTally* tally = nullptr,
+                  DataplaneTally& tally,
                   ResolveTally* resolve_tally = nullptr) const;
 
   /// Flushes a DataplaneTally (and nothing else) to the vp_sim_* striped

@@ -9,12 +9,12 @@
 // pays it every round forever.
 //
 // RoundArena is a typed-slot holder: the first round creates each state
-// object (a "grow"), later rounds get the same object back with its
-// vectors' capacity intact (a "reuse"). It is deliberately dumb — no
-// size classes, no freelists — because the engine's workspaces already
-// know how to size themselves; the arena only keeps them alive between
-// rounds and counts what happened, so a regression test can assert that
-// round 2+ performs zero hot-path growth (vp_engine_arena_reuses_total /
+// object, later rounds get the same object back with its vectors'
+// capacity intact (a "reuse"). It is deliberately dumb — no size classes,
+// no freelists — because the engine's workspaces already know how to size
+// themselves; the arena only keeps them alive between rounds and counts
+// reuses, so a regression test can assert that round 2+ performs zero
+// hot-path growth (vp_engine_arena_reuses_total /
 // vp_engine_hot_allocs_total, see core/probe_engine.cpp).
 //
 // Threading: an arena may be used by AT MOST ONE round at a time. The
@@ -29,7 +29,6 @@
 #include <memory>
 #include <typeindex>
 #include <unordered_map>
-#include <vector>
 
 namespace vp::util {
 
@@ -54,30 +53,12 @@ class RoundArena {
     return *std::static_pointer_cast<T>(it->second);
   }
 
-  /// Workspaces report every vector-capacity growth here; zero across a
-  /// steady-state round is the arena's whole point.
-  void note_grow(std::uint64_t n = 1) { grow_events_ += n; }
-
   /// Times a state<T>() call handed back an existing object.
   std::uint64_t reuses() const { return reuses_; }
-  /// Cumulative capacity-growth events reported by the workspaces.
-  std::uint64_t grow_events() const { return grow_events_; }
 
  private:
   std::unordered_map<std::type_index, std::shared_ptr<void>> slots_;
   std::uint64_t reuses_ = 0;
-  std::uint64_t grow_events_ = 0;
 };
-
-/// reserve() that tells the arena when it actually grew. Hot loops size
-/// their vectors through this so the steady-state allocation test can
-/// count growths instead of hooking the global allocator.
-template <typename T>
-void arena_reserve(std::vector<T>& v, std::size_t n, RoundArena& arena) {
-  if (v.capacity() < n) {
-    v.reserve(n);
-    arena.note_grow();
-  }
-}
 
 }  // namespace vp::util

@@ -7,15 +7,18 @@ counter bounds, same-run ratio gates, counter extraction from
 google-benchmark JSON — gets pinned here. Run directly or via ctest
 (label: unit).
 """
+import glob
 import importlib.util
 import json
 import os
+import re
 import sys
 import tempfile
 import unittest
 
 _TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      os.pardir, "tools", "bench_compare.py")
+_REPO = os.path.join(os.path.dirname(_TOOL), os.pardir)
 _spec = importlib.util.spec_from_file_location("bench_compare", _TOOL)
 bench_compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_compare)
@@ -131,9 +134,7 @@ class ScaleGateTest(unittest.TestCase):
     def test_repo_baseline_scale_gates_parse(self):
         # The committed baseline's own gates must stay in a shape this
         # script understands (a typo here silently disables the gate).
-        baseline = os.path.join(os.path.dirname(_TOOL), os.pardir,
-                                "bench", "baseline.json")
-        with open(baseline) as f:
+        with open(os.path.join(_REPO, "bench", "baseline.json")) as f:
             doc = json.load(f)
         self.assertIn("scale_gates", doc)
         for name, gate in doc["scale_gates"].items():
@@ -164,6 +165,35 @@ class CacheSpeedupTest(unittest.TestCase):
                 current, {"gate": {"slow": "BM_Slow", "fast": "BM_Gone",
                                    "min_ratio": 1.0}}),
             [])
+
+
+class BaselineNamesTest(unittest.TestCase):
+    def test_every_baseline_name_is_a_registered_benchmark(self):
+        # A gate whose benchmark is missing from a run is skipped (see
+        # test_gate_skipped_when_either_side_missing), so deleting a bench
+        # would leave its gate silently dead. Every name the committed
+        # baseline refers to, args stripped, must still be registered by a
+        # BENCHMARK(...) in bench/*.cpp.
+        registered = set()
+        for path in glob.glob(os.path.join(_REPO, "bench", "*.cpp")):
+            with open(path) as f:
+                registered.update(
+                    re.findall(r"\bBENCHMARK\(\s*(\w+)\s*\)", f.read()))
+        with open(os.path.join(_REPO, "bench", "baseline.json")) as f:
+            doc = json.load(f)
+        names = set(doc["benchmarks"])
+        for section, gates in doc.items():
+            if not section.endswith("_gates"):
+                continue
+            for gate in gates.values():
+                for key in ("fast", "slow", "bench", "numerator",
+                            "denominator"):
+                    if key in gate:
+                        names.add(gate[key])
+        self.assertGreater(len(names), 0)
+        missing = sorted(name for name in names
+                         if name.split("/")[0] not in registered)
+        self.assertEqual(missing, [])
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ class DiffTest : public ::testing::Test {
     const auto& routes = *routes_ptr;
     core::ProbeConfig probe;
     probe.measurement_id = 100 + round;
-    return scenario().verfploeter().run(routes, {probe, round}).map;
+    return scenario().engine().run(routes, {probe, round}).map;
   }
 
  private:

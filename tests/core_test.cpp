@@ -2,7 +2,7 @@
 
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 namespace vp::core {
 namespace {
@@ -19,7 +19,7 @@ class CoreTest : public ::testing::Test {
     ProbeConfig probe;
     probe.measurement_id = 500;
     round_ = new RoundResult(
-        scenario_->verfploeter().run(*routes_, {probe, 0}));
+        scenario_->engine().run(*routes_, {probe, 0}));
   }
   static void TearDownTestSuite() {
     delete round_;
@@ -96,7 +96,7 @@ TEST_F(CoreTest, RoundIsDeterministic) {
   ProbeConfig probe;
   probe.measurement_id = 500;
   const RoundResult again =
-      scenario().verfploeter().run(routes(), {probe, 0});
+      scenario().engine().run(routes(), {probe, 0});
   EXPECT_EQ(again.map.mapped_blocks(), round().map.mapped_blocks());
   for (const auto& [block, site] : round().map.entries())
     EXPECT_EQ(again.map.site_of(block), site);
@@ -106,7 +106,7 @@ TEST_F(CoreTest, DifferentRoundsDifferSlightly) {
   ProbeConfig probe;
   probe.measurement_id = 501;
   const RoundResult other =
-      scenario().verfploeter().run(routes(), {probe, 1});
+      scenario().engine().run(routes(), {probe, 1});
   // Churn means the two rounds map a slightly different set.
   std::size_t differing = 0;
   for (const auto& [block, site] : round().map.entries())
@@ -120,7 +120,7 @@ TEST_F(CoreTest, ExtraTargetsImproveCoverage) {
   probe.measurement_id = 600;
   probe.extra_targets_per_block = 3;
   const RoundResult retried =
-      scenario().verfploeter().run(routes(), {probe, 0});
+      scenario().engine().run(routes(), {probe, 0});
   EXPECT_GT(retried.map.mapped_blocks(), round().map.mapped_blocks());
   EXPECT_GT(retried.map.probes_sent, round().map.probes_sent * 3);
 }
@@ -144,7 +144,7 @@ TEST_F(CoreTest, FractionToSitesSumsToOne) {
 TEST_F(CoreTest, CampaignProducesDistinctRounds) {
   ProbeConfig probe;
   probe.measurement_id = 700;
-  const auto rounds = Campaign{scenario().verfploeter(), routes()}
+  const auto rounds = Campaign{scenario().engine(), routes()}
                           .probe(probe)
                           .rounds(4)
                           .interval(util::SimTime::from_minutes(15))
@@ -165,7 +165,7 @@ TEST_F(CoreTest, ConcurrentCampaignMatchesSequentialInRoundOrder) {
   ProbeConfig probe;
   probe.measurement_id = 800;
   const auto make = [&](unsigned concurrency) {
-    return Campaign{scenario().verfploeter(), routes()}
+    return Campaign{scenario().engine(), routes()}
         .probe(probe)
         .rounds(5)
         .interval(util::SimTime::from_minutes(15))
@@ -195,39 +195,6 @@ TEST_F(CoreTest, ConcurrentCampaignMatchesSequentialInRoundOrder) {
       }
     }
   }
-}
-
-TEST(Collector, CountsMalformedPackets) {
-  Collector collector{0};
-  const std::vector<std::uint8_t> garbage{0x01, 0x02, 0x03};
-  collector.receive(garbage, {});
-  EXPECT_EQ(collector.malformed(), 1u);
-  EXPECT_TRUE(collector.records().empty());
-}
-
-TEST(Collector, RecordsValidReply) {
-  net::ProbePayload payload;
-  payload.measurement_id = 9;
-  payload.tx_time_usec = 1000;
-  payload.original_target = *net::Ipv4Address::parse("1.2.3.4");
-  const auto request = net::build_echo_request(
-      *net::Ipv4Address::parse("192.0.2.1"), payload.original_target, 9, 1,
-      payload);
-  const auto ip = net::Ipv4Header::parse(request.data);
-  const auto icmp = net::IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(
-          net::Ipv4Header::kSize));
-  const auto reply = net::build_echo_reply(*ip, *icmp, payload.original_target);
-
-  Collector collector{1};
-  collector.receive(reply.data, util::SimTime::from_seconds(2));
-  ASSERT_EQ(collector.records().size(), 1u);
-  const ReplyRecord& record = collector.records()[0];
-  EXPECT_EQ(record.site, 1);
-  EXPECT_EQ(record.measurement_id, 9u);
-  EXPECT_EQ(record.source, payload.original_target);
-  EXPECT_EQ(record.tx_time.usec, 1000);
-  EXPECT_DOUBLE_EQ(record.arrival.seconds(), 2.0);
 }
 
 TEST(CatchmentMap, SiteOfUnknownBlock) {

@@ -4,8 +4,12 @@
 // fault assert the one invariant the daemon exists for: the served map
 // is always the last good round's map (or its journal-resumed
 // equivalent), byte-identical to what an uninterrupted offline `vpctl
-// campaign` run produces for the same round.
+// campaign` run produces for the same round. A hostile client that
+// trickles its request must not stop the daemon serving anyone else.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "daemon_test_util.hpp"
 
@@ -200,6 +204,51 @@ TEST(DaemonChaos, JournalFailureMidCampaignDegradesButKeepsMeasuring) {
       {{"VP_JOURNAL_FAIL_AT", "3"}}, port_file, "\"map_round\":2", 2,
       {"\"state\":\"degraded\"", "\"reason\":\"journal-io\""});
   std::remove(journal.c_str());
+}
+
+TEST(DaemonChaos, TricklingClientCannotHoldTheServingThread) {
+  // The server answers one connection at a time. A client that sends its
+  // request a byte every 200 ms and never ends the headers must be cut
+  // off at the per-request deadline (5 s from accept), so a /healthz
+  // queued behind it answers within that deadline plus slack.
+  constexpr double kDeadlineS = 5.0;
+  constexpr double kSlackS = 3.0;
+  const std::string port_file = test_dir() + "/trickle.port";
+  const pid_t pid = spawn_vpd(VPD_PATH, serving_args(1, port_file));
+  const std::uint16_t port = wait_port(port_file);
+  ASSERT_GT(port, 0);
+  ASSERT_FALSE(poll_for(port, "/healthz", "\"map_round\":0").empty());
+
+  const int trickler = connect_loopback(port, 2 * (kDeadlineS + kSlackS));
+  ASSERT_GE(trickler, 0);
+  std::atomic<bool> stop{false};
+  std::thread trickle{[&] {
+    const std::string prefix = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+    for (std::size_t i = 0; !stop.load(); ++i) {
+      const char byte = i < prefix.size() ? prefix[i] : 'a';
+      if (::send(trickler, &byte, 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds{200});
+    }
+  }};
+  // Let the server take the trickler first, then queue a health check.
+  std::this_thread::sleep_for(std::chrono::milliseconds{500});
+  const auto asked = std::chrono::steady_clock::now();
+  const HttpReply health =
+      http_get(port, "/healthz", 2 * (kDeadlineS + kSlackS));
+  const double waited_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - asked)
+          .count();
+  stop.store(true);
+  trickle.join();
+  // The trickler got a 400 for its unfinished request, then the close.
+  const std::string cut = read_all(trickler);
+  ::close(trickler);
+
+  EXPECT_EQ(health.status, 200);
+  EXPECT_LT(waited_s, kDeadlineS + kSlackS);
+  EXPECT_EQ(cut.rfind("HTTP/1.1 400", 0), 0u) << cut;
+  EXPECT_EQ(terminate_vpd(pid), 0);
+  std::remove(port_file.c_str());
 }
 
 }  // namespace

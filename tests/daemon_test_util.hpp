@@ -12,6 +12,7 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -105,30 +106,52 @@ struct HttpReply {
   std::string body;
 };
 
-/// One blocking GET against the daemon; empty status 0 on connect failure.
-inline HttpReply http_get(std::uint16_t port, const std::string& target) {
-  HttpReply reply;
+/// A TCP connection to the daemon's loopback port; -1 on failure. With
+/// `timeout_s` > 0, reads give up after that long.
+inline int connect_loopback(std::uint16_t port, double timeout_s = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return reply;
+  if (fd < 0) return -1;
+  if (timeout_s > 0) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout_s);
+    tv.tv_usec = static_cast<suseconds_t>((timeout_s - tv.tv_sec) * 1e6);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return reply;
+    return -1;
   }
+  return fd;
+}
+
+/// Everything the peer sends until it closes (or a read times out).
+inline std::string read_all(int fd) {
+  std::string data;
+  char buffer[8192];
+  ssize_t n;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0)
+    data.append(buffer, static_cast<std::size_t>(n));
+  return data;
+}
+
+/// One blocking GET against the daemon; status 0 on connect failure, or
+/// when no response arrives within `timeout_s` (> 0).
+inline HttpReply http_get(std::uint16_t port, const std::string& target,
+                          double timeout_s = 0) {
+  HttpReply reply;
+  const int fd = connect_loopback(port, timeout_s);
+  if (fd < 0) return reply;
   const std::string request = "GET " + target + " HTTP/1.1\r\n\r\n";
   if (::send(fd, request.data(), request.size(), 0) !=
       static_cast<ssize_t>(request.size())) {
     ::close(fd);
     return reply;
   }
-  std::string response;
-  char buffer[8192];
-  ssize_t n;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0)
-    response.append(buffer, static_cast<std::size_t>(n));
+  const std::string response = read_all(fd);
   ::close(fd);
   const std::size_t space = response.find(' ');
   if (space != std::string::npos)

@@ -293,7 +293,7 @@ TEST(DatasetIo, MeasuredRoundSurvivesExportImport) {
   const auto& routes = *routes_ptr;
   ProbeConfig probe;
   probe.measurement_id = 50;
-  const auto round = scenario.verfploeter().run(routes, {probe, 0});
+  const auto round = scenario.engine().run(routes, {probe, 0});
 
   std::stringstream stream;
   write_catchment_csv(stream, round, scenario.broot());

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "analysis/scenario.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace vp::core {
@@ -62,7 +62,7 @@ class FaultPropertyTest : public ::testing::Test {
 
   static RoundResult run(const sim::FaultInjector* faults, int retries,
                          unsigned threads) {
-    return scenario_->verfploeter().run(*routes_,
+    return scenario_->engine().run(*routes_,
                                         spec_with(faults, retries, threads));
   }
 
@@ -242,7 +242,7 @@ class FaultStatsObserver : public RoundObserver {
 TEST_F(FaultPropertyTest, ObserverReceivesTheRoundsFaultStats) {
   const sim::FaultInjector injector{sim::FaultPlan::from_seed(3)};
   FaultStatsObserver observer;
-  const RoundResult result = scenario_->verfploeter().run(
+  const RoundResult result = scenario_->engine().run(
       *routes_, spec_with(&injector, 1, 4), &observer);
   EXPECT_EQ(observer.calls, 1);
   EXPECT_EQ(observer.seen.probes_lost, result.faults.probes_lost);

@@ -71,8 +71,15 @@ TEST_F(HitlistTest, MostEntriesPointAtTheLiveHost) {
   EXPECT_LT(fraction, 0.95);
 }
 
+std::vector<std::uint32_t> order_for(const Hitlist& hitlist,
+                                     std::uint64_t round_seed) {
+  std::vector<std::uint32_t> order;
+  hitlist.probe_order_into(round_seed, order);
+  return order;
+}
+
 TEST_F(HitlistTest, ProbeOrderIsAPermutation) {
-  const auto order = hitlist().probe_order(1);
+  const auto order = order_for(hitlist(), 1);
   ASSERT_EQ(order.size(), hitlist().size());
   std::vector<bool> seen(order.size(), false);
   for (const std::uint32_t index : order) {
@@ -83,15 +90,19 @@ TEST_F(HitlistTest, ProbeOrderIsAPermutation) {
 }
 
 TEST_F(HitlistTest, ProbeOrderVariesBySeedButIsStable) {
-  const auto a1 = hitlist().probe_order(1);
-  const auto a2 = hitlist().probe_order(1);
-  const auto b = hitlist().probe_order(2);
-  EXPECT_EQ(a1, a2);
+  const auto a1 = order_for(hitlist(), 1);
+  const auto b = order_for(hitlist(), 2);
   EXPECT_NE(a1, b);
+  // A reused buffer (the engine's cross-round arena) gets the identical
+  // permutation, whatever it held before.
+  std::vector<std::uint32_t> reused = b;
+  reused.push_back(7);
+  hitlist().probe_order_into(1, reused);
+  EXPECT_EQ(reused, a1);
 }
 
 TEST_F(HitlistTest, ProbeOrderIsNotSequential) {
-  const auto order = hitlist().probe_order(3);
+  const auto order = order_for(hitlist(), 3);
   std::size_t sequential = 0;
   for (std::size_t i = 1; i < order.size(); ++i)
     if (order[i] == order[i - 1] + 1) ++sequential;
@@ -101,7 +112,9 @@ TEST_F(HitlistTest, ProbeOrderIsNotSequential) {
 
 TEST_F(HitlistTest, ExtraTargetsStayInBlockAndDedupe) {
   const Entry& entry = hitlist().entries()[42];
-  const auto targets = hitlist().targets_for(entry, 5, 77);
+  std::vector<net::Ipv4Address> scratch{net::Ipv4Address{1, 2, 3, 4}};
+  const auto targets = hitlist().targets_into(entry, 5, 77, scratch);
+  EXPECT_EQ(targets.data(), scratch.data());
   ASSERT_GE(targets.size(), 2u);
   ASSERT_LE(targets.size(), 6u);
   EXPECT_EQ(targets[0], entry.target);
@@ -114,9 +127,11 @@ TEST_F(HitlistTest, ExtraTargetsStayInBlockAndDedupe) {
 
 TEST_F(HitlistTest, ZeroExtraTargetsMeansSingleProbe) {
   const Entry& entry = hitlist().entries()[7];
-  const auto targets = hitlist().targets_for(entry, 0, 1);
+  std::vector<net::Ipv4Address> scratch;
+  const auto targets = hitlist().targets_into(entry, 0, 1, scratch);
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], entry.target);
+  EXPECT_TRUE(scratch.empty());  // the paper's single probe copies nothing
 }
 
 TEST_F(HitlistTest, BuildIsDeterministic) {

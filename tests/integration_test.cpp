@@ -24,7 +24,7 @@ class IntegrationTest : public ::testing::Test {
     core::ProbeConfig probe;
     probe.measurement_id = 1;
     broot_round_ = new core::RoundResult(
-        scenario_->verfploeter().run(*broot_routes_, {probe, 0}));
+        scenario_->engine().run(*broot_routes_, {probe, 0}));
   }
   static void TearDownTestSuite() {
     delete broot_round_;
@@ -161,7 +161,7 @@ TEST_F(IntegrationTest, StalePredictionsAreWorse) {
   core::ProbeConfig probe;
   probe.measurement_id = 90;
   const auto april_map =
-      scenario().verfploeter().run(april_routes, {probe, 40}).map;
+      scenario().engine().run(april_routes, {probe, 40}).map;
   const auto april_load = scenario().broot_load(0x20170412);
   const auto may_load = scenario().broot_load(0x20170515);
 
@@ -192,7 +192,7 @@ TEST_F(IntegrationTest, PrependingShiftsCatchmentMonotonically) {
     core::ProbeConfig probe;
     probe.measurement_id = 200 + amount;
     const auto map =
-        scenario().verfploeter().run(routes, {probe, 0}).map;
+        scenario().engine().run(routes, {probe, 0}).map;
     const double lax = map.fraction_to(0);
     EXPECT_GE(lax, previous - 1e-9);
     previous = lax;
@@ -207,7 +207,7 @@ TEST_F(IntegrationTest, PrependingLeavesAStickyResidue) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 300;
-  const auto map = scenario().verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario().engine().run(routes, {probe, 0}).map;
   const double mia = map.fraction_to(1);
   EXPECT_GT(mia, 0.005);
   EXPECT_LT(mia, 0.20);
@@ -220,7 +220,7 @@ TEST_F(IntegrationTest, LargeAsesSplitAcrossTangledSites) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 400;
-  const auto map = scenario().verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario().engine().run(routes, {probe, 0}).map;
   const auto report = analysis::analyze_divisions(scenario().topo(), map);
   // Paper: ~12.7% of ASes are served by more than one site.
   EXPECT_GT(report.multi_site_fraction(), 0.02);
@@ -266,7 +266,7 @@ TEST_F(IntegrationTest, AnycastIsOverwhelminglyStable) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 1000;
-  const auto rounds = core::Campaign{scenario().verfploeter(), routes}
+  const auto rounds = core::Campaign{scenario().engine(), routes}
                           .probe(probe)
                           .rounds(8)
                           .interval(util::SimTime::from_minutes(15))
@@ -308,7 +308,7 @@ TEST_F(IntegrationTest, WithdrawnSiteFailsOverCompletely) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 5000;
-  const auto after = scenario().verfploeter().run(routes, {probe, 0});
+  const auto after = scenario().engine().run(routes, {probe, 0});
 
   const auto counts = after.map.per_site_counts(2);
   EXPECT_EQ(counts[1], 0u) << "withdrawn site still attracting traffic";
@@ -335,7 +335,7 @@ TEST_F(IntegrationTest, SingleSiteDeploymentCatchesEverything) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 5001;
-  const auto map = scenario().verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario().engine().run(routes, {probe, 0}).map;
   EXPECT_NEAR(map.fraction_to(0), 1.0, 1e-9);
   EXPECT_GT(map.mapped_blocks(), broot_map().mapped_blocks() / 2);
 }
@@ -347,7 +347,7 @@ TEST_F(IntegrationTest, TangledSitesHaveSaneCatchments) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 2000;
-  const auto map = scenario().verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario().engine().run(routes, {probe, 0}).map;
   const auto counts =
       map.per_site_counts(scenario().tangled().sites.size());
   const auto gru = scenario().tangled().site_by_code("GRU");

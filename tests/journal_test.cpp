@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
@@ -226,6 +228,87 @@ TEST(Journal, RoundIdBeyondManifestIsCorrupt) {
   std::remove(path.c_str());
 }
 
+/// Resumes a journal holding the manifest plus one CRC-valid frame per
+/// payload, and reports how the open ended.
+JournalStatus resume_with(const char* tag,
+                          const std::vector<std::string>& payloads) {
+  const std::string path = temp_path(tag);
+  std::string data =
+      CampaignJournal::frame(CampaignJournal::encode_manifest(kManifest));
+  for (const std::string& payload : payloads)
+    data += CampaignJournal::frame(payload);
+  write_file(path, data);
+  CampaignJournal journal;
+  const JournalStatus status = journal.open(path, kManifest, true).status;
+  journal.close();
+  std::remove(path.c_str());
+  return status;
+}
+
+/// `payload` with the `nth` (0-based) little-endian occurrence of block
+/// `from` rewritten to block `to` — how a record that lists one block
+/// twice gets forged, since a RoundResult cannot hold one.
+std::string retarget(std::string payload, net::Block24 from, net::Block24 to,
+                     int nth) {
+  const auto le = [](net::Block24 block) {
+    std::string bytes(4, '\0');
+    for (int i = 0; i < 4; ++i)
+      bytes[i] = static_cast<char>(block.index() >> (8 * i));
+    return bytes;
+  };
+  std::size_t at = payload.find(le(from));
+  for (int k = 0; k < nth && at != std::string::npos; ++k)
+    at = payload.find(le(from), at + 1);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) payload.replace(at, 4, le(to));
+  return payload;
+}
+
+TEST(Journal, CrcValidRecordWithInvalidContentIsCorrupt) {
+  // Distinctive block indices, so their bytes occur nowhere else in a
+  // record. Two sites; A is mapped to site 0 with an RTT, B to site 1.
+  const net::Block24 a{0xabcdef}, b{0xfedcba}, c{0x123456};
+  const auto round_with = [&](std::initializer_list<net::Block24> rtts) {
+    RoundResult result;
+    result.raw_replies_per_site = {1, 1};
+    result.map.set(a, 0);
+    result.map.set(b, 1);
+    for (const net::Block24 block : rtts) result.rtt_ms.emplace(block, 9.5f);
+    return CampaignJournal::encode_round(0, result);
+  };
+  ASSERT_EQ(resume_with("content_ok", {round_with({a})}),
+            JournalStatus::kResumed);
+
+  // A site id at or past the record's own site count — including the
+  // bytes 0x80..0xff that used to decode to negative ids.
+  for (const int site : {2, 9, 127, -128, -1}) {
+    RoundResult bad;
+    bad.raw_replies_per_site = {1, 1};
+    bad.map.set(a, static_cast<anycast::SiteId>(site));
+    EXPECT_EQ(resume_with("content_site",
+                          {CampaignJournal::encode_round(0, bad)}),
+              JournalStatus::kCorrupt)
+        << "site " << site;
+  }
+
+  // A block listed twice in the map section, then in the RTT section.
+  // Retargeting to a fresh block instead is the control: the forged
+  // frame itself decodes.
+  const std::string map_retargeted = retarget(round_with({a}), b, c, 0);
+  EXPECT_EQ(resume_with("content_retarget", {map_retargeted}),
+            JournalStatus::kResumed);
+  const std::string map_dup = retarget(round_with({a}), b, a, 0);
+  EXPECT_EQ(resume_with("content_dup_map", {map_dup}),
+            JournalStatus::kCorrupt);
+  const std::string rtt_dup = retarget(round_with({a, b}), b, a, 1);
+  EXPECT_EQ(resume_with("content_dup_rtt", {rtt_dup}),
+            JournalStatus::kCorrupt);
+
+  // An RTT for a block the map does not hold.
+  EXPECT_EQ(resume_with("content_rtt_unmapped", {round_with({a, c})}),
+            JournalStatus::kCorrupt);
+}
+
 TEST(Journal, WithoutResumeOverwrites) {
   const std::string path = temp_path("overwrite");
   journal_with_rounds(path, 3);
@@ -258,7 +341,7 @@ class JournaledCampaignTest : public ::testing::Test {
   static Campaign make_campaign() {
     ProbeConfig probe;
     probe.measurement_id = 300;
-    Campaign campaign{scenario_->verfploeter(), *routes_};
+    Campaign campaign{scenario_->engine(), *routes_};
     campaign.probe(probe).rounds(4).journal(
         temp_path("campaign"), anycast::fingerprint(scenario_->broot()));
     return campaign;

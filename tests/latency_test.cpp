@@ -17,7 +17,7 @@ class LatencyTest : public ::testing::Test {
     core::ProbeConfig probe;
     probe.measurement_id = 60;
     round_ = new core::RoundResult(
-        scenario_->verfploeter().run(*routes_, {probe, 0}));
+        scenario_->engine().run(*routes_, {probe, 0}));
     load_ = new dnsload::LoadModel(scenario_->broot_load(1));
   }
   static void TearDownTestSuite() {

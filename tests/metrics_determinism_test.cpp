@@ -11,7 +11,7 @@
 
 #include "analysis/scenario.hpp"
 #include "core/dataset_io.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_injector.hpp"
 
@@ -41,7 +41,7 @@ class MetricsDeterminismTest : public ::testing::Test {
     spec.round = 2;
     spec.threads = threads;
     spec.faults = faults;
-    const RoundResult result = scenario_->verfploeter().run(*routes_, spec);
+    const RoundResult result = scenario_->engine().run(*routes_, spec);
     std::ostringstream csv;
     write_catchment_csv(csv, result, scenario_->broot());
     return csv.str();

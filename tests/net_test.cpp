@@ -132,23 +132,50 @@ ProbePayload test_payload() {
   return p;
 }
 
+std::vector<std::uint8_t> echo_request(Ipv4Address source,
+                                       Ipv4Address destination,
+                                       std::uint16_t identifier,
+                                       std::uint16_t sequence,
+                                       const ProbePayload& payload) {
+  // The engine builds every probe into one reused scratch vector, so every
+  // packet here is built over stale bytes: the builder must clear them.
+  std::vector<std::uint8_t> out(300, 0xab);
+  build_echo_request_into(out, source, destination, identifier, sequence,
+                          payload);
+  return out;
+}
+
+/// The reply a host answering from `reply_source` sends to `request`;
+/// empty if the request does not parse.
+std::vector<std::uint8_t> echo_reply(std::span<const std::uint8_t> request,
+                                     Ipv4Address reply_source) {
+  const auto ip = Ipv4Header::parse(request);
+  if (!ip) return {};
+  const auto icmp = parse_icmp_echo_view(request.subspan(Ipv4Header::kSize));
+  if (!icmp) return {};
+  std::vector<std::uint8_t> out(300, 0xab);
+  build_echo_reply_into(out, *ip, *icmp, reply_source);
+  return out;
+}
+
 TEST(Packet, EchoRequestRoundTrip) {
-  const PacketBytes pkt = build_echo_request(
-      Ipv4Address{192, 0, 2, 1}, Ipv4Address{1, 2, 3, 4}, 42, 7,
-      test_payload());
-  const auto ip = Ipv4Header::parse(pkt.data);
+  const auto pkt = echo_request(Ipv4Address{192, 0, 2, 1},
+                                Ipv4Address{1, 2, 3, 4}, 42, 7,
+                                test_payload());
+  const auto ip = Ipv4Header::parse(pkt);
   ASSERT_TRUE(ip);
   EXPECT_EQ(ip->source, (Ipv4Address{192, 0, 2, 1}));
   EXPECT_EQ(ip->destination, (Ipv4Address{1, 2, 3, 4}));
   EXPECT_EQ(ip->protocol, IpProtocol::kIcmp);
-  EXPECT_EQ(ip->total_length, pkt.data.size());
+  EXPECT_EQ(ip->total_length, pkt.size());  // no stale bytes survive
 
-  const auto icmp = IcmpEcho::parse(
-      std::span<const std::uint8_t>{pkt.data}.subspan(Ipv4Header::kSize));
+  const auto icmp =
+      parse_icmp_echo_view(std::span{pkt}.subspan(Ipv4Header::kSize));
   ASSERT_TRUE(icmp);
   EXPECT_EQ(icmp->type, IcmpType::kEchoRequest);
   EXPECT_EQ(icmp->identifier, 42);
   EXPECT_EQ(icmp->sequence, 7);
+  EXPECT_EQ(icmp->payload.size(), ProbePayload::kSize);
 
   const auto payload = ProbePayload::parse(icmp->payload);
   ASSERT_TRUE(payload);
@@ -158,75 +185,69 @@ TEST(Packet, EchoRequestRoundTrip) {
 }
 
 TEST(Packet, ReplyEchoesPayloadAndSwapsAddresses) {
-  const PacketBytes request = build_echo_request(
-      Ipv4Address{192, 0, 2, 1}, Ipv4Address{1, 2, 3, 4}, 1, 2,
-      test_payload());
-  const auto ip = Ipv4Header::parse(request.data);
-  const auto icmp = IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(Ipv4Header::kSize));
-  const PacketBytes reply =
-      build_echo_reply(*ip, *icmp, Ipv4Address{1, 2, 3, 9});
+  const auto request = echo_request(Ipv4Address{192, 0, 2, 1},
+                                    Ipv4Address{1, 2, 3, 4}, 1, 2,
+                                    test_payload());
+  const auto reply = echo_reply(request, Ipv4Address{1, 2, 3, 9});
 
-  const auto parsed = parse_reply(reply.data);
+  const auto parsed = parse_reply_view(reply);
   ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->ip.total_length, reply.size());  // no stale bytes
   EXPECT_EQ(parsed->ip.source, (Ipv4Address{1, 2, 3, 9}));
   EXPECT_EQ(parsed->ip.destination, (Ipv4Address{192, 0, 2, 1}));
   EXPECT_EQ(parsed->icmp.type, IcmpType::kEchoReply);
   EXPECT_EQ(parsed->probe.original_target, (Ipv4Address{1, 2, 3, 4}));
+  // The payload view points into the reply's own bytes.
+  EXPECT_EQ(parsed->icmp.payload.data(),
+            reply.data() + Ipv4Header::kSize + IcmpEchoView::kHeaderSize);
 }
 
 TEST(Packet, ParseReplyRejectsRequests) {
-  const PacketBytes request = build_echo_request(
-      Ipv4Address{192, 0, 2, 1}, Ipv4Address{1, 2, 3, 4}, 1, 2,
-      test_payload());
-  EXPECT_FALSE(parse_reply(request.data));
+  const auto request = echo_request(Ipv4Address{192, 0, 2, 1},
+                                    Ipv4Address{1, 2, 3, 4}, 1, 2,
+                                    test_payload());
+  EXPECT_FALSE(parse_reply_view(request));
 }
 
 TEST(Packet, ParseRejectsTruncation) {
-  const PacketBytes pkt = build_echo_request(
-      Ipv4Address{192, 0, 2, 1}, Ipv4Address{1, 2, 3, 4}, 1, 2,
-      test_payload());
-  for (std::size_t len = 0; len < pkt.data.size(); len += 3) {
-    EXPECT_FALSE(parse_reply(
-        std::span<const std::uint8_t>{pkt.data.data(), len}))
-        << "accepted truncated packet of " << len << " bytes";
+  const auto request = echo_request(Ipv4Address{192, 0, 2, 1},
+                                    Ipv4Address{1, 2, 3, 4}, 1, 2,
+                                    test_payload());
+  const auto reply = echo_reply(request, Ipv4Address{1, 2, 3, 4});
+  ASSERT_TRUE(parse_reply_view(reply));
+  for (const auto* pkt : {&request, &reply}) {
+    for (std::size_t len = 0; len < pkt->size(); len += 3) {
+      EXPECT_FALSE(parse_reply_view(std::span{pkt->data(), len}))
+          << "accepted truncated packet of " << len << " bytes";
+    }
   }
 }
 
 TEST(Packet, SingleBitCorruptionIsDetected) {
-  const auto request = build_echo_request(Ipv4Address{192, 0, 2, 1},
-                                          Ipv4Address{1, 2, 3, 4}, 1, 2,
-                                          test_payload());
-  const auto ip = Ipv4Header::parse(request.data);
-  const auto icmp = IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(Ipv4Header::kSize));
-  const PacketBytes good =
-      build_echo_reply(*ip, *icmp, Ipv4Address{1, 2, 3, 4});
-  ASSERT_TRUE(parse_reply(good.data));
+  const auto request = echo_request(Ipv4Address{192, 0, 2, 1},
+                                    Ipv4Address{1, 2, 3, 4}, 1, 2,
+                                    test_payload());
+  const auto good = echo_reply(request, Ipv4Address{1, 2, 3, 4});
+  ASSERT_TRUE(parse_reply_view(good));
   // Flip every byte (one at a time); the checksums must catch each one
   // except bits that only affect fields parse doesn't validate.
   int accepted = 0;
-  for (std::size_t i = 0; i < good.data.size(); ++i) {
-    PacketBytes bad = good;
-    bad.data[i] ^= 0x01;
-    if (parse_reply(bad.data)) ++accepted;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    auto bad = good;
+    bad[i] ^= 0x01;
+    if (parse_reply_view(bad)) ++accepted;
   }
   EXPECT_EQ(accepted, 0);
 }
 
 TEST(Packet, ChecksumFieldsAreValid) {
-  const PacketBytes pkt = build_echo_request(
-      Ipv4Address{203, 0, 113, 7}, Ipv4Address{9, 9, 9, 9}, 3, 4,
-      test_payload());
+  const auto pkt = echo_request(Ipv4Address{203, 0, 113, 7},
+                                Ipv4Address{9, 9, 9, 9}, 3, 4,
+                                test_payload());
   // IPv4 header checksum validates to zero over the header.
-  EXPECT_EQ(internet_checksum(
-                std::span<const std::uint8_t>{pkt.data.data(),
-                                              Ipv4Header::kSize}),
-            0);
+  EXPECT_EQ(internet_checksum(std::span{pkt}.first(Ipv4Header::kSize)), 0);
   // ICMP checksum validates to zero over the ICMP part.
-  EXPECT_EQ(internet_checksum(std::span<const std::uint8_t>{pkt.data}.subspan(
-                Ipv4Header::kSize)),
-            0);
+  EXPECT_EQ(internet_checksum(std::span{pkt}.subspan(Ipv4Header::kSize)), 0);
 }
 
 // --- prefix trie -------------------------------------------------------------
@@ -329,14 +350,10 @@ TEST_P(PacketRoundTrip, SurvivesWire) {
   const auto id = static_cast<std::uint16_t>(rng());
   const auto seq = static_cast<std::uint16_t>(rng());
 
-  const PacketBytes request = build_echo_request(src, dst, id, seq, payload);
-  const auto ip = Ipv4Header::parse(request.data);
-  ASSERT_TRUE(ip);
-  const auto icmp = IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(Ipv4Header::kSize));
-  ASSERT_TRUE(icmp);
-  const PacketBytes reply = build_echo_reply(*ip, *icmp, dst);
-  const auto parsed = parse_reply(reply.data);
+  const auto request = echo_request(src, dst, id, seq, payload);
+  ASSERT_TRUE(Ipv4Header::parse(request));
+  const auto reply = echo_reply(request, dst);
+  const auto parsed = parse_reply_view(reply);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->probe.measurement_id, payload.measurement_id);
   EXPECT_EQ(parsed->probe.tx_time_usec, payload.tx_time_usec);

@@ -12,7 +12,7 @@
 
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/round_arena.hpp"
@@ -75,13 +75,13 @@ TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalToSerial) {
   spec.start = util::SimTime::from_minutes(45);
 
   spec.threads = 1;
-  const RoundResult serial = scenario().verfploeter().run(routes(), spec);
+  const RoundResult serial = scenario().engine().run(routes(), spec);
   EXPECT_GT(serial.map.mapped_blocks(), 0u);
 
   for (const unsigned threads : {2u, 8u}) {
     spec.threads = threads;
     const RoundResult parallel =
-        scenario().verfploeter().run(routes(), spec);
+        scenario().engine().run(routes(), spec);
     expect_identical(serial, parallel,
                      threads == 2 ? "2 threads" : "8 threads");
   }
@@ -96,9 +96,9 @@ TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalWithExtraTargets) {
   spec.round = 1;
 
   spec.threads = 1;
-  const RoundResult serial = scenario().verfploeter().run(routes(), spec);
+  const RoundResult serial = scenario().engine().run(routes(), spec);
   spec.threads = 8;
-  const RoundResult parallel = scenario().verfploeter().run(routes(), spec);
+  const RoundResult parallel = scenario().engine().run(routes(), spec);
   expect_identical(serial, parallel, "extra targets, 8 threads");
 }
 
@@ -106,21 +106,21 @@ TEST_F(ProbeEngineTest, ThreadCountBeyondEntriesIsHarmless) {
   RoundSpec spec;
   spec.probe.measurement_id = 4300;
   spec.threads = 64;
-  const RoundResult wide = scenario().verfploeter().run(routes(), spec);
+  const RoundResult wide = scenario().engine().run(routes(), spec);
   spec.threads = 1;
-  const RoundResult serial = scenario().verfploeter().run(routes(), spec);
+  const RoundResult serial = scenario().engine().run(routes(), spec);
   expect_identical(serial, wide, "64 threads");
 }
 
 TEST_F(ProbeEngineTest, ConcurrentCampaignMatchesSequential) {
   ProbeConfig probe;
   probe.measurement_id = 4400;
-  const auto sequential = Campaign{scenario().verfploeter(), routes()}
+  const auto sequential = Campaign{scenario().engine(), routes()}
                               .probe(probe)
                               .rounds(4)
                               .interval(util::SimTime::from_minutes(15))
                               .run();
-  const auto concurrent = Campaign{scenario().verfploeter(), routes()}
+  const auto concurrent = Campaign{scenario().engine(), routes()}
                               .probe(probe)
                               .rounds(4)
                               .interval(util::SimTime::from_minutes(15))
@@ -178,7 +178,7 @@ TEST_F(ProbeEngineTest, TileSizeNeverChangesTheResult) {
 
     spec.threads = 1;
     spec.tile_entries = 0;  // auto
-    const RoundResult baseline = scenario().verfploeter().run(routes(), spec);
+    const RoundResult baseline = scenario().engine().run(routes(), spec);
     EXPECT_GT(baseline.map.mapped_blocks(), 0u);
 
     for (const unsigned threads : {1u, 4u, 8u}) {
@@ -187,7 +187,7 @@ TEST_F(ProbeEngineTest, TileSizeNeverChangesTheResult) {
             std::numeric_limits<std::uint32_t>::max()}) {
         spec.threads = threads;
         spec.tile_entries = tile;
-        const RoundResult tiled = scenario().verfploeter().run(routes(), spec);
+        const RoundResult tiled = scenario().engine().run(routes(), spec);
         char label[64];
         std::snprintf(label, sizeof label, "%s threads=%u tile=%u",
                       faulted ? "faulted" : "clean", threads, tile);
@@ -234,7 +234,7 @@ TEST_F(ProbeEngineTest, SteadyStateRoundsAreAllocationFreeInTheShardLoop) {
   ProbeConfig probe;
   probe.measurement_id = 4700;
   AllocSampler sampler{hot, reuses};
-  const auto report = Campaign{scenario().verfploeter(), routes()}
+  const auto report = Campaign{scenario().engine(), routes()}
                           .probe(probe)
                           .rounds(5)
                           .interval(util::SimTime::from_minutes(15))
@@ -263,7 +263,7 @@ TEST_F(ProbeEngineTest, ObserverSeesConsistentCounts) {
   spec.threads = 4;
   RecordingObserver observer;
   const RoundResult result =
-      scenario().verfploeter().run(routes(), spec, &observer);
+      scenario().engine().run(routes(), spec, &observer);
 
   EXPECT_GE(observer.progress_calls, 1);
   EXPECT_EQ(observer.last_sent, result.map.probes_sent);

@@ -1,10 +1,12 @@
 // The catchment-resolution cache's equivalence contract: precomputed
 // block->site tables (bgp::CatchmentResolver) and memoized route
-// computation (bgp::RouteCache) are pure materializations — every answer,
-// and every downstream catchment CSV, is byte-identical with the caches
-// on or off, at any thread count, clean or fault-injected. The
-// concurrency tests here run under TSan in CI (the shared cache and the
-// resolver's call_once are hammered from concurrent rounds).
+// computation (bgp::RouteCache) are pure materializations. Every answer
+// equals FlipModel::site_in_round_uncached, and every downstream
+// catchment CSV is byte-identical to a round over a fresh
+// RoutingEngine::full() table, at any thread count and tile size, clean
+// or fault-injected. The concurrency tests here run under TSan in CI
+// (the shared cache and the resolver's call_once are hammered from
+// concurrent rounds).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,19 +21,12 @@
 #include "bgp/route_cache.hpp"
 #include "bgp/routing_engine.hpp"
 #include "core/dataset_io.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/rng.hpp"
 
 namespace vp {
 namespace {
-
-/// Restores the global catchment-precomputation switch on scope exit so a
-/// failing test cannot poison its neighbors.
-class CacheGuard {
- public:
-  ~CacheGuard() { bgp::set_catchment_cache_enabled(true); }
-};
 
 // ---- property: cached and uncached resolution agree on every block ------
 
@@ -39,7 +34,6 @@ class ResolutionEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(ResolutionEquivalence, EveryBlockEveryRound) {
-  CacheGuard guard;
   analysis::ScenarioConfig config;
   config.seed = GetParam();
   config.scale = 0.05;  // ~6k blocks
@@ -50,8 +44,7 @@ TEST_P(ResolutionEquivalence, EveryBlockEveryRound) {
     const auto& routes = *routes_ptr;
     const sim::FlipModel& flips = scenario.internet().flips();
 
-    // Build the resolver, then collect the cached answers.
-    bgp::set_catchment_cache_enabled(true);
+    // Build the resolver, then compare its answers with the reference.
     flips.warm(routes);
     const bgp::CatchmentResolver* resolver = routes.catchment_resolver();
     ASSERT_NE(resolver, nullptr);
@@ -64,11 +57,10 @@ TEST_P(ResolutionEquivalence, EveryBlockEveryRound) {
       // And flappy membership must be the flip model's exact decision.
       EXPECT_EQ(resolver->flappy(info.block),
                 flips.is_flappy(routes, info.block));
-      for (const std::uint32_t round : {0u, 1u, 7u}) {
-        bgp::set_catchment_cache_enabled(true);
+      for (const std::uint32_t round : {0u, 1u, 3u, 7u}) {
         const auto cached = flips.site_in_round(routes, info.block, round);
-        bgp::set_catchment_cache_enabled(false);
-        const auto uncached = flips.site_in_round(routes, info.block, round);
+        const auto uncached =
+            flips.site_in_round_uncached(routes, info.block, round);
         ASSERT_EQ(cached, uncached)
             << deployment->name << " block " << info.block.to_string()
             << " round " << round << " seed " << GetParam();
@@ -126,16 +118,21 @@ TEST_F(RouteCacheTest, TablesOutliveTemporaryDeployments) {
   EXPECT_GE(table->site_for_pop(0, 0), -1);
 }
 
-TEST_F(RouteCacheTest, DisabledCacheComputesFreshAndRetainsNothing) {
-  bgp::RouteCache cache{scenario().topo(), /*enabled=*/false};
+TEST_F(RouteCacheTest, ByteCapEvictsLeastRecentlyUsed) {
+  // A cap below one table's size keeps only the hottest entry; an evicted
+  // configuration is recomputed on its next lookup, answer for answer.
+  bgp::RouteCache cache{scenario().topo(), /*byte_limit=*/1};
   const auto a = cache.routes(scenario().broot());
+  EXPECT_EQ(cache.stats().entries, 1u);
+  cache.routes(scenario().tangled());
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
   const auto b = cache.routes(scenario().broot());
-  EXPECT_NE(a.get(), b.get());
-  const auto stats = cache.stats();
+  stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  // Identical content even though freshly computed.
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_NE(a.get(), b.get());
   for (const topology::BlockInfo& info : scenario().topo().blocks())
     ASSERT_EQ(a->site_for_block(info.block), b->site_for_block(info.block));
 }
@@ -149,7 +146,7 @@ TEST_F(RouteCacheTest, ClearDropsEntriesButOutstandingTablesSurvive) {
   EXPECT_EQ(table->deployment().name, "Tangled");  // still alive
 }
 
-// ---- whole-campaign byte-equality, cache on vs off ----------------------
+// ---- whole-round byte-equality: cached table vs a fresh one -------------
 
 class CampaignEquivalence : public ::testing::Test {
  protected:
@@ -161,28 +158,24 @@ class CampaignEquivalence : public ::testing::Test {
   }
   static void TearDownTestSuite() { delete scenario_; }
 
-  /// One measurement round serialized to CSV. `cached` routes through the
-  /// scenario's RouteCache with catchment precomputation on; uncached
-  /// recomputes the table from scratch and resolves per probe. `tile`
-  /// sets the engine's block-range tile size (0 = auto-sized for LLC).
+  /// One measurement round serialized to CSV. `cached` takes the table
+  /// from the scenario's RouteCache (its resolver shared with every other
+  /// round); otherwise a fresh RoutingEngine::full() table builds its own.
+  /// `tile` sets the engine's block-range tile size (0 = auto-sized for
+  /// LLC).
   static std::string run_csv(unsigned threads, bool cached,
                              const sim::FaultInjector* faults = nullptr,
                              std::uint32_t tile = 0) {
-    bgp::set_catchment_cache_enabled(cached);
-    std::shared_ptr<const bgp::RoutingTable> shared;
-    std::optional<bgp::RoutingTable> fresh;
-    const bgp::RoutingTable* routes = nullptr;
+    std::shared_ptr<const bgp::RoutingTable> routes;
     if (cached) {
-      shared = scenario_->route(scenario_->broot());
-      routes = shared.get();
+      routes = scenario_->route(scenario_->broot());
     } else {
       bgp::RoutingOptions options;
       options.tiebreak_salt =
           util::hash_combine(scenario_->config().seed, analysis::kMayEpoch);
-      fresh.emplace(
-          *bgp::RoutingEngine{scenario_->topo(), scenario_->broot(), options}
-               .full());
-      routes = &*fresh;
+      routes = bgp::RoutingEngine{scenario_->topo(), scenario_->broot(),
+                                  options}
+                   .full();
     }
     core::RoundSpec spec;
     spec.probe.measurement_id = 7300;
@@ -190,9 +183,7 @@ class CampaignEquivalence : public ::testing::Test {
     spec.threads = threads;
     spec.faults = faults;
     spec.tile_entries = tile;
-    const core::RoundResult result =
-        scenario_->verfploeter().run(*routes, spec);
-    bgp::set_catchment_cache_enabled(true);
+    const core::RoundResult result = scenario_->engine().run(*routes, spec);
     std::ostringstream csv;
     core::write_catchment_csv(csv, result, scenario_->broot());
     return csv.str();
@@ -203,8 +194,7 @@ class CampaignEquivalence : public ::testing::Test {
 
 analysis::Scenario* CampaignEquivalence::scenario_ = nullptr;
 
-TEST_F(CampaignEquivalence, CsvByteIdenticalCacheOnOrOff) {
-  CacheGuard guard;
+TEST_F(CampaignEquivalence, CsvByteIdenticalCachedOrFresh) {
   const std::string baseline = run_csv(1, /*cached=*/false);
   ASSERT_FALSE(baseline.empty());
   // The tile dimension crosses the cache dimension on purpose: tiling
@@ -215,13 +205,12 @@ TEST_F(CampaignEquivalence, CsvByteIdenticalCacheOnOrOff) {
       EXPECT_EQ(run_csv(threads, true, nullptr, tile), baseline)
           << "cached, threads=" << threads << ", tile=" << tile;
       EXPECT_EQ(run_csv(threads, false, nullptr, tile), baseline)
-          << "uncached, threads=" << threads << ", tile=" << tile;
+          << "fresh, threads=" << threads << ", tile=" << tile;
     }
   }
 }
 
 TEST_F(CampaignEquivalence, CsvByteIdenticalUnderFaults) {
-  CacheGuard guard;
   const sim::FaultInjector injector{sim::FaultPlan::from_seed(23)};
   const std::string baseline = run_csv(1, false, &injector);
   ASSERT_FALSE(baseline.empty());
@@ -230,7 +219,7 @@ TEST_F(CampaignEquivalence, CsvByteIdenticalUnderFaults) {
       EXPECT_EQ(run_csv(threads, true, &injector, tile), baseline)
           << "cached, threads=" << threads << ", tile=" << tile;
       EXPECT_EQ(run_csv(threads, false, &injector, tile), baseline)
-          << "uncached, threads=" << threads << ", tile=" << tile;
+          << "fresh, threads=" << threads << ", tile=" << tile;
     }
   }
 }
@@ -238,8 +227,6 @@ TEST_F(CampaignEquivalence, CsvByteIdenticalUnderFaults) {
 // ---- concurrency: many rounds, one shared cache (TSan target) -----------
 
 TEST_F(CampaignEquivalence, ConcurrentRoundsShareCacheAndResolvers) {
-  CacheGuard guard;
-  bgp::set_catchment_cache_enabled(true);
   const auto& scenario = *scenario_;
   const auto blocks = scenario.topo().blocks();
   const sim::FlipModel& flips = scenario.internet().flips();
@@ -348,7 +335,6 @@ TEST(WideDeploymentTest, DistinctSitesCountsPast32) {
 }
 
 TEST(WideDeploymentTest, TransientPickerReachesAll40Sites) {
-  CacheGuard guard;
   const WideDeployment wide;
   // One candidate only: blocks resolve stably to site 0, so every
   // transient event (rate 1.0) must pick among the other 39 sites.
@@ -360,10 +346,9 @@ TEST(WideDeploymentTest, TransientPickerReachesAll40Sites) {
   std::set<anycast::SiteId> cached_picks;
   for (const topology::BlockInfo& info : wide.topo.blocks()) {
     for (const std::uint32_t round : {0u, 1u, 2u, 3u}) {
-      bgp::set_catchment_cache_enabled(true);
       const auto cached = flips.site_in_round(routes, info.block, round);
-      bgp::set_catchment_cache_enabled(false);
-      const auto uncached = flips.site_in_round(routes, info.block, round);
+      const auto uncached =
+          flips.site_in_round_uncached(routes, info.block, round);
       ASSERT_EQ(cached, uncached)
           << "block " << info.block.to_string() << " round " << round;
       ASSERT_NE(cached, anycast::kUnknownSite);

@@ -10,7 +10,7 @@
 
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 namespace vp::analysis {
 namespace {
@@ -21,7 +21,7 @@ core::RoundResult one_round(const Scenario& scenario, std::uint32_t round) {
   core::RoundSpec spec;
   spec.probe.measurement_id = 600 + round;
   spec.round = round;
-  return scenario.verfploeter().run(routes, spec);
+  return scenario.engine().run(routes, spec);
 }
 
 TEST(ScenarioSeeds, CoverageAndStabilityHoldAcrossSeeds) {
@@ -35,7 +35,7 @@ TEST(ScenarioSeeds, CoverageAndStabilityHoldAcrossSeeds) {
 
     core::ProbeConfig probe;
     probe.measurement_id = 700;
-    const auto rounds = core::Campaign{scenario.verfploeter(), routes}
+    const auto rounds = core::Campaign{scenario.engine(), routes}
                             .probe(probe)
                             .rounds(3)
                             .interval(util::SimTime::from_minutes(15))

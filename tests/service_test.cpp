@@ -405,8 +405,9 @@ TEST_F(DaemonTest, ConcurrentServingDuringMeasurementIsCoherent) {
         request.path = paths[static_cast<std::size_t>(t) % 5];
         const auto response = daemon.handle(request);
         EXPECT_TRUE(response.status == 200 || response.status == 503);
-        if (response.status == 200 && request.path == "/map")
+        if (response.status == 200 && request.path == "/map") {
           EXPECT_FALSE(response.body.empty());
+        }
         answered.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -48,15 +48,43 @@ class SimTest : public ::testing::Test {
     return {};
   }
 
-  static net::PacketBytes make_probe(net::Ipv4Address target,
-                                     std::uint32_t id = 1) {
+  static std::vector<std::uint8_t> make_probe(net::Ipv4Address target,
+                                              std::uint32_t id = 1) {
     net::ProbePayload payload;
     payload.measurement_id = id;
     payload.tx_time_usec = 0;
     payload.original_target = target;
-    return net::build_echo_request(
-        routes().deployment().measurement_address, target,
+    std::vector<std::uint8_t> bytes;
+    net::build_echo_request_into(
+        bytes, routes().deployment().measurement_address, target,
         static_cast<std::uint16_t>(id), 1, payload);
+    return bytes;
+  }
+
+  /// What one probe_into call produced: its deliveries, the reply bytes
+  /// they share, and the counts it tallied.
+  struct Probed {
+    std::vector<DeliveryView> deliveries;
+    std::vector<std::uint8_t> reply;
+    DataplaneTally tally;
+    ResolveTally resolve;
+  };
+
+  static Probed probe(std::span<const std::uint8_t> packet) {
+    Probed p;
+    internet().probe_into(routes(), packet, {}, 0, p.deliveries, p.reply,
+                          p.tally, &p.resolve);
+    return p;
+  }
+
+  static void expect_tally(const DataplaneTally& tally, std::uint64_t probes,
+                           std::uint64_t malformed, std::uint64_t unresponsive,
+                           std::uint64_t site_lookups, std::uint64_t replies) {
+    EXPECT_EQ(tally.probes, probes);
+    EXPECT_EQ(tally.malformed, malformed);
+    EXPECT_EQ(tally.unresponsive, unresponsive);
+    EXPECT_EQ(tally.site_lookups, site_lookups);
+    EXPECT_EQ(tally.replies, replies);
   }
 
  private:
@@ -163,16 +191,17 @@ TEST_F(SimTest, SecondaryHostsAreSparse) {
 
 TEST_F(SimTest, ProbeToResponsiveHostYieldsReplyAtCatchmentSite) {
   const auto [block, target] = responsive_target();
-  const auto deliveries =
-      internet().probe(routes(), make_probe(target).data, {}, 0);
-  ASSERT_EQ(deliveries.size(), 1u);
-  EXPECT_EQ(deliveries[0].site,
+  const Probed p = probe(make_probe(target));
+  ASSERT_EQ(p.deliveries.size(), 1u);
+  EXPECT_EQ(p.deliveries[0].site,
             internet().ground_truth_site(routes(), block, 0));
-  const auto parsed = net::parse_reply(deliveries[0].packet.data);
+  const auto parsed = net::parse_reply_view(p.reply);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->ip.source, target);
   EXPECT_EQ(parsed->ip.destination, routes().deployment().measurement_address);
-  EXPECT_GT(deliveries[0].arrival.usec, 0);
+  EXPECT_GT(p.deliveries[0].arrival.usec, 0);
+  expect_tally(p.tally, 1, 0, 0, 1, 1);
+  EXPECT_EQ(p.resolve.hits + p.resolve.misses, 1u);
 }
 
 TEST_F(SimTest, ProbeToDeadHostYieldsNothing) {
@@ -181,33 +210,39 @@ TEST_F(SimTest, ProbeToDeadHostYieldsNothing) {
   // Find a dead host offset in the same block.
   for (int host = 1; host < 251; ++host) {
     if (!model.is_live_host(block, static_cast<std::uint8_t>(host))) {
-      const auto deliveries = internet().probe(
-          routes(),
-          make_probe(block.address(static_cast<std::uint8_t>(host))).data,
-          {}, 0);
-      EXPECT_TRUE(deliveries.empty());
+      const Probed p =
+          probe(make_probe(block.address(static_cast<std::uint8_t>(host))));
+      EXPECT_TRUE(p.deliveries.empty());
+      EXPECT_TRUE(p.reply.empty());
+      expect_tally(p.tally, 1, 0, 1, 0, 0);
       return;
     }
   }
+  FAIL() << "no dead host found";
 }
 
 TEST_F(SimTest, ProbeToUnallocatedSpaceYieldsNothing) {
-  const auto target = *net::Ipv4Address::parse("223.255.255.1");
-  EXPECT_TRUE(
-      internet().probe(routes(), make_probe(target).data, {}, 0).empty());
+  const Probed p = probe(make_probe(*net::Ipv4Address::parse("223.255.255.1")));
+  EXPECT_TRUE(p.deliveries.empty());
+  expect_tally(p.tally, 1, 0, 1, 0, 0);
 }
 
 TEST_F(SimTest, MalformedProbeIgnored) {
   const auto [block, target] = responsive_target();
-  net::PacketBytes probe = make_probe(target);
-  probe.data[10] ^= 0xff;  // corrupt the IP checksum
-  EXPECT_TRUE(internet().probe(routes(), probe.data, {}, 0).empty());
+  const auto bytes = make_probe(target);
   // Truncated.
-  EXPECT_TRUE(internet()
-                  .probe(routes(),
-                         std::span<const std::uint8_t>{probe.data.data(), 10},
-                         {}, 0)
-                  .empty());
+  const Probed truncated = probe(std::span{bytes}.first(10));
+  EXPECT_TRUE(truncated.deliveries.empty());
+  expect_tally(truncated.tally, 1, 1, 0, 0, 0);
+  // Any single corrupted byte breaks the IPv4 or the ICMP checksum, so
+  // the host drops the probe and counts it as malformed.
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    auto bad = bytes;
+    bad[i] ^= 0xff;
+    const Probed p = probe(bad);
+    EXPECT_TRUE(p.deliveries.empty()) << "byte " << i;
+    expect_tally(p.tally, 1, 1, 0, 0, 0);
+  }
 }
 
 TEST_F(SimTest, RttScalesWithDistance) {
@@ -216,6 +251,11 @@ TEST_F(SimTest, RttScalesWithDistance) {
   const auto& model = internet().responsiveness();
   double near_sum = 0, far_sum = 0;
   int near_n = 0, far_n = 0;
+  // One tally across every call: probe_into accumulates, never resets.
+  DataplaneTally tally;
+  std::uint64_t probes = 0, replies = 0;
+  std::vector<DeliveryView> deliveries;
+  std::vector<std::uint8_t> reply;
   for (const topology::BlockInfo& info : topo().blocks()) {
     const ReplyBehavior b = model.behavior(info.block, 0);
     if (!b.responds || b.alias || b.late || b.copies != 1) continue;
@@ -223,8 +263,10 @@ TEST_F(SimTest, RttScalesWithDistance) {
     if (!geo_record) continue;
     const auto target =
         info.block.address(model.responsive_host(info.block));
-    const auto deliveries =
-        internet().probe(routes(), make_probe(target).data, {}, 0);
+    internet().probe_into(routes(), make_probe(target), {}, 0, deliveries,
+                          reply, tally);
+    ++probes;
+    replies += deliveries.size();
     if (deliveries.size() != 1) continue;
     const auto site = deliveries[0].site;
     const double km = geo::distance_km(
@@ -242,6 +284,10 @@ TEST_F(SimTest, RttScalesWithDistance) {
   ASSERT_GT(near_n, 20);
   ASSERT_GT(far_n, 20);
   EXPECT_LT(near_sum / near_n, far_sum / far_n);
+  // Every target was a live representative host in an allocated block.
+  expect_tally(tally, probes, 0, 0, probes, replies);
+  InternetSim::flush(tally);
+  expect_tally(tally, 0, 0, 0, 0, 0);
 }
 
 TEST_F(SimTest, DuplicateAliasAndLateBehaviorsOccur) {
@@ -273,13 +319,13 @@ TEST_F(SimTest, AliasReplyComesFromDifferentAddress) {
     const ReplyBehavior b = model.behavior(info.block, 0);
     if (!b.responds || !b.alias) continue;
     const auto target = info.block.address(model.responsive_host(info.block));
-    const auto deliveries =
-        internet().probe(routes(), make_probe(target).data, {}, 0);
-    ASSERT_FALSE(deliveries.empty());
-    const auto parsed = net::parse_reply(deliveries[0].packet.data);
+    const Probed p = probe(make_probe(target));
+    ASSERT_FALSE(p.deliveries.empty());
+    const auto parsed = net::parse_reply_view(p.reply);
     ASSERT_TRUE(parsed);
     EXPECT_NE(parsed->ip.source, target);
     EXPECT_EQ(parsed->probe.original_target, target);
+    expect_tally(p.tally, 1, 0, 0, 1, p.deliveries.size());
     return;
   }
   FAIL() << "no alias block found";
@@ -291,10 +337,10 @@ TEST_F(SimTest, LateReplyArrivesAfterCutoff) {
     const ReplyBehavior b = model.behavior(info.block, 0);
     if (!b.responds || !b.late || b.alias) continue;
     const auto target = info.block.address(model.responsive_host(info.block));
-    const auto deliveries =
-        internet().probe(routes(), make_probe(target).data, {}, 0);
-    ASSERT_FALSE(deliveries.empty());
-    EXPECT_GT(deliveries[0].arrival.minutes(), 15.0);
+    const Probed p = probe(make_probe(target));
+    ASSERT_FALSE(p.deliveries.empty());
+    EXPECT_GT(p.deliveries[0].arrival.minutes(), 15.0);
+    expect_tally(p.tally, 1, 0, 0, 1, p.deliveries.size());
     return;
   }
   FAIL() << "no late block found";

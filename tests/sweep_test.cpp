@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/scenario.hpp"
-#include "core/verfploeter.hpp"
+#include "core/probe_engine.hpp"
 
 namespace vp {
 namespace {
@@ -24,7 +24,7 @@ TEST_P(PipelineSweep, MeasurementAgreesWithGroundTruthEverywhere) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 1;
-  const auto round = scenario_->verfploeter().run(routes, {probe, 0});
+  const auto round = scenario_->engine().run(routes, {probe, 0});
   ASSERT_GT(round.map.mapped_blocks(), 1000u);
   for (const auto& [block, site] : round.map.entries()) {
     ASSERT_EQ(site,
@@ -38,7 +38,7 @@ TEST_P(PipelineSweep, ResponseRateStaysInHitlistBand) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 2;
-  const auto round = scenario_->verfploeter().run(routes, {probe, 0});
+  const auto round = scenario_->engine().run(routes, {probe, 0});
   const double rate =
       static_cast<double>(round.map.mapped_blocks()) /
       static_cast<double>(round.map.blocks_probed);
@@ -58,7 +58,7 @@ TEST_P(PipelineSweep, PrependingNeverDecreasesLaxShare) {
     core::ProbeConfig probe;
     probe.measurement_id = static_cast<std::uint32_t>(10 + step++);
     const auto map =
-        scenario_->verfploeter().run(routes, {probe, 0}).map;
+        scenario_->engine().run(routes, {probe, 0}).map;
     const double lax = map.fraction_to(0);
     EXPECT_GE(lax, previous - 1e-9)
         << "seed " << GetParam() << " at step " << step;
@@ -71,7 +71,7 @@ TEST_P(PipelineSweep, TangledHidesGruAndServesTheRest) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 3;
-  const auto map = scenario_->verfploeter().run(routes, {probe, 0}).map;
+  const auto map = scenario_->engine().run(routes, {probe, 0}).map;
   const auto counts =
       map.per_site_counts(scenario_->tangled().sites.size());
   const auto gru = scenario_->tangled().site_by_code("GRU");
@@ -86,7 +86,7 @@ TEST_P(PipelineSweep, CleaningDropsAreBounded) {
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
   probe.measurement_id = 4;
-  const auto round = scenario_->verfploeter().run(routes, {probe, 0});
+  const auto round = scenario_->engine().run(routes, {probe, 0});
   const auto& s = round.map.cleaning;
   // Drops exist but stay a small fraction of raw replies on every seed.
   EXPECT_GT(s.dropped(), 0u);
