@@ -56,9 +56,13 @@ CatchmentDiff diff_catchments(const topology::Topology& topo,
     moved.moved_blocks = count;
     diff.top_ases.push_back(std::move(moved));
   }
+  // Ties by ASN, so which equal-count ASes survive the cut below does
+  // not depend on moved_by_asn's hash order.
   std::sort(diff.top_ases.begin(), diff.top_ases.end(),
             [](const MovedAs& a, const MovedAs& b) {
-              return a.moved_blocks > b.moved_blocks;
+              return a.moved_blocks != b.moved_blocks
+                         ? a.moved_blocks > b.moved_blocks
+                         : a.asn < b.asn;
             });
   if (diff.top_ases.size() > top_as_count)
     diff.top_ases.resize(top_as_count);

@@ -38,7 +38,7 @@ struct CatchmentDiff {
   std::uint64_t vanished_blocks = 0; // only in `before`
   double moved_queries = 0.0;
   std::vector<SitePairFlow> flows;   // sorted by blocks desc, moves only
-  std::vector<MovedAs> top_ases;     // sorted by moved blocks desc
+  std::vector<MovedAs> top_ases;     // moved blocks desc, then ASN asc
 
   /// Fraction of blocks (mapped in both rounds) that changed site.
   double moved_fraction() const {

@@ -1,7 +1,6 @@
 #include "analysis/stability.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/stats.hpp"
 
@@ -34,7 +33,7 @@ double StabilityReport::median_from_nr() const {
 void StabilityAccumulator::add_round(const core::CatchmentMap& map) {
   if (have_previous_) {
     RoundTransition t;
-    for (const auto& [block, prev_site] : previous_) {
+    for (const auto& [block, prev_site] : previous_.entries()) {
       const anycast::SiteId cur_site = map.site_of(block);
       if (cur_site == anycast::kUnknownSite) {
         ++t.to_nr;
@@ -52,12 +51,11 @@ void StabilityAccumulator::add_round(const core::CatchmentMap& map) {
       }
     }
     for (const auto& [block, site] : map.entries()) {
-      if (previous_.find(block) == previous_.end()) ++t.from_nr;
+      if (!previous_.contains(block)) ++t.from_nr;
     }
     report_.transitions.push_back(t);
   }
-  previous_.clear();
-  for (const auto& [block, site] : map.entries()) previous_[block] = site;
+  previous_ = map;
   have_previous_ = true;
 }
 
@@ -74,9 +72,10 @@ StabilityReport StabilityAccumulator::finish() {
     c.flipping_blocks = acc.blocks.size();
     report_.by_as.push_back(std::move(c));
   }
+  // Ties by ASN: per_as_'s hash order must not reach the report.
   std::sort(report_.by_as.begin(), report_.by_as.end(),
             [](const AsFlipCount& a, const AsFlipCount& b) {
-              return a.flips > b.flips;
+              return a.flips != b.flips ? a.flips > b.flips : a.asn < b.asn;
             });
   return report_;
 }

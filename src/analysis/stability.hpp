@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -31,7 +32,7 @@ struct AsFlipCount {
 
 struct StabilityReport {
   std::vector<RoundTransition> transitions;  // rounds-1 entries
-  std::vector<AsFlipCount> by_as;            // descending by flips
+  std::vector<AsFlipCount> by_as;            // flips desc, then ASN asc
   std::uint64_t total_flips = 0;
   std::uint64_t flipping_ases = 0;
   /// Blocks that flipped at least once (input to §6.2's exclusion).
@@ -62,7 +63,7 @@ class StabilityAccumulator {
   };
 
   const topology::Topology* topo_;
-  std::unordered_map<net::Block24, anycast::SiteId> previous_;
+  core::CatchmentMap previous_;
   bool have_previous_ = false;
   std::unordered_map<std::uint32_t, AsAccumulator> per_as_;  // by ASN
   StabilityReport report_;

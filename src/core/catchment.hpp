@@ -1,8 +1,12 @@
-// The product of one Verfploeter measurement: block -> site.
+// The product of one Verfploeter measurement: block -> site and RTT.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <cstring>
+#include <memory>
+#include <ranges>
+#include <utility>
 #include <vector>
 
 #include "anycast/deployment.hpp"
@@ -25,31 +29,69 @@ struct CleaningStats {
   std::uint64_t dropped() const {
     return malformed + wrong_id + unsolicited + duplicates + late;
   }
+
+  bool operator==(const CleaningStats&) const = default;
 };
 
-/// The catchment map measured by one round.
+/// The catchment map measured by one round: for every /24 block, the site
+/// its reply reached and that reply's round-trip time (paper §3–4; §7
+/// suggests using the RTTs to decide where new sites would help).
+///
+/// Layout: one page per /8, allocated on its first write and never freed.
+/// A page holds a 65,536-slot site column (kUnknownSite = unmapped) and a
+/// parallel RTT column (0 where unmapped) — the block-offset idiom of
+/// bgp::CatchmentResolver, without a covered range to size or grow.
+/// Memory follows the /8s touched: 320 KB each, 80 MiB for all of them.
+/// Because a page exists exactly when one of its blocks is mapped, two
+/// maps holding the same entries hold the same pages, so equality is a
+/// page-by-page compare that no insertion order can change.
 class CatchmentMap {
  public:
+  using Entry = std::pair<net::Block24, anycast::SiteId>;
+
   /// Site serving a block; kUnknownSite if the block did not map.
   anycast::SiteId site_of(net::Block24 block) const {
-    const auto it = sites_.find(block);
-    return it == sites_.end() ? anycast::kUnknownSite : it->second;
+    const Page* page = pages_[block.index() >> kSlotBits].get();
+    return page ? page->site[block.index() & kSlotMask] : anycast::kUnknownSite;
   }
 
-  bool contains(net::Block24 block) const { return sites_.count(block) > 0; }
-
-  void set(net::Block24 block, anycast::SiteId site) {
-    sites_.emplace(block, site);
+  /// Measured RTT of a block's kept reply; 0 if the block did not map.
+  float rtt_of(net::Block24 block) const {
+    const Page* page = pages_[block.index() >> kSlotBits].get();
+    return page ? page->rtt[block.index() & kSlotMask] : 0.0f;
   }
 
-  /// Pre-sizes the map for `n` blocks so the cleaning loop's inserts
-  /// never rehash mid-round.
-  void reserve(std::size_t n) { sites_.reserve(n); }
+  bool contains(net::Block24 block) const {
+    return site_of(block) != anycast::kUnknownSite;
+  }
 
-  std::size_t mapped_blocks() const { return sites_.size(); }
+  /// Maps `block` to `site` with `rtt` unless the block is already mapped
+  /// (the first write wins) or `site` is kUnknownSite. Returns whether it
+  /// inserted.
+  bool set(net::Block24 block, anycast::SiteId site, float rtt = 0.0f);
 
-  const std::unordered_map<net::Block24, anycast::SiteId>& entries() const {
-    return sites_;
+  std::size_t mapped_blocks() const;
+
+  /// Bytes held by the allocated pages (320 KB per /8 touched).
+  std::size_t bytes() const;
+
+  /// Every mapped (block, site) in ascending block order.
+  auto entries() const {
+    return std::views::iota(std::uint32_t{0}, kPages) |
+           std::views::filter(
+               [this](std::uint32_t p) { return pages_[p] != nullptr; }) |
+           std::views::transform([this](std::uint32_t p) {
+             const Page* page = pages_[p].get();
+             return std::views::iota(std::uint32_t{0}, kSlots) |
+                    std::views::filter([page](std::uint32_t s) {
+                      return page->site[s] != anycast::kUnknownSite;
+                    }) |
+                    std::views::transform([page, p](std::uint32_t s) {
+                      return Entry{net::Block24{p << kSlotBits | s},
+                                   page->site[s]};
+                    });
+           }) |
+           std::views::join;
   }
 
   /// Blocks per site; index = site id, one extra slot is NOT added for
@@ -59,13 +101,42 @@ class CatchmentMap {
   /// Fraction of mapped blocks served by `site`.
   double fraction_to(anycast::SiteId site) const;
 
+  /// Exact: the same counters, sites and RTT bits.
+  bool operator==(const CatchmentMap&) const = default;
+
   CleaningStats cleaning;
   std::uint64_t probes_sent = 0;
   std::uint64_t blocks_probed = 0;
   std::uint32_t measurement_id = 0;
 
  private:
-  std::unordered_map<net::Block24, anycast::SiteId> sites_;
+  static constexpr std::uint32_t kSlotBits = 16;
+  static constexpr std::uint32_t kSlots = 1u << kSlotBits;
+  static constexpr std::uint32_t kSlotMask = kSlots - 1;
+  static constexpr std::uint32_t kPages = 1u << (24 - kSlotBits);
+
+  struct Page {
+    std::array<anycast::SiteId, kSlots> site;
+    std::array<float, kSlots> rtt;
+    std::uint32_t mapped;  // slots whose site is set
+  };
+
+  /// Owns one page: copies it with the map and compares its bytes.
+  struct PagePtr : std::unique_ptr<Page> {
+    PagePtr() = default;
+    PagePtr(const PagePtr& other)
+        : std::unique_ptr<Page>(other ? std::make_unique<Page>(*other)
+                                      : nullptr) {}
+    PagePtr(PagePtr&&) noexcept = default;
+    PagePtr& operator=(const PagePtr& other) { return *this = PagePtr(other); }
+    PagePtr& operator=(PagePtr&&) noexcept = default;
+    friend bool operator==(const PagePtr& a, const PagePtr& b) {
+      return a && b ? std::memcmp(a.get(), b.get(), sizeof(*a)) == 0
+                    : a.get() == b.get();
+    }
+  };
+
+  std::array<PagePtr, kPages> pages_;
 };
 
 }  // namespace vp::core

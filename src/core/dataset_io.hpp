@@ -1,7 +1,7 @@
 // Dataset export/import (the paper releases all measurement data as
 // per-block catchment tables; see its Table 1/2 dataset citations).
 //
-// Format: plain CSV, one row per mapped /24 —
+// Format: plain CSV, one row per mapped /24 in ascending block order —
 //     block,site,rtt_ms
 //     1.2.3.0/24,LAX,182.40
 // Unmapped blocks are simply absent. Load datasets use
@@ -24,8 +24,10 @@ namespace vp::core {
 void write_catchment_csv(std::ostream& out, const RoundResult& round,
                          const anycast::Deployment& deployment);
 
-/// Reads a catchment CSV back. Unknown site codes or malformed rows make
-/// the whole load fail (datasets are either intact or rejected).
+/// Reads a catchment CSV back. Unknown site codes, malformed rows,
+/// repeated blocks and RTTs that are negative, non-finite or too large
+/// for a float make the whole load fail (datasets are either intact or
+/// rejected).
 std::optional<RoundResult> read_catchment_csv(
     std::istream& in, const anycast::Deployment& deployment);
 

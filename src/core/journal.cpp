@@ -6,6 +6,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -13,6 +14,9 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
@@ -117,24 +121,22 @@ void encode_result(std::string& out, const RoundResult& result) {
     put_u64(out, v);
   put_u32(out, static_cast<std::uint32_t>(result.raw_replies_per_site.size()));
   for (const std::uint64_t v : result.raw_replies_per_site) put_u64(out, v);
-  // Map and RTT entries in hash-map iteration order, deliberately NOT
-  // sorted: a record only has to decode back to an equal RoundResult
-  // (consumers that need an order — the CSV writer — sort at output
-  // time), and at ~30k entries per round sorting here would cost more
-  // than the append's write+fsync, dominating the journaling overhead
-  // bench_journal keeps under 5%.
-  out.reserve(out.size() + 8 + result.map.entries().size() * 5 +
-              result.rtt_ms.size() * 8);
-  put_u32(out, static_cast<std::uint32_t>(result.map.entries().size()));
+  // Map section, then one RTT per mapped block, both in the map's
+  // ascending block order. One walk over the map fills both: the RTT
+  // section is staged and appended after the map section.
+  const auto mapped = static_cast<std::uint32_t>(result.map.mapped_blocks());
+  std::string rtts;
+  rtts.reserve(4 + std::size_t{mapped} * 8);
+  put_u32(rtts, mapped);
+  out.reserve(out.size() + 8 + std::size_t{mapped} * 13);
+  put_u32(out, mapped);
   for (const auto& [block, site] : result.map.entries()) {
     put_u32(out, block.index());
     put_u8(out, static_cast<std::uint8_t>(site));
+    put_u32(rtts, block.index());
+    put_f32(rtts, result.map.rtt_of(block));
   }
-  put_u32(out, static_cast<std::uint32_t>(result.rtt_ms.size()));
-  for (const auto& [block, rtt] : result.rtt_ms) {
-    put_u32(out, block.index());
-    put_f32(out, rtt);
-  }
+  out += rtts;
 }
 
 bool decode_result(Cursor& in, RoundResult& result) {
@@ -161,26 +163,45 @@ bool decode_result(Cursor& in, RoundResult& result) {
   // A CRC only proves the bytes are the ones written. The content checks
   // below refuse what encode_result never writes — a site outside the
   // record's own site table, a block listed twice in either section, an
-  // RTT for a block the map lacks — so a forged or miscomputed record can
+  // RTT for a block the map lacks, an RTT no catchment CSV can carry
+  // (negative, NaN, infinite) — so a forged or miscomputed record can
   // never reach code that indexes the deployment's sites by it.
   const std::uint32_t mapped = in.u32();
-  if (!in.ok || mapped > 1u << 24) return false;
-  for (std::uint32_t i = 0; i < mapped; ++i) {
-    const net::Block24 block{in.u32()};
-    const std::uint8_t site = in.u8();
-    if (!in.ok || site >= sites || result.map.contains(block)) return false;
-    result.map.set(block, static_cast<anycast::SiteId>(site));
-  }
-  const std::uint32_t rtts = in.u32();
-  if (!in.ok || rtts > 1u << 24) return false;
-  for (std::uint32_t i = 0; i < rtts; ++i) {
-    const net::Block24 block{in.u32()};
-    const float rtt = in.f32();
-    if (!in.ok || !result.map.contains(block) ||
-        !result.rtt_ms.emplace(block, rtt).second)
+  if (!in.ok || mapped > 1u << 24 || !in.take(std::size_t{mapped} * 5))
+    return false;
+  std::vector<std::pair<net::Block24, std::uint8_t>> sites_in(mapped);
+  for (auto& [block, site] : sites_in) {
+    block = net::Block24{in.u32()};
+    site = in.u8();
+    // Bytes 0x80..0xff would decode to negative site ids.
+    if (site >= sites || site > std::numeric_limits<anycast::SiteId>::max())
       return false;
   }
-  return in.ok && in.left == 0;
+  const std::uint32_t rtt_count = in.u32();
+  if (!in.ok || !in.take(std::size_t{rtt_count} * 8)) return false;
+  std::vector<std::pair<net::Block24, float>> rtts_in(rtt_count);
+  for (auto& [block, rtt] : rtts_in) {
+    block = net::Block24{in.u32()};
+    rtt = in.f32();
+    if (!(rtt >= 0.0f && rtt <= std::numeric_limits<float>::max()))
+      return false;
+  }
+  // Records written before the encoder went block-ordered list both
+  // sections in hash-map order, so each block looks its RTT up in the
+  // sorted RTT section.
+  const auto block_of = [](const auto& entry) { return entry.first; };
+  std::ranges::sort(rtts_in, {}, block_of);
+  std::uint32_t joined = 0;
+  for (const auto& [block, site] : sites_in) {
+    const auto rtt = std::ranges::lower_bound(rtts_in, block, {}, block_of);
+    const bool has_rtt = rtt != rtts_in.end() && rtt->first == block;
+    joined += has_rtt ? 1 : 0;
+    if (!result.map.set(block, static_cast<anycast::SiteId>(site),
+                        has_rtt ? rtt->second : 0.0f))
+      return false;  // the block is listed twice
+  }
+  // An RTT left over names a block the map lacks, or repeats one.
+  return joined == rtt_count && in.ok && in.left == 0;
 }
 
 // ---- POSIX write plumbing + the kill-point hook -----------------------

@@ -31,7 +31,8 @@
 //     campaign's artifacts across two realities. So does a CRC-valid
 //     round whose content encode_round never writes: a site id outside
 //     the record's own site count, a block listed twice in the map or the
-//     RTT section, or an RTT for an unmapped block;
+//     RTT section, an RTT for an unmapped block, or a negative, NaN or
+//     infinite RTT;
 //   - a manifest fingerprint mismatch refuses resume: the journal belongs
 //     to a different campaign.
 //

@@ -132,7 +132,6 @@ struct EngineWorkspace {
   std::vector<std::uint64_t> offset;  // extra-targets mode only
   std::vector<ShardWs> shards;
   std::vector<std::uint32_t> addr_by_block;  // block off -> probed address
-  std::vector<std::uint64_t> mapped_bits;    // first-reply-wins bitmap
   std::vector<std::uint32_t> sorted_addresses;  // extra-targets mode only
   std::vector<CleanRecord> merged;
   std::vector<float> kept_rtts;
@@ -262,8 +261,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   }
 
   // Block span of the hitlist: backs the direct-mapped probed-address
-  // table (one slot per /24) and the first-reply-wins bitmap, replacing
-  // the per-round hash sets. Every probed address lies inside its
+  // table (one slot per /24). Every probed address lies inside its
   // entry's block, so the span covers all of them.
   std::uint32_t block_lo = 0;
   std::size_t block_span = 0;
@@ -623,8 +621,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes);
   ws.kept_rtts.reserve(order.size());
   ws.kept_rtts.clear();
-  ws.mapped_bits.reserve((block_span + 63) / 64);
-  ws.mapped_bits.assign((block_span + 63) / 64, 0);
   if (multi_target) {
     // Fallback probed-address index: concatenate the shards' (disjoint)
     // address lists and binary-search. The direct map can't be used — a
@@ -637,8 +633,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
                                  ws.shards[s].probed_addresses.end());
     std::sort(ws.sorted_addresses.begin(), ws.sorted_addresses.end());
   }
-  result.map.reserve(order.size());
-  result.rtt_ms.reserve(order.size());
   for (const CleanRecord& record : ws.merged) {
     if (record.measurement_id != config.measurement_id) {
       ++stats.wrong_id;
@@ -659,16 +653,12 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       ++stats.unsolicited;
       continue;
     }
-    const std::uint64_t bit = std::uint64_t{1} << (off & 63);
-    if ((ws.mapped_bits[off >> 6] & bit) != 0) {
+    const float rtt =
+        static_cast<float>(record.arrival_usec - record.tx_usec) / 1000.0f;
+    if (!result.map.set(block, record.site, rtt)) {
       ++stats.duplicates;
       continue;
     }
-    ws.mapped_bits[off >> 6] |= bit;
-    const float rtt =
-        static_cast<float>(record.arrival_usec - record.tx_usec) / 1000.0f;
-    result.map.set(block, record.site);
-    result.rtt_ms.emplace(block, rtt);
     ws.kept_rtts.push_back(rtt);
     em.rtt_ms.observe(rtt);
     ++stats.kept;

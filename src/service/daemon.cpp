@@ -1,5 +1,6 @@
 #include "service/daemon.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
@@ -526,9 +527,15 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
       return net::HttpResponse::bad_request(
           "unknown site '" + std::string{pair.substr(0, eq)} + "'");
     }
-    const int prepend = std::atoi(std::string{pair.substr(eq + 1)}.c_str());
-    if (prepend < 0 || prepend > 16)
-      return net::HttpResponse::bad_request("prepend depth out of range");
+    // The whole token is the depth, so "abc", "" and "2x" are errors.
+    const std::string_view depth = pair.substr(eq + 1);
+    int prepend = -1;
+    const auto [end, ec] =
+        std::from_chars(depth.data(), depth.data() + depth.size(), prepend);
+    if (ec != std::errc{} || end != depth.data() + depth.size() ||
+        prepend < 0 || prepend > 16)
+      return net::HttpResponse::bad_request(
+          "prepend depth must be an integer in [0, 16]");
     target.sites[static_cast<std::size_t>(*site)].prepend = prepend;
     if (comma == std::string_view::npos) break;
     rest.remove_prefix(comma + 1);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
 #include "core/probe_engine.hpp"
@@ -187,11 +191,10 @@ TEST_F(CoreTest, ConcurrentCampaignMatchesSequentialInRoundOrder) {
                 sequential[r].map.cleaning.kept);
       EXPECT_EQ(concurrent[r].raw_replies_per_site,
                 sequential[r].raw_replies_per_site);
-      for (const auto& [block, site] : sequential[r].map.entries())
+      for (const auto& [block, site] : sequential[r].map.entries()) {
         EXPECT_EQ(concurrent[r].map.site_of(block), site);
-      for (const auto& [block, rtt] : sequential[r].rtt_ms) {
-        ASSERT_TRUE(concurrent[r].rtt_ms.count(block));
-        EXPECT_EQ(concurrent[r].rtt_ms.at(block), rtt);
+        EXPECT_EQ(concurrent[r].map.rtt_of(block),
+                  sequential[r].map.rtt_of(block));
       }
     }
   }
@@ -200,12 +203,92 @@ TEST_F(CoreTest, ConcurrentCampaignMatchesSequentialInRoundOrder) {
 TEST(CatchmentMap, SiteOfUnknownBlock) {
   CatchmentMap map;
   EXPECT_EQ(map.site_of(net::Block24{1}), anycast::kUnknownSite);
-  map.set(net::Block24{1}, 0);
+  EXPECT_EQ(map.rtt_of(net::Block24{1}), 0.0f);
+  EXPECT_TRUE(map.set(net::Block24{1}, 0, 12.5f));
   EXPECT_EQ(map.site_of(net::Block24{1}), 0);
   EXPECT_TRUE(map.contains(net::Block24{1}));
-  // First write wins (duplicate replies never overwrite).
-  map.set(net::Block24{1}, 1);
+  // First write wins (duplicate replies never overwrite), RTT included.
+  EXPECT_FALSE(map.set(net::Block24{1}, 1, 99.0f));
   EXPECT_EQ(map.site_of(net::Block24{1}), 0);
+  EXPECT_EQ(map.rtt_of(net::Block24{1}), 12.5f);
+  // kUnknownSite means unmapped, so it cannot be set.
+  EXPECT_FALSE(map.set(net::Block24{2}, anycast::kUnknownSite, 1.0f));
+  EXPECT_FALSE(map.contains(net::Block24{2}));
+  EXPECT_EQ(map.mapped_blocks(), 1u);
+}
+
+/// Blocks spread over several /8s, one /8 holding a run of neighbours.
+std::vector<net::Block24> spread_blocks() {
+  std::vector<net::Block24> blocks;
+  for (const std::uint32_t index :
+       {0x000000u, 0x00ffffu, 0x010000u, 0x7f1234u, 0xfffffeu, 0xffffffu})
+    blocks.emplace_back(index);
+  for (std::uint32_t i = 0; i < 300; ++i) blocks.emplace_back(0x2a0000 + 7 * i);
+  return blocks;
+}
+
+TEST(CatchmentMap, IteratesInAscendingBlockOrderWhateverTheInsertOrder) {
+  std::vector<net::Block24> blocks = spread_blocks();
+  std::sort(blocks.begin(), blocks.end());
+  std::vector<net::Block24> descending(blocks.rbegin(), blocks.rend());
+  std::vector<net::Block24> shuffled = blocks;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937{7});
+  for (const auto* order : {&blocks, &descending, &shuffled}) {
+    CatchmentMap map;
+    for (const net::Block24 block : *order)
+      map.set(block, static_cast<anycast::SiteId>(block.index() % 5));
+    std::vector<net::Block24> seen;
+    for (const auto& [block, site] : map.entries()) {
+      EXPECT_EQ(site, static_cast<anycast::SiteId>(block.index() % 5));
+      seen.push_back(block);
+    }
+    EXPECT_EQ(seen, blocks);
+    EXPECT_EQ(map.mapped_blocks(), blocks.size());
+  }
+}
+
+TEST(CatchmentMap, EqualityDoesNotDependOnInsertOrder) {
+  const std::vector<net::Block24> blocks = spread_blocks();
+  const net::Block24 odd = blocks.back();
+  const float odd_rtt = static_cast<float>(odd.index() % 97);
+  // Every block goes to site 1 with RTT index % 97, except that `odd`
+  // gets the given site and RTT.
+  const auto build = [&](bool reversed, anycast::SiteId odd_site,
+                         float rtt) {
+    CatchmentMap map;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const net::Block24 block = blocks[reversed ? blocks.size() - 1 - i : i];
+      map.set(block, block == odd ? odd_site : anycast::SiteId{1},
+              block == odd ? rtt : static_cast<float>(block.index() % 97));
+    }
+    return map;
+  };
+  const CatchmentMap forward = build(false, 1, odd_rtt);
+  EXPECT_TRUE(forward == build(true, 1, odd_rtt));
+  // Copies are equal and independent; one differing site, RTT, block or
+  // counter breaks equality.
+  CatchmentMap copy = forward;
+  EXPECT_TRUE(copy == forward);
+  EXPECT_FALSE(build(false, 2, odd_rtt) == forward);
+  EXPECT_FALSE(build(false, 1, odd_rtt + 0.5f) == forward);
+  copy.set(net::Block24{0x2a0001}, 1);
+  EXPECT_FALSE(copy == forward);
+  CatchmentMap counters = forward;
+  counters.cleaning.kept = 1;
+  EXPECT_FALSE(counters == forward);
+}
+
+TEST(CatchmentMap, DistantBlocksCostTwoPagesNotTheSpan) {
+  CatchmentMap map;
+  EXPECT_EQ(map.bytes(), 0u);
+  map.set(net::Block24{0x010000}, 0);
+  const std::size_t page = map.bytes();  // 320 KB: a site and an RTT column
+  EXPECT_GE(page, 65536u * (sizeof(anycast::SiteId) + sizeof(float)));
+  EXPECT_LT(page, 65536u * (sizeof(anycast::SiteId) + sizeof(float)) + 64);
+  map.set(net::Block24{0x01ffff}, 0);  // same /8: no new page
+  EXPECT_EQ(map.bytes(), page);
+  map.set(net::Block24{0xfe0000}, 1);  // 253 /8s away: one more page
+  EXPECT_EQ(map.bytes(), 2 * page);
 }
 
 }  // namespace

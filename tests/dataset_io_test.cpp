@@ -18,12 +18,9 @@ anycast::Deployment test_deployment() {
 
 RoundResult small_round() {
   RoundResult round;
-  round.map.set(net::Block24{0x010203}, 0);
-  round.map.set(net::Block24{0x010204}, 1);
-  round.map.set(net::Block24{0x0a0b0c}, 0);
-  round.rtt_ms.emplace(net::Block24{0x010203}, 12.34f);
-  round.rtt_ms.emplace(net::Block24{0x010204}, 256.5f);
-  round.rtt_ms.emplace(net::Block24{0x0a0b0c}, 99.99f);
+  round.map.set(net::Block24{0x010203}, 0, 12.34f);
+  round.map.set(net::Block24{0x010204}, 1, 256.5f);
+  round.map.set(net::Block24{0x0a0b0c}, 0, 99.99f);
   return round;
 }
 
@@ -38,8 +35,7 @@ TEST(DatasetIo, CatchmentCsvRoundTrip) {
   EXPECT_EQ(loaded->map.mapped_blocks(), round.map.mapped_blocks());
   for (const auto& [block, site] : round.map.entries()) {
     EXPECT_EQ(loaded->map.site_of(block), site);
-    ASSERT_TRUE(loaded->rtt_ms.count(block));
-    EXPECT_NEAR(loaded->rtt_ms.at(block), round.rtt_ms.at(block), 0.01);
+    EXPECT_NEAR(loaded->map.rtt_of(block), round.map.rtt_of(block), 0.01);
   }
 }
 
@@ -68,6 +64,7 @@ TEST(DatasetIo, CatchmentRejectsMalformedInput) {
   reject("block,site,rtt_ms\nnot-a-prefix,LAX,1\n");
   reject("block,site,rtt_ms\n1.2.0.0/16,LAX,1\n");  // not a /24
   reject("block,site,rtt_ms\n1.2.3.0/24,LAX,-5\n"); // negative RTT
+  reject("block,site,rtt_ms\n1.2.3.0/24,LAX,1e300\n");  // overflows a float
   reject("block,site,rtt_ms\n1.2.3.0/24,LAX,abc\n");
   reject(
       "block,site,rtt_ms\n1.2.3.0/24,LAX,1\n1.2.3.0/24,MIA,2\n");  // dup
@@ -216,12 +213,13 @@ TEST(DatasetIo, CatchmentRoundTripPropertyRandomized) {
     for (int i = 0; i < entries; ++i) {
       const net::Block24 block{static_cast<std::uint32_t>(rng.below(1 << 24))};
       if (round.map.contains(block)) continue;
-      round.map.set(block, static_cast<anycast::SiteId>(
-                               rng.below(deployment.sites.size())));
+      const auto site = static_cast<anycast::SiteId>(
+          rng.below(deployment.sites.size()));
       const float rtt = rng.chance(0.2)
                             ? edge_rtts[rng.below(std::size(edge_rtts))]
                             : static_cast<float>(rng.uniform(0.0, 500.0));
-      if (rng.chance(0.9)) round.rtt_ms.emplace(block, rtt);
+      // A tenth of the blocks keep the default RTT of 0.
+      round.map.set(block, site, rng.chance(0.9) ? rtt : 0.0f);
     }
     std::stringstream first;
     write_catchment_csv(first, round, deployment);
@@ -230,10 +228,8 @@ TEST(DatasetIo, CatchmentRoundTripPropertyRandomized) {
     ASSERT_EQ(loaded->map.mapped_blocks(), round.map.mapped_blocks());
     for (const auto& [block, site] : round.map.entries()) {
       EXPECT_EQ(loaded->map.site_of(block), site);
-      const auto rtt = round.rtt_ms.find(block);
-      // %.2f rounds to a hundredth; absent RTTs read back as 0.00.
-      EXPECT_NEAR(loaded->rtt_ms.at(block),
-                  rtt == round.rtt_ms.end() ? 0.0f : rtt->second, 0.0051)
+      // %.2f rounds to a hundredth.
+      EXPECT_NEAR(loaded->map.rtt_of(block), round.map.rtt_of(block), 0.0051)
           << "iteration " << iteration;
     }
     std::stringstream second;

@@ -283,8 +283,20 @@ TEST_F(IntegrationTest, AnycastIsOverwhelminglyStable) {
   EXPECT_GT(flipped, 0.0);
   EXPECT_GT(report.median_from_nr(), 0.0);
 
-  // Table 7: flips concentrate; the top AS should be Chinanet-like.
+  // Table 7 is sorted by flips descending, ties by ASN ascending.
   ASSERT_FALSE(report.by_as.empty());
+  bool tied = false;
+  for (std::size_t i = 1; i < report.by_as.size(); ++i) {
+    const auto& prev = report.by_as[i - 1];
+    const auto& cur = report.by_as[i];
+    tied = tied || prev.flips == cur.flips;
+    EXPECT_TRUE(prev.flips > cur.flips ||
+                (prev.flips == cur.flips && prev.asn < cur.asn))
+        << "rank " << i;
+  }
+  EXPECT_TRUE(tied) << "fixture no longer exercises the tie-break";
+
+  // Table 7: flips concentrate; the top AS should be Chinanet-like.
   const auto& top = report.by_as.front();
   double top_share = static_cast<double>(top.flips) /
                      static_cast<double>(report.total_flips);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,8 @@ RoundResult synthetic_round(std::uint32_t r) {
   result.map.probes_sent = 1000 + r;
   result.map.blocks_probed = 990;
   result.map.cleaning = {900 + r, 1, 2, 3, 4, 5, 880};
-  result.map.set(net::Block24{0x010200 + r}, 0);
+  result.map.set(net::Block24{0x010200 + r}, 0, 12.5f + r);
   result.map.set(net::Block24{0x020300 + r}, 1);
-  result.rtt_ms.emplace(net::Block24{0x010200 + r}, 12.5f + r);
   result.raw_replies_per_site = {400 + r, 500};
   result.started = util::SimTime::from_minutes(15.0 * r);
   result.probing_duration = util::SimTime::from_seconds(8.0);
@@ -60,14 +60,7 @@ void expect_equal(const RoundResult& a, const RoundResult& b) {
   EXPECT_EQ(a.map.blocks_probed, b.map.blocks_probed);
   EXPECT_EQ(a.map.cleaning.raw_replies, b.map.cleaning.raw_replies);
   EXPECT_EQ(a.map.cleaning.kept, b.map.cleaning.kept);
-  EXPECT_EQ(a.map.entries().size(), b.map.entries().size());
-  for (const auto& [block, site] : a.map.entries())
-    EXPECT_EQ(b.map.site_of(block), site);
-  EXPECT_EQ(a.rtt_ms.size(), b.rtt_ms.size());
-  for (const auto& [block, rtt] : a.rtt_ms) {
-    ASSERT_TRUE(b.rtt_ms.count(block));
-    EXPECT_EQ(b.rtt_ms.at(block), rtt);
-  }
+  EXPECT_TRUE(a.map == b.map);  // every site, RTT bit and counter
   EXPECT_EQ(a.raw_replies_per_site, b.raw_replies_per_site);
   EXPECT_EQ(a.started.usec, b.started.usec);
   EXPECT_EQ(a.probing_duration.usec, b.probing_duration.usec);
@@ -245,68 +238,94 @@ JournalStatus resume_with(const char* tag,
   return status;
 }
 
+/// A block's little-endian index bytes, as a record stores them.
+std::string le_bytes(net::Block24 block) {
+  std::string bytes(4, '\0');
+  for (int i = 0; i < 4; ++i)
+    bytes[i] = static_cast<char>(block.index() >> (8 * i));
+  return bytes;
+}
+
 /// `payload` with the `nth` (0-based) little-endian occurrence of block
 /// `from` rewritten to block `to` — how a record that lists one block
 /// twice gets forged, since a RoundResult cannot hold one.
 std::string retarget(std::string payload, net::Block24 from, net::Block24 to,
                      int nth) {
-  const auto le = [](net::Block24 block) {
-    std::string bytes(4, '\0');
-    for (int i = 0; i < 4; ++i)
-      bytes[i] = static_cast<char>(block.index() >> (8 * i));
-    return bytes;
-  };
-  std::size_t at = payload.find(le(from));
+  std::size_t at = payload.find(le_bytes(from));
   for (int k = 0; k < nth && at != std::string::npos; ++k)
-    at = payload.find(le(from), at + 1);
+    at = payload.find(le_bytes(from), at + 1);
   EXPECT_NE(at, std::string::npos);
-  if (at != std::string::npos) payload.replace(at, 4, le(to));
+  if (at != std::string::npos) payload.replace(at, 4, le_bytes(to));
   return payload;
 }
 
 TEST(Journal, CrcValidRecordWithInvalidContentIsCorrupt) {
   // Distinctive block indices, so their bytes occur nowhere else in a
-  // record. Two sites; A is mapped to site 0 with an RTT, B to site 1.
+  // record. Two sites; A is mapped to site 0, B to site 1, each with an
+  // RTT. A < B, so each block's occurrence 0 is in the map section and
+  // occurrence 1 in the RTT section.
   const net::Block24 a{0xabcdef}, b{0xfedcba}, c{0x123456};
-  const auto round_with = [&](std::initializer_list<net::Block24> rtts) {
+  const auto round_with = [&](anycast::SiteId site_a, float rtt_a) {
     RoundResult result;
     result.raw_replies_per_site = {1, 1};
-    result.map.set(a, 0);
-    result.map.set(b, 1);
-    for (const net::Block24 block : rtts) result.rtt_ms.emplace(block, 9.5f);
+    result.map.set(a, site_a, rtt_a);
+    result.map.set(b, 1, 9.5f);
     return CampaignJournal::encode_round(0, result);
   };
-  ASSERT_EQ(resume_with("content_ok", {round_with({a})}),
-            JournalStatus::kResumed);
+  const std::string ok = round_with(0, 9.5f);
+  ASSERT_EQ(resume_with("content_ok", {ok}), JournalStatus::kResumed);
 
   // A site id at or past the record's own site count — including the
-  // bytes 0x80..0xff that used to decode to negative ids.
-  for (const int site : {2, 9, 127, -128, -1}) {
-    RoundResult bad;
-    bad.raw_replies_per_site = {1, 1};
-    bad.map.set(a, static_cast<anycast::SiteId>(site));
+  // bytes 0x80..0xff that used to decode to negative ids. The map refuses
+  // kUnknownSite (0xff), so that byte is forged over A's site.
+  for (const int site : {2, 9, 127, -128}) {
     EXPECT_EQ(resume_with("content_site",
-                          {CampaignJournal::encode_round(0, bad)}),
+                          {round_with(static_cast<anycast::SiteId>(site),
+                                      9.5f)}),
               JournalStatus::kCorrupt)
         << "site " << site;
   }
+  std::string unknown_site = ok;
+  unknown_site[unknown_site.find(le_bytes(a)) + 4] = '\xff';
+  EXPECT_EQ(resume_with("content_site_ff", {unknown_site}),
+            JournalStatus::kCorrupt);
+  // A negative id stays refused when the record claims enough sites for
+  // its byte (0x80 = 128 < 200) to pass the count check.
+  RoundResult wide;
+  wide.raw_replies_per_site.assign(200, 1);
+  wide.map.set(a, -128);
+  EXPECT_EQ(resume_with("content_site_wide",
+                        {CampaignJournal::encode_round(0, wide)}),
+            JournalStatus::kCorrupt);
 
   // A block listed twice in the map section, then in the RTT section.
-  // Retargeting to a fresh block instead is the control: the forged
-  // frame itself decodes.
-  const std::string map_retargeted = retarget(round_with({a}), b, c, 0);
-  EXPECT_EQ(resume_with("content_retarget", {map_retargeted}),
+  // The controls show the forged frames themselves decode: B retargeted
+  // to a fresh block in both sections (out of block order), and the RTT
+  // section's A and B swapped (the two sections in different orders, as
+  // the hash-order encoder was free to write them).
+  const std::string retargeted = retarget(retarget(ok, b, c, 0), b, c, 0);
+  EXPECT_EQ(resume_with("content_retarget", {retargeted}),
             JournalStatus::kResumed);
-  const std::string map_dup = retarget(round_with({a}), b, a, 0);
-  EXPECT_EQ(resume_with("content_dup_map", {map_dup}),
+  const std::string swapped =
+      retarget(retarget(retarget(ok, a, c, 1), b, a, 1), c, b, 0);
+  EXPECT_EQ(resume_with("content_swapped", {swapped}),
+            JournalStatus::kResumed);
+  EXPECT_EQ(resume_with("content_dup_map", {retarget(ok, b, a, 0)}),
             JournalStatus::kCorrupt);
-  const std::string rtt_dup = retarget(round_with({a, b}), b, a, 1);
-  EXPECT_EQ(resume_with("content_dup_rtt", {rtt_dup}),
+  EXPECT_EQ(resume_with("content_dup_rtt", {retarget(ok, b, a, 1)}),
             JournalStatus::kCorrupt);
 
   // An RTT for a block the map does not hold.
-  EXPECT_EQ(resume_with("content_rtt_unmapped", {round_with({a, c})}),
+  EXPECT_EQ(resume_with("content_rtt_unmapped", {retarget(ok, b, c, 1)}),
             JournalStatus::kCorrupt);
+
+  // An RTT no catchment CSV could carry: negative, NaN or infinite.
+  for (const float rtt : {-1.0f, std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    EXPECT_EQ(resume_with("content_rtt_value", {round_with(0, rtt)}),
+              JournalStatus::kCorrupt)
+        << "rtt " << rtt;
+  }
 }
 
 TEST(Journal, WithoutResumeOverwrites) {

@@ -236,6 +236,10 @@ TEST_F(DaemonTest, LoadEndpointPredictsUnderPrependConfig) {
   EXPECT_EQ(daemon.handle(get("/load", "XXX=1")).status, 400);
   EXPECT_EQ(daemon.handle(get("/load", "MIA=99")).status, 400);
   EXPECT_EQ(daemon.handle(get("/load", "MIA")).status, 400);
+  // The depth is the whole token, parsed strictly.
+  EXPECT_EQ(daemon.handle(get("/load", "MIA=abc")).status, 400);
+  EXPECT_EQ(daemon.handle(get("/load", "MIA=")).status, 400);
+  EXPECT_EQ(daemon.handle(get("/load", "MIA=2x")).status, 400);
 }
 
 TEST_F(DaemonTest, WatchdogKillsWedgedAttemptThenRecovers) {
