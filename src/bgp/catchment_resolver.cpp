@@ -104,18 +104,4 @@ std::size_t CatchmentResolver::bytes() const {
          visible_pos_.capacity() * sizeof(std::uint16_t);
 }
 
-void CatchmentResolver::warm_touch(net::Block24 lo, net::Block24 hi) const {
-  if (hi.index() < lo.index()) return;
-  const std::uint32_t begin = lo.index() - first_;
-  if (begin >= sites_.size()) return;  // also catches lo < first_ (wraps)
-  const std::size_t end =
-      std::min<std::size_t>(hi.index() - first_ + 1, sites_.size());
-  constexpr std::size_t kLine = 64;
-  for (std::size_t off = begin; off < end; off += kLine)
-    __builtin_prefetch(sites_.data() + off, 0 /*read*/, 1 /*low locality*/);
-  for (std::size_t word = begin >> 6; word <= (end - 1) >> 6;
-       word += kLine / sizeof(std::uint64_t))
-    __builtin_prefetch(flappy_bits_.data() + word, 0, 1);
-}
-
 }  // namespace vp::bgp

@@ -110,13 +110,6 @@ class CatchmentResolver {
   /// Bytes materialized (table + bitset + site lists).
   std::size_t bytes() const;
 
-  /// Prefetches the site-table and flappy-bitset slices covering
-  /// [lo, hi] into cache — the tile-granular warm-touch hook the probe
-  /// engine calls as it enters each block-range tile, so the first probe
-  /// of a tile doesn't eat the cold misses serially. Purely advisory:
-  /// results never depend on it.
-  void warm_touch(net::Block24 lo, net::Block24 hi) const;
-
  private:
   std::uint32_t first_ = 0;  // lowest allocated /24 index
   std::uint64_t flip_signature_ = 0;

@@ -1,6 +1,5 @@
-// The sharded probe engine: runs one measurement round across N worker
-// threads and merges their shards into a result that is bit-identical to
-// the serial walk.
+// The parallel probe engine: runs one measurement round across N worker
+// threads and produces a result that is bit-identical to the serial walk.
 //
 // Why this is safe to parallelize: every stochastic decision on the probe
 // path — responsiveness, duplicates, aliases, flips, RTT jitter — is a
@@ -9,35 +8,39 @@
 // are pure functions of the probe's *global index* in that order. So the
 // engine:
 //
-//   1. materializes the round's probe order and (in multi-target mode)
-//      prefix-sums the per-entry target counts, giving every probe its
-//      global index up front;
-//   2. splits the order into N *contiguous* chunks of roughly equal probe
-//      count, then each worker walks its chunk in block-range TILES: a
-//      counting sort groups the chunk's positions by entry-index range,
-//      so the resolver/geo/responsiveness rows a tile touches stay
-//      cache-resident while its probes run. Tx times and sequence numbers
-//      are pure functions of the global index, so the walk order cannot
-//      change a single packet. Replies accumulate in per-(shard, site)
-//      structure-of-arrays buffers tagged with (global probe index,
+//   1. materializes the round's probe order, its inverse (entry -> order
+//      position) and, in multi-target mode, the prefix sum of per-entry
+//      target counts, giving every probe its global index up front;
+//   2. probes in BLOCK-ORDERED RUNS: workers claim fixed-size runs of
+//      consecutive hitlist entries from a shared counter and walk each
+//      run in entry order, which is block order, so the resolver, geo and
+//      responsiveness rows the probes read stream through cache. Each
+//      probe reads its global index from the inverse permutation, and
+//      that index alone sets its tx time, ICMP sequence, retry times and
+//      merge key, so neither the walk order nor which worker claimed a
+//      run can change a single packet. Replies land in the run's
+//      structure-of-arrays rows tagged with (global probe index,
 //      per-probe delivery seq);
-//   3. merges: all shard rows are gathered and sorted by the strict total
-//      order (arrival, site, probe index, seq). This reproduces the
-//      legacy pipeline — site-major shard-order concatenation followed by
-//      a stable sort on arrival — exactly: within one (site, shard) list
-//      records were appended in ascending (probe index, seq), and shards
-//      own ascending disjoint probe-index ranges, so the legacy
-//      equal-arrival tie order WAS (site, probe index, seq). The
-//      first-reply-wins cleaning pass then runs unchanged (paper §4).
+//   3. cleans by PER-BLOCK FIRST-REPLY REDUCTION (core/cleaning.hpp):
+//      every filter is per reply, and first-reply-wins keeps each
+//      block's least surviving reply under the strict total order
+//      (arrival, site, probe index, seq) — the order the legacy
+//      site-major shard concat + stable arrival sort produced, since
+//      within one (site, shard) list replies were appended in ascending
+//      (probe index, seq) and shards owned ascending disjoint index
+//      ranges. A minimum needs no sort: after the probe workers join,
+//      each worker owns whole /8 pages of the CatchmentMap, reduces the
+//      rows whose source block lies in them to one winner per block, and
+//      fills its pages in block order; duplicates = survivors − winners.
 //
-// Equal-arrival ties therefore resolve identically for any thread count
-// AND any tile size, and the CatchmentMap, CleaningStats, and per-block
-// RTTs match the one-thread run bit for bit.
+// Equal-arrival ties therefore resolve identically for any thread count,
+// and the CatchmentMap, CleaningStats, and per-block RTTs match the
+// one-thread run bit for bit.
 //
 // Faults and retries preserve the guarantee: the fault plan
 // (sim/fault_injector.hpp) is const-pure like the rest of sim/, retry
 // attempt times are pure functions of (global probe index, attempt), and
-// fault counters are per-shard sums — so a faulty, retrying round is
+// fault counters are per-worker sums — so a faulty, retrying round is
 // still bit-identical for any thread count.
 #pragma once
 
@@ -51,8 +54,7 @@ namespace vp::core {
 class ProbeEngine {
  public:
   ProbeEngine(const sim::InternetSim& internet,
-              const hitlist::Hitlist& hitlist)
-      : internet_(&internet), hitlist_(&hitlist) {}
+              const hitlist::Hitlist& hitlist);
 
   /// Runs one round against the current BGP state with spec.threads
   /// probe workers. Safe to call concurrently from multiple threads
@@ -64,6 +66,10 @@ class ProbeEngine {
  private:
   const sim::InternetSim* internet_;
   const hitlist::Hitlist* hitlist_;
+  /// The hitlist's blocks lie in [block_lo_, block_lo_ + block_span_),
+  /// the range the engine's per-block tables cover.
+  std::uint32_t block_lo_ = 0;
+  std::size_t block_span_ = 0;
 };
 
 }  // namespace vp::core

@@ -3,9 +3,9 @@
 //
 // A round is fully specified by a RoundSpec — probe configuration, the
 // round index (which drives every stochastic process in the simulator),
-// the virtual start time, and how many worker shards to probe with. Two
+// the virtual start time, and how many workers to probe and clean with. Two
 // runs of the same spec produce bit-identical results for ANY thread
-// count; see core/probe_engine.hpp for how the merge guarantees this.
+// count; see core/probe_engine.hpp for how the engine guarantees this.
 #pragma once
 
 #include <cstdint>
@@ -58,22 +58,15 @@ struct RoundSpec {
   std::uint32_t round = 0;
   /// Stamps probe transmit times.
   util::SimTime start{};
-  /// Probe-phase worker shards: 1 = serial, 0 = one per hardware thread.
+  /// Probe and clean workers: 1 = serial, 0 = one per hardware thread.
   /// Never affects the result, only wall-clock time.
   unsigned threads = 1;
   /// Optional fault plan layered over the simulated Internet (must
   /// outlive the run). Null or a disabled plan leaves every packet and
   /// timestamp byte-identical to the fault-free engine.
   const sim::FaultInjector* faults = nullptr;
-  /// Block-range tile size in probe-order entries: each shard walks its
-  /// chunk tile by tile so the resolver/geo/responsiveness slices a tile
-  /// touches fit in LLC. 0 = auto (the engine's tuned default); 1 =
-  /// degenerate per-entry tiles; UINT32_MAX = one tile per shard.
-  /// NEVER affects results — merged output is bit-identical for any
-  /// value (tests sweep it) — so it stays out of Campaign fingerprints.
-  std::uint32_t tile_entries = 0;
   /// Optional cross-round scratch arena (must outlive the run). The
-  /// engine keeps its probe-order, reply-buffer and per-shard workspaces
+  /// engine keeps its probe-order, reply-row and per-worker workspaces
   /// here so round N+1 reuses round N's allocations; null means the run
   /// allocates privately. Purely a performance knob: results are
   /// bit-identical with or without it, but an arena must not be shared
@@ -101,7 +94,7 @@ struct RoundResult {
 /// catchments stay bit-identical whether anyone looks at this or not.
 struct RoundMetrics {
   double wall_ms = 0.0;         ///< whole run(): plan + probe + merge + clean
-  double probe_phase_ms = 0.0;  ///< worker shards running
+  double probe_phase_ms = 0.0;  ///< probe workers running
   std::uint64_t probes_sent = 0;    ///< incl. retries
   std::uint64_t replies_raw = 0;    ///< before cleaning
   std::uint64_t replies_kept = 0;   ///< after cleaning

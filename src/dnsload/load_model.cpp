@@ -63,12 +63,14 @@ LoadModel::LoadModel(const topology::Topology& topo,
     if (rng.chance(config.hotspot_rate))
       volume *= config.hotspot_multiplier;
     if (!responsive) volume *= config.nonresponsive_volume_multiplier;
-    std::string_view country = "??";
-    if (const auto geo = topo.geodb().lookup(info.block))
-      country = std::string_view{geo->country, 2};
+    // The record is a temporary: keep the country code itself, not a
+    // view into it.
+    const geo::GeoRecord record =
+        topo.geodb().lookup(info.block).value_or(geo::GeoRecord{});
     // Stash per-block country multiplier lookup via geodb; blocks without
     // geolocation keep multiplier 1.
-    volume *= country_volume_multiplier(config.profile, country);
+    volume *= country_volume_multiplier(config.profile,
+                                        std::string_view{record.country, 2});
     volume = std::min(volume, config.max_block_multiple);
 
     BlockLoad load;

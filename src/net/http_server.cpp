@@ -96,7 +96,7 @@ bool parse_http_request(std::string_view request_text, HttpRequest& out) {
   return true;
 }
 
-std::string render_http_response(const HttpResponse& response) {
+std::string render_http_head(const HttpResponse& response) {
   const char* reason = "OK";
   switch (response.status) {
     case 200: reason = "OK"; break;
@@ -110,7 +110,6 @@ std::string render_http_response(const HttpResponse& response) {
   out += "Content-Type: " + response.content_type + "\r\n";
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
-  out += response.body;
   return out;
 }
 
@@ -200,6 +199,7 @@ void HttpServer::handle_connection(int fd) {
 
   HttpRequest parsed;
   HttpResponse response;
+  bool send_body = true;
   if (timed_out) {
     // Headers that never ended are never served, whatever they hold.
     response = HttpResponse::bad_request("request deadline exceeded");
@@ -209,9 +209,13 @@ void HttpServer::handle_connection(int fd) {
     response = HttpResponse::bad_request("only GET is supported");
   } else {
     response = handler_(parsed);
-    if (parsed.method == "HEAD") response.body.clear();
+    // HEAD gets GET's header, Content-Length included, and no body.
+    send_body = parsed.method != "HEAD";
   }
-  send_all(fd, render_http_response(response));
+  // Header and body go out as two sends: joining them would copy the body
+  // (all of a /map) once more.
+  if (send_all(fd, render_http_head(response)) && send_body)
+    send_all(fd, response.body);
 }
 
 }  // namespace vp::net

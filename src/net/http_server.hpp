@@ -64,8 +64,10 @@ std::string url_decode(std::string_view text);
 /// an HttpRequest. Returns false on a malformed request line.
 bool parse_http_request(std::string_view request_text, HttpRequest& out);
 
-/// Serializes a response with Content-Length and Connection: close.
-std::string render_http_response(const HttpResponse& response);
+/// Serializes a response's status line and headers, up to and including
+/// the blank line: Content-Type, Content-Length (of the body) and
+/// Connection: close. The body follows it on the wire.
+std::string render_http_head(const HttpResponse& response);
 
 class HttpServer {
  public:

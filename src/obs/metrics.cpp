@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 namespace vp::obs {
@@ -60,6 +61,50 @@ void Histogram::observe(double v) noexcept {
   seen = max_.load(std::memory_order_relaxed);
   while (v > seen &&
          !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
+}
+
+void Histogram::observe_all(std::span<const float> values) {
+  if (!enabled_->load(std::memory_order_relaxed) || values.empty()) return;
+  std::vector<std::uint64_t> counts(bounds_.size() + 1, 0);
+  std::uint64_t n = 0, nans = 0;
+  double sum = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const float f : values) {
+    const double v = f;
+    if (std::isnan(v)) {
+      ++nans;
+      continue;
+    }
+    ++counts[static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+        bounds_.begin())];
+    ++n;
+    sum += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  if (nans > 0) nan_rejected_.fetch_add(nans, std::memory_order_relaxed);
+  if (n == 0) return;
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    if (counts[i] > 0)
+      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+  const std::uint64_t before = count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+  if (before == 0) {
+    // As in observe(): the first batch seeds min/max, and a racing
+    // observer falls through to the CAS loops.
+    min_.store(lo, std::memory_order_relaxed);
+    max_.store(hi, std::memory_order_relaxed);
+  }
+  double seen = min_.load(std::memory_order_relaxed);
+  while (lo < seen &&
+         !min_.compare_exchange_weak(seen, lo, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (hi > seen &&
+         !max_.compare_exchange_weak(seen, hi, std::memory_order_relaxed)) {
   }
 }
 

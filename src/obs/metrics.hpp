@@ -21,9 +21,10 @@
 //  * Counter::add is a relaxed load of the enabled flag plus a relaxed
 //    fetch_add on a per-thread stripe — no sharing between probe
 //    workers, so the per-probe hot path stays in the low nanoseconds;
-//  * Histogram::observe is a branch, a bounds scan, and two relaxed
-//    atomic RMWs — keep it off the per-probe path (the engine observes
-//    RTTs once per kept reply, during the serial cleaning pass).
+//  * Histogram::observe is a branch, a bounds scan, and a handful of
+//    relaxed atomic RMWs — keep it off the per-probe path; for a batch of
+//    values, observe_all bins locally and publishes once (the engine's
+//    cleaning workers each publish their kept RTTs that way).
 //
 // Naming scheme (DESIGN.md §11): vp_<subsystem>_<what>[_total|_ms],
 // with optional Prometheus-style labels embedded in the name, e.g.
@@ -114,6 +115,11 @@ class Histogram {
   Histogram(const std::atomic<bool>* enabled, std::span<const double> bounds);
 
   void observe(double v) noexcept;
+
+  /// The same as observe() on every value, binned locally and published
+  /// with one atomic update per touched field: the buckets, count, min,
+  /// max and NaN count come out identical (the sum up to rounding).
+  void observe_all(std::span<const float> values);
 
   std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);

@@ -639,11 +639,21 @@ net::HttpResponse Daemon::handle_map() {
     return net::HttpResponse::text("no map yet\n", 503);
   // Byte-identical to core::write_catchment_csv of the served round —
   // the chaos harness diffs this directly against offline vpctl output.
-  std::ostringstream out;
-  core::write_catchment_csv(out, served->result, deployment_);
-  net::HttpResponse response = net::HttpResponse::text(out.str());
+  net::HttpResponse response =
+      net::HttpResponse::text(served->csv(deployment_));
   response.content_type = "text/csv";
   return response;
+}
+
+const std::string& ServedMap::csv(const anycast::Deployment& deployment) const {
+  static auto& renders = obs::metrics().counter("vp_serve_map_renders_total");
+  std::call_once(csv_once_, [&] {
+    std::ostringstream out;
+    core::write_catchment_csv(out, result, deployment);
+    csv_ = std::move(out).str();
+    renders.add();
+  });
+  return csv_;
 }
 
 net::HttpResponse Daemon::handle_metrics() {

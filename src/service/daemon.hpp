@@ -38,7 +38,8 @@
 //   /drift       online Fig-9-style change-point report between the two
 //                most recent good rounds (analysis::catchment_diff)
 //   /map         the served catchment as CSV — byte-identical to
-//                core::write_catchment_csv of the same round
+//                core::write_catchment_csv of the same round, rendered
+//                once per snapshot
 //   /healthz     state machine + staleness metadata
 //   /metrics     the process Prometheus registry
 #pragma once
@@ -90,6 +91,16 @@ struct ServedMap {
   std::uint32_t round = 0;
   bool from_journal = false;  ///< resumed at startup rather than measured
   std::chrono::steady_clock::time_point published_at{};
+
+  /// The snapshot as CSV — core::write_catchment_csv of `result` — which
+  /// /map serves. Rendered by the first call and kept, so repeated /map
+  /// requests on one snapshot cost a copy, not a render
+  /// (vp_serve_map_renders_total counts renders). Thread-safe.
+  const std::string& csv(const anycast::Deployment& deployment) const;
+
+ private:
+  mutable std::once_flag csv_once_;
+  mutable std::string csv_;
 };
 
 /// Online drift detection between consecutive good rounds: the Fig-9

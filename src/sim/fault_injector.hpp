@@ -131,7 +131,7 @@ class FaultInjector {
   bool drops_probe(net::Ipv4Address target, std::uint32_t round,
                    std::uint32_t attempt) const;
 
-  /// Batched drops_probe over a whole tile of first-attempt targets:
+  /// Batched drops_probe over a whole run of first-attempt targets:
   /// `out` is resized to targets.size() with out[i] nonzero iff
   /// drops_probe(targets[i], round, attempt) — the seed/salt/round
   /// combine is hoisted out of the loop, the draws are bit-identical.

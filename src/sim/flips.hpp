@@ -22,8 +22,8 @@
 namespace vp::sim {
 
 /// Batched resolution counters. The probe engine hands one of these to
-/// site_in_round for a whole tile of blocks and flushes the totals to the
-/// striped metric counters once per tile, instead of touching the obs
+/// site_in_round for a whole run of blocks and flushes the totals to the
+/// striped metric counters once per run, instead of touching the obs
 /// layer on every probe. hits = O(1) precomputed-resolver path; misses =
 /// full hash-map walk (flip-signature mismatch).
 struct ResolveTally {
@@ -56,7 +56,7 @@ class FlipModel {
   /// tied candidates) or hit by a transient routing event (any other
   /// visible site, for one round only). When `tally` is non-null the
   /// hit/miss count is accumulated there instead of hitting the striped
-  /// metric counters — callers flush per tile (the site answer itself is
+  /// metric counters — callers flush per run (the site answer itself is
   /// identical either way).
   anycast::SiteId site_in_round(const bgp::RoutingTable& routes,
                                 net::Block24 block, std::uint32_t round,

@@ -12,7 +12,7 @@ namespace {
 // Dataplane counters. probe_into() is the hottest call in the system
 // (once per probe attempt, from every worker thread), so it tallies into
 // a caller-owned DataplaneTally and these striped Counters only see the
-// caller's per-tile flush. Observe-only — probe_into() stays pure in its
+// caller's per-run flush. Observe-only — probe_into() stays pure in its
 // inputs and bit-identical with metrics off.
 struct DataplaneMetrics {
   obs::Counter& probes;

@@ -51,7 +51,7 @@ struct DeliveryView {
 
 /// Batched dataplane counters: probe_into accumulates here instead of
 /// touching the striped metric counters per probe; the caller flushes
-/// them (the engine once per tile) via InternetSim::flush. Field meanings
+/// them (the engine once per run) via InternetSim::flush. Field meanings
 /// match the vp_sim_* counters one-to-one.
 struct DataplaneTally {
   std::uint64_t probes = 0;

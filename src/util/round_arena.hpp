@@ -1,12 +1,12 @@
 // Cross-round scratch arena for the probe hot path.
 //
-// A measurement round needs a pile of working storage — per-shard SoA
-// reply buffers, tile buckets, packet scratch, the merged cleaning
-// array — whose *shapes* repeat exactly from round to round (same
-// hitlist, same thread count). Allocating them per round is pure waste:
-// at 6.4M blocks the allocator traffic and the cold pages it hands back
-// are a measurable slice of the probe phase, and a continuous daemon
-// pays it every round forever.
+// A measurement round needs a pile of working storage — per-run SoA
+// reply rows, the probe order and its inverse, packet scratch, the
+// cleaner's winner table — whose *shapes* repeat exactly from round to
+// round (same hitlist, same thread count). Allocating them per round is
+// pure waste: at 6.4M blocks the allocator traffic and the cold pages it
+// hands back are a measurable slice of the probe phase, and a continuous
+// daemon pays it every round forever.
 //
 // RoundArena is a typed-slot holder: the first round creates each state
 // object, later rounds get the same object back with its vectors'

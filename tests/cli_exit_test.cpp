@@ -169,10 +169,12 @@ TEST(CliExit, SigintEarlyInCampaignExits7AndLeavesResumablePrefix) {
   // opened it; the signal handler went in before the scenario build).
   // Whatever prefix of rounds got in, the exit code is the distinct
   // interrupted one and the journal resumes into a complete campaign.
+  // A round at this scale takes about 2 ms, so the campaign has enough of
+  // them to still be running when the signal lands after a 5 ms poll.
   const std::string journal = test_dir() + "/sigint_early.bin";
   const std::string csv = test_dir() + "/sigint_early.csv";
   const std::vector<std::string> args = {
-      "campaign", "--scale", "0.03", "--rounds", "3", "--seed",    "5",
+      "campaign", "--scale", "0.03", "--rounds", "60", "--seed",   "5",
       "--journal", journal,  "--out", csv};
   EXPECT_EQ(run_vpctl_signalled(args, SIGINT,
                                 [&journal] { return file_exists(journal); }),
@@ -199,13 +201,13 @@ TEST(CliExit, SigintMidCampaignFinishesInFlightRoundThenExits7) {
   const std::string base_journal = test_dir() + "/sigint_base.bin";
   const std::string base_csv = test_dir() + "/sigint_base.csv";
   const std::string common =
-      "campaign --scale 0.03 --rounds 8 --seed 5 ";
+      "campaign --scale 0.03 --rounds 60 --seed 5 ";
   ASSERT_EQ(run_vpctl(common + "--journal " + base_journal + " --out " +
                       base_csv),
             0);
 
   const std::vector<std::string> args = {
-      "campaign", "--scale", "0.03", "--rounds", "8", "--seed",    "5",
+      "campaign", "--scale", "0.03", "--rounds", "60", "--seed",   "5",
       "--journal", journal,  "--out", csv};
   // A manifest-only journal is a few dozen bytes; any size beyond 1 KB
   // means at least one round record was appended.

@@ -8,9 +8,11 @@
 // durable-write at thread counts {1,4} and concurrency {1,2}.
 //
 // Also exercises the vpctl-level refusal exit codes: 4 for a journal
-// written by a different config, 5 for a checksum failure, and resumes a
+// written by a different config, 5 for a checksum failure, resumes a
 // committed golden journal whose records list their blocks in hash-map
-// order, as the encoder did before it wrote them in block order.
+// order, as the encoder did before it wrote them in block order, and
+// byte-compares a faulted, retrying campaign against a committed golden
+// written by the sort-based cleaner.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -177,6 +179,26 @@ TEST(CrashRecovery, GoldenHashOrderedJournalResumesByteIdentically) {
   std::remove(journal.c_str());
   std::remove(csv.c_str());
   std::remove(log.c_str());
+}
+
+TEST(CrashRecovery, GoldenFaultedCampaignIsByteIdentical) {
+  // golden/campaign_faulted_v1.csv was written by the engine that merged
+  // every reply into one array and sorted it before cleaning; the
+  // block-ordered walk and the per-block first-reply reduction must
+  // reproduce it byte for byte under faults and retries, at any thread
+  // count.
+  const std::string golden = read_file(std::string{VP_GOLDEN_DIR} +
+                                       "/campaign_faulted_v1.csv");
+  ASSERT_FALSE(golden.empty());
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    const std::string csv = test_dir() + "/faulted.csv";
+    EXPECT_EQ(run_vpctl("campaign --scale 0.01 --rounds 3 --seed 5 "
+                        "--fault-seed 3 --retries 2 --threads " +
+                        std::to_string(threads) + " --out " + csv),
+              0);
+    EXPECT_EQ(read_file(csv), golden) << "threads=" << threads;
+    std::remove(csv.c_str());
+  }
 }
 
 TEST(CrashRecovery, DifferentConfigIsRefusedWithDistinctExitCode) {

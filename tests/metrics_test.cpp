@@ -1,11 +1,13 @@
 // Unit tests for the obs metrics registry: counter striping, histogram
-// bucket edges (zero, max bound, overflow, NaN rejection), kind-mismatch
+// bucket edges (zero, max bound, overflow, NaN rejection), batched
+// histogram observation equal to per-value observation, kind-mismatch
 // detection, export goldens (JSON + Prometheus), and a concurrent
 // hammering test that gives TSan something to chew on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -82,6 +84,47 @@ TEST(Histogram, NanRejectedNotCounted) {
   EXPECT_EQ(h.nan_rejected(), 1u);
   h.observe(0.5);
   EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(Histogram, ObserveAllEqualsObservingEachValue) {
+  // Batches split anywhere — empty, NaN-only, mixed, a seeded histogram
+  // and a fresh one — must leave every bucket, the count, min, max and
+  // the NaN count exactly as per-value observe() does.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> values = {3.5f, nan,  0.0f,  1.0f,  2.0f, 250.0f,
+                                     0.25f, 5.0f, nan,   -1.0f, 7.5f, 1e6f,
+                                     2.0f, 0.5f, 99.0f, nan};
+  const std::vector<double> bounds = {0.5, 1, 2, 5, 10, 100};
+  for (std::size_t split = 0; split <= values.size(); ++split) {
+    MetricsRegistry reg;
+    Histogram& each = reg.histogram("vp_each_ms", bounds);
+    Histogram& batched = reg.histogram("vp_batched_ms", bounds);
+    for (const float v : values) each.observe(v);
+    const std::span<const float> all{values};
+    batched.observe_all(all.first(split));
+    batched.observe_all(all.subspan(split));
+    for (std::size_t b = 0; b <= bounds.size(); ++b)
+      EXPECT_EQ(batched.bucket(b), each.bucket(b)) << "bucket " << b;
+    EXPECT_EQ(batched.count(), each.count()) << "split " << split;
+    EXPECT_EQ(batched.nan_rejected(), each.nan_rejected());
+    EXPECT_EQ(batched.min(), each.min()) << "split " << split;
+    EXPECT_EQ(batched.max(), each.max()) << "split " << split;
+    EXPECT_NEAR(batched.sum(), each.sum(), 1e-9 * std::fabs(each.sum()));
+  }
+  // A NaN-only batch counts its NaNs and seeds nothing.
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("vp_nan_ms", bounds);
+  h.observe_all(std::vector<float>{nan, nan});
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.nan_rejected(), 2u);
+  h.observe_all(std::vector<float>{4.0f});
+  EXPECT_DOUBLE_EQ(h.min(), 4.0);
+  EXPECT_DOUBLE_EQ(h.max(), 4.0);
+  // Disabled, it records nothing.
+  reg.set_enabled(false);
+  h.observe_all(std::vector<float>{1.0f, nan});
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.nan_rejected(), 2u);
 }
 
 TEST(Histogram, RejectsBadBounds) {

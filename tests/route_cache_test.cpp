@@ -3,8 +3,8 @@
 // computation (bgp::RouteCache) are pure materializations. Every answer
 // equals FlipModel::site_in_round_uncached, and every downstream
 // catchment CSV is byte-identical to a round over a fresh
-// RoutingEngine::full() table, at any thread count and tile size, clean
-// or fault-injected. The concurrency tests here run under TSan in CI
+// RoutingEngine::full() table, at any thread count, clean or
+// fault-injected. The concurrency tests here run under TSan in CI
 // (the shared cache and the resolver's call_once are hammered from
 // concurrent rounds).
 #include <gtest/gtest.h>
@@ -161,11 +161,8 @@ class CampaignEquivalence : public ::testing::Test {
   /// One measurement round serialized to CSV. `cached` takes the table
   /// from the scenario's RouteCache (its resolver shared with every other
   /// round); otherwise a fresh RoutingEngine::full() table builds its own.
-  /// `tile` sets the engine's block-range tile size (0 = auto-sized for
-  /// LLC).
   static std::string run_csv(unsigned threads, bool cached,
-                             const sim::FaultInjector* faults = nullptr,
-                             std::uint32_t tile = 0) {
+                             const sim::FaultInjector* faults = nullptr) {
     std::shared_ptr<const bgp::RoutingTable> routes;
     if (cached) {
       routes = scenario_->route(scenario_->broot());
@@ -182,7 +179,6 @@ class CampaignEquivalence : public ::testing::Test {
     spec.round = 3;
     spec.threads = threads;
     spec.faults = faults;
-    spec.tile_entries = tile;
     const core::RoundResult result = scenario_->engine().run(*routes, spec);
     std::ostringstream csv;
     core::write_catchment_csv(csv, result, scenario_->broot());
@@ -197,16 +193,15 @@ analysis::Scenario* CampaignEquivalence::scenario_ = nullptr;
 TEST_F(CampaignEquivalence, CsvByteIdenticalCachedOrFresh) {
   const std::string baseline = run_csv(1, /*cached=*/false);
   ASSERT_FALSE(baseline.empty());
-  // The tile dimension crosses the cache dimension on purpose: tiling
-  // reorders when the resolver is consulted, so every (threads, cache,
-  // tile) combination must still serialize the same bytes.
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    for (const std::uint32_t tile : {0u, 1u, 65536u}) {
-      EXPECT_EQ(run_csv(threads, true, nullptr, tile), baseline)
-          << "cached, threads=" << threads << ", tile=" << tile;
-      EXPECT_EQ(run_csv(threads, false, nullptr, tile), baseline)
-          << "fresh, threads=" << threads << ", tile=" << tile;
-    }
+  // The thread dimension crosses the cache dimension on purpose: the
+  // thread count moves which worker claims which probe run, and so when
+  // the resolver is consulted, yet every (threads, cache) combination must
+  // still serialize the same bytes.
+  for (const unsigned threads : {1u, 2u, 3u, 5u, 8u, 13u}) {
+    EXPECT_EQ(run_csv(threads, true), baseline)
+        << "cached, threads=" << threads;
+    EXPECT_EQ(run_csv(threads, false), baseline)
+        << "fresh, threads=" << threads;
   }
 }
 
@@ -214,13 +209,11 @@ TEST_F(CampaignEquivalence, CsvByteIdenticalUnderFaults) {
   const sim::FaultInjector injector{sim::FaultPlan::from_seed(23)};
   const std::string baseline = run_csv(1, false, &injector);
   ASSERT_FALSE(baseline.empty());
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    for (const std::uint32_t tile : {0u, 1u, 65536u}) {
-      EXPECT_EQ(run_csv(threads, true, &injector, tile), baseline)
-          << "cached, threads=" << threads << ", tile=" << tile;
-      EXPECT_EQ(run_csv(threads, false, &injector, tile), baseline)
-          << "fresh, threads=" << threads << ", tile=" << tile;
-    }
+  for (const unsigned threads : {1u, 2u, 3u, 5u, 8u, 13u}) {
+    EXPECT_EQ(run_csv(threads, true, &injector), baseline)
+        << "cached, threads=" << threads;
+    EXPECT_EQ(run_csv(threads, false, &injector), baseline)
+        << "fresh, threads=" << threads;
   }
 }
 

@@ -1,10 +1,11 @@
 // Unit tests for the verfploeterd service layer: the HTTP primitives
-// (parse/render/decode plus a real socket round-trip), the daemon's
-// Fresh/Stale/Degraded state machine, watchdog supervision, journal
-// resume and degraded-mode serving, the query endpoints, and a
-// serve-while-measuring race for TSan. Everything runs in-process
-// against one small Scenario — the forked-binary chaos and soak
-// harnesses live in daemon_chaos_test / daemon_soak_test.
+// (parse/render/decode plus real socket round-trips, HEAD included), the
+// daemon's Fresh/Stale/Degraded state machine, watchdog supervision,
+// journal resume and degraded-mode serving, the query endpoints and the
+// per-snapshot /map render cache, and a serve-while-measuring race for
+// TSan. Everything runs in-process against one small Scenario — the
+// forked-binary chaos and soak harnesses live in daemon_chaos_test /
+// daemon_soak_test.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -58,18 +59,21 @@ TEST(Http, ParseRejectsMalformed) {
   EXPECT_FALSE(net::parse_http_request("/nopath HTTP/1.1\r\n", request));
 }
 
-TEST(Http, RenderCarriesLengthAndBody) {
+TEST(Http, RenderHeadCarriesBodyLength) {
   const std::string text =
-      net::render_http_response(net::HttpResponse::json("{\"a\":1}"));
+      net::render_http_head(net::HttpResponse::json("{\"a\":1}"));
   EXPECT_TRUE(text.starts_with("HTTP/1.1 200 "));
   EXPECT_NE(text.find("Content-Length: 7\r\n"), std::string::npos);
   EXPECT_NE(text.find("Content-Type: application/json\r\n"),
             std::string::npos);
-  EXPECT_TRUE(text.ends_with("\r\n\r\n{\"a\":1}"));
+  // The head stops at the blank line; the body is sent after it.
+  EXPECT_TRUE(text.ends_with("Connection: close\r\n\r\n"));
 }
 
-/// One blocking GET against a live HttpServer, returning the raw response.
-std::string http_get(std::uint16_t port, const std::string& target) {
+/// One blocking request against a live HttpServer, returning the raw
+/// response.
+std::string http_request(std::uint16_t port, const std::string& method,
+                         const std::string& target) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -78,7 +82,7 @@ std::string http_get(std::uint16_t port, const std::string& target) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  const std::string request = "GET " + target + " HTTP/1.1\r\n\r\n";
+  const std::string request = method + " " + target + " HTTP/1.1\r\n\r\n";
   EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
   std::string response;
@@ -96,7 +100,7 @@ TEST(HttpServer, ServesOverRealSocket) {
     return net::HttpResponse::json("{\"path\":\"" + request.path + "\"}");
   }));
   ASSERT_GT(server.port(), 0);
-  const std::string response = http_get(server.port(), "/ping");
+  const std::string response = http_request(server.port(), "GET", "/ping");
   EXPECT_TRUE(response.starts_with("HTTP/1.1 200 "));
   EXPECT_TRUE(response.ends_with("{\"path\":\"/ping\"}"));
   server.stop();
@@ -208,6 +212,61 @@ TEST_F(DaemonTest, RoundsPublishFreshMapAndDrift) {
   std::ostringstream expected;
   core::write_catchment_csv(expected, served->result, scenario().broot());
   EXPECT_EQ(daemon.handle(get("/map")).body, expected.str());
+}
+
+TEST_F(DaemonTest, MapBodyIsRenderedOncePerSnapshot) {
+  obs::Counter& renders = obs::metrics().counter("vp_serve_map_renders_total");
+  service::Daemon daemon{scenario(), scenario().broot(), fast_config(1)};
+  ASSERT_TRUE(daemon.run_rounds());
+  const std::uint64_t before = renders.value();
+  const std::string first = daemon.handle(get("/map")).body;
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(daemon.handle(get("/map")).body, first);
+  EXPECT_EQ(renders.value(), before + 1);
+
+  // A publish swaps in a new snapshot, whose first /map renders again
+  // (round 0 once more: the same bytes).
+  const auto measured = daemon.current_map();
+  ASSERT_TRUE(daemon.run_rounds());
+  EXPECT_NE(daemon.current_map(), measured);
+  EXPECT_EQ(daemon.handle(get("/map")).body, first);
+  EXPECT_EQ(renders.value(), before + 2);
+}
+
+TEST_F(DaemonTest, HeadMatchesGetOverRealSocket) {
+  service::Daemon daemon{scenario(), scenario().broot(), fast_config(1)};
+  ASSERT_TRUE(daemon.run_rounds());
+  net::HttpServer server;
+  ASSERT_TRUE(server.start(0, [&daemon](const net::HttpRequest& request) {
+    return daemon.handle(request);
+  }));
+  /// Status line, Content-Length and body bytes of a raw response.
+  struct Parsed {
+    std::string status;
+    std::string length;
+    std::string body;
+  };
+  const auto parse = [](const std::string& raw) {
+    const std::size_t end = raw.find("\r\n\r\n");
+    const std::size_t at = raw.find("Content-Length: ");
+    EXPECT_NE(end, std::string::npos);
+    EXPECT_LT(at, end);
+    const std::size_t from = at + 16;
+    return Parsed{raw.substr(0, raw.find("\r\n")),
+                  raw.substr(from, raw.find("\r\n", from) - from),
+                  raw.substr(end + 4)};
+  };
+  for (const char* path : {"/healthz", "/map"}) {
+    const Parsed get_reply = parse(http_request(server.port(), "GET", path));
+    const Parsed head_reply = parse(http_request(server.port(), "HEAD", path));
+    EXPECT_EQ(get_reply.status, "HTTP/1.1 200 OK") << path;
+    EXPECT_EQ(head_reply.status, get_reply.status) << path;
+    EXPECT_EQ(get_reply.length, std::to_string(get_reply.body.size()))
+        << path;
+    EXPECT_EQ(head_reply.length, get_reply.length) << path;
+    EXPECT_TRUE(head_reply.body.empty()) << path;
+  }
+  server.stop();
 }
 
 TEST_F(DaemonTest, BlockEndpointRejectsGarbageAddress) {
