@@ -69,7 +69,7 @@ void BM_ServeBlockLookup(benchmark::State& state) {
   for (auto _ : state) {
     const net::HttpResponse response =
         daemon.handle(requests[i++ % requests.size()]);
-    benchmark::DoNotOptimize(response.body.data());
+    benchmark::DoNotOptimize(response.body_view().data());
     if (response.status != 200) {
       state.SkipWithError("lookup failed");
       return;
@@ -95,7 +95,7 @@ void BM_ServeBlockLookupWhileMeasuring(benchmark::State& state) {
   for (auto _ : state) {
     const net::HttpResponse response =
         daemon.handle(requests[i++ % requests.size()]);
-    benchmark::DoNotOptimize(response.body.data());
+    benchmark::DoNotOptimize(response.body_view().data());
   }
   state.counters["lookups_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);

@@ -1,6 +1,7 @@
 #include "bgp/routing.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bitset>
 #include <cassert>
 #include <cmath>
@@ -26,10 +27,13 @@ bool AsRoutingState::multi_site() const {
 /// Holds the lazily-built CatchmentResolver. Lives behind a shared_ptr
 /// so RoutingTable stays cheaply movable/copyable (copies of an
 /// identical table legitimately share one resolver) and std::once_flag
-/// never has to move.
+/// never has to move. The build runs under `once`; `published` is stored
+/// (release) once the resolver is complete, so readers need only an
+/// acquire load of it, never the once-flag.
 struct RoutingTable::ResolverSlot {
   std::once_flag once;
   std::unique_ptr<const CatchmentResolver> resolver;
+  std::atomic<const CatchmentResolver*> published{nullptr};
 };
 
 namespace {
@@ -240,20 +244,19 @@ std::size_t RoutingTable::distinct_sites(AsId as) const {
   return seen.count();
 }
 
-const CatchmentResolver* RoutingTable::catchment_resolver(
-    std::uint64_t flip_signature,
+const CatchmentResolver* RoutingTable::catchment_resolver() const {
+  return resolver_slot_->published.load(std::memory_order_acquire);
+}
+
+const CatchmentResolver& RoutingTable::build_catchment_resolver(
     const std::function<std::unique_ptr<const CatchmentResolver>()>& build)
     const {
   ResolverSlot& slot = *resolver_slot_;
-  std::call_once(slot.once, [&] { slot.resolver = build(); });
-  const CatchmentResolver* resolver = slot.resolver.get();
-  return resolver != nullptr && resolver->flip_signature() == flip_signature
-             ? resolver
-             : nullptr;
-}
-
-const CatchmentResolver* RoutingTable::catchment_resolver() const {
-  return resolver_slot_->resolver.get();
+  std::call_once(slot.once, [&] {
+    slot.resolver = build();
+    slot.published.store(slot.resolver.get(), std::memory_order_release);
+  });
+  return *slot.resolver;
 }
 
 std::size_t RoutingTable::memory_bytes() const {
@@ -269,7 +272,8 @@ std::size_t RoutingTable::memory_bytes() const {
     bytes += sizeof(AsRoutingState) +
              state->candidates.capacity() * sizeof(CandidateRoute);
   }
-  if (resolver_slot_->resolver) bytes += resolver_slot_->resolver->bytes();
+  if (const CatchmentResolver* resolver = catchment_resolver())
+    bytes += resolver->bytes();
   return bytes;
 }
 

@@ -177,26 +177,27 @@ class RoutingTable {
     return changed_block_ranges_;
   }
 
-  /// This table's lazily-built catchment resolver (block -> site table +
-  /// flappy bitset, see bgp/catchment_resolver.hpp). The first caller
-  /// builds via `build`; concurrent callers wait, later callers get the
-  /// built resolver for free. Returns nullptr when the installed
-  /// resolver was built under a different `flip_signature` (callers then
-  /// resolve without it — answers are identical either way).
-  const CatchmentResolver* catchment_resolver(
-      std::uint64_t flip_signature,
+  /// This table's catchment resolver (block -> site table + flappy
+  /// bitset, see bgp/catchment_resolver.hpp) once one has been built,
+  /// else nullptr. One acquire load: the probe path asks on every probe.
+  const CatchmentResolver* catchment_resolver() const;
+
+  /// Builds the resolver via `build` on the first call (concurrent
+  /// callers wait on a once-flag; later calls return at once), publishes
+  /// it for catchment_resolver(), and returns it. The installed resolver
+  /// may carry another flip signature than the caller's; callers then
+  /// resolve without it (answers are identical either way).
+  const CatchmentResolver& build_catchment_resolver(
       const std::function<std::unique_ptr<const CatchmentResolver>()>& build)
       const;
-
-  /// The resolver if one has been built; nullptr otherwise.
-  const CatchmentResolver* catchment_resolver() const;
 
   /// Approximate heap footprint (route-cache accounting). Structurally
   /// shared states are counted in full for every table holding them.
   std::size_t memory_bytes() const;
 
  private:
-  struct ResolverSlot;  // once-flag + resolver; shared so moves are cheap
+  struct ResolverSlot;  // once-flag, resolver and its published pointer;
+                        // shared so moves are cheap
 
   static constexpr std::uint8_t kSprayFlag = 1;  // bits 4..7: tied count
 

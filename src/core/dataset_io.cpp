@@ -1,5 +1,6 @@
 #include "core/dataset_io.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -50,23 +51,49 @@ std::optional<double> parse_double(std::string_view text) {
 // — at 6.4M rows that dominated `vpctl gen --probe --out`. Byte
 // fidelity: to_chars(fixed, p) and to_chars(general, p) are specified to
 // format exactly as printf "%.pf" / "%.pg", so output is identical to
-// the legacy writer (the dataset_io tests byte-compare both paths).
+// the legacy writer (the dataset_io tests byte-compare both paths). The
+// catchment rows go further: octets come from a table and an ordinary
+// RTT is printed from integer cents (append_rtt), the same text as
+// to_chars without its general-purpose conversion.
 
-void append_uint(std::string& out, std::uint32_t v) {
-  char buf[10];
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
   out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+/// The decimal text of every octet value, so a block prefix costs three
+/// table copies instead of three integer conversions.
+struct OctetText {
+  char digits[3];
+  std::uint8_t size;
+};
+
+constexpr std::array<OctetText, 256> kOctetText = [] {
+  std::array<OctetText, 256> table{};
+  for (unsigned v = 0; v < table.size(); ++v) {
+    OctetText& t = table[v];
+    if (v >= 100) t.digits[t.size++] = static_cast<char>('0' + v / 100);
+    if (v >= 10) t.digits[t.size++] = static_cast<char>('0' + v / 10 % 10);
+    t.digits[t.size++] = static_cast<char>('0' + v % 10);
+  }
+  return table;
+}();
+
+void append_octet(std::string& out, std::uint32_t octet) {
+  const OctetText& text = kOctetText[octet & 0xff];
+  out.append(text.digits, text.size);
 }
 
 /// "a.b.c.0/24" — what block.prefix().to_string() produces, without the
 /// temporary strings.
 void append_block(std::string& out, net::Block24 block) {
   const std::uint32_t index = block.index();
-  append_uint(out, (index >> 16) & 0xff);
+  append_octet(out, index >> 16);
   out.push_back('.');
-  append_uint(out, (index >> 8) & 0xff);
+  append_octet(out, index >> 8);
   out.push_back('.');
-  append_uint(out, index & 0xff);
+  append_octet(out, index);
   out.append(".0/24");
 }
 
@@ -86,23 +113,6 @@ void append_general(std::string& out, double v, int precision) {
   out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
-void build_catchment_csv(std::string& out, const RoundResult& round,
-                         const anycast::Deployment& deployment) {
-  out += "block,site,rtt_ms\n";
-  // ~27 bytes/row ("255.255.255.0/24,XXX,12.34\n"); headroom avoids the
-  // doubling regrows on the big half of the fill. The map iterates in
-  // ascending block order, which is the file's row order.
-  out.reserve(out.size() + round.map.mapped_blocks() * 28);
-  for (const auto& [block, site] : round.map.entries()) {
-    append_block(out, block);
-    out.push_back(',');
-    out += deployment.sites[static_cast<std::size_t>(site)].code;
-    out.push_back(',');
-    append_fixed(out, static_cast<double>(round.map.rtt_of(block)), 2);
-    out.push_back('\n');
-  }
-}
-
 void build_load_csv(std::string& out,
                     std::span<const dnsload::BlockLoad> blocks) {
   out += "block,daily_queries,good_fraction\n";
@@ -119,10 +129,49 @@ void build_load_csv(std::string& out,
 
 }  // namespace
 
+void append_rtt(std::string& out, float rtt_ms) {
+  const double v = rtt_ms;
+  // Values from 2^53 / 100 up (the reader admits RTTs up to FLT_MAX,
+  // whose cents would overflow a uint64), negative values (-0.0
+  // included), NaN and infinities keep to_chars.
+  constexpr double kIntegerLimit = 0x1p53 / 100;
+  if (std::signbit(v) || !(v < kIntegerLimit)) {
+    append_fixed(out, v, 2);
+    return;
+  }
+  // A float times 100 is exact in a double (24 significand bits times
+  // 100 need at most 31), so rounding it to an integer with nearbyint,
+  // ties to even as to_chars rounds an exact tie, gives the very cents
+  // to_chars(v, fixed, 2) prints.
+  const auto cents = static_cast<std::uint64_t>(std::nearbyint(v * 100.0));
+  append_uint(out, cents / 100);
+  const auto fraction = static_cast<unsigned>(cents % 100);
+  const char tail[3] = {'.', static_cast<char>('0' + fraction / 10),
+                        static_cast<char>('0' + fraction % 10)};
+  out.append(tail, sizeof tail);
+}
+
+std::string catchment_csv(const RoundResult& round,
+                          const anycast::Deployment& deployment) {
+  std::string out = "block,site,rtt_ms\n";
+  // ~27 bytes/row ("255.255.255.0/24,XXX,12.34\n"); headroom avoids the
+  // doubling regrows on the big half of the fill. The map iterates in
+  // ascending block order, which is the file's row order.
+  out.reserve(out.size() + round.map.mapped_blocks() * 28);
+  for (const auto& [block, site] : round.map.entries()) {
+    append_block(out, block);
+    out.push_back(',');
+    out += deployment.sites[static_cast<std::size_t>(site)].code;
+    out.push_back(',');
+    append_rtt(out, round.map.rtt_of(block));
+    out.push_back('\n');
+  }
+  return out;
+}
+
 void write_catchment_csv(std::ostream& out, const RoundResult& round,
                          const anycast::Deployment& deployment) {
-  std::string csv;
-  build_catchment_csv(csv, round, deployment);
+  const std::string csv = catchment_csv(round, deployment);
   out.write(csv.data(), static_cast<std::streamsize>(csv.size()));
 }
 
@@ -198,9 +247,7 @@ std::optional<LoadDataset> read_load_csv(std::istream& in) {
 
 bool save_catchment(const std::string& path, const RoundResult& round,
                     const anycast::Deployment& deployment) {
-  std::string csv;
-  build_catchment_csv(csv, round, deployment);
-  return util::atomic_write_file(path, csv);
+  return util::atomic_write_file(path, catchment_csv(round, deployment));
 }
 
 bool save_load_csv(const std::string& path, const dnsload::LoadModel& load) {

@@ -20,9 +20,17 @@
 
 namespace vp::core {
 
-/// Writes a measured round (catchment + RTTs) as CSV.
+/// A measured round (catchment + RTTs) as CSV text.
+std::string catchment_csv(const RoundResult& round,
+                          const anycast::Deployment& deployment);
+
+/// Writes catchment_csv(round, deployment) to `out`.
 void write_catchment_csv(std::ostream& out, const RoundResult& round,
                          const anycast::Deployment& deployment);
+
+/// Appends the rtt_ms column's text for `rtt_ms`: exactly
+/// std::to_chars(double(rtt_ms), fixed, 2), i.e. printf "%.2f".
+void append_rtt(std::string& out, float rtt_ms);
 
 /// Reads a catchment CSV back. Unknown site codes, malformed rows,
 /// repeated blocks and RTTs that are negative, non-finite or too large

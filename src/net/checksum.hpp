@@ -7,20 +7,10 @@
 
 namespace vp::net {
 
-/// One's-complement sum accumulator so a checksum can be computed over
-/// multiple buffers (header + payload) without copying.
-class ChecksumAccumulator {
- public:
-  void add(std::span<const std::uint8_t> data) noexcept;
-  /// Finalized RFC 1071 checksum (host order).
-  std::uint16_t finish() const noexcept;
-
- private:
-  std::uint64_t sum_ = 0;
-  bool odd_ = false;  // previous buffer ended on an odd byte boundary
-};
-
-/// Convenience single-buffer checksum.
+/// The RFC 1071 checksum of `data` (host order): the one's complement of
+/// the one's-complement sum of its big-endian 16-bit words, an odd
+/// trailing byte padded with zero. A buffer that carries its own correct
+/// checksum sums to 0.
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) noexcept;
 
 }  // namespace vp::net

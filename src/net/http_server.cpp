@@ -108,7 +108,8 @@ std::string render_http_head(const HttpResponse& response) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     reason + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  out += "Content-Length: " + std::to_string(response.body_view().size()) +
+         "\r\n";
   out += "Connection: close\r\n\r\n";
   return out;
 }
@@ -215,7 +216,7 @@ void HttpServer::handle_connection(int fd) {
   // Header and body go out as two sends: joining them would copy the body
   // (all of a /map) once more.
   if (send_all(fd, render_http_head(response)) && send_body)
-    send_all(fd, response.body);
+    send_all(fd, response.body_view());
 }
 
 }  // namespace vp::net

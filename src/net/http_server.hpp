@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace vp::net {
@@ -39,19 +41,32 @@ struct HttpRequest {
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
-  std::string body;
+  /// Immutable and shared, so a body the handler keeps anyway (the
+  /// daemon's rendered /map) goes out without a copy: the pointer may
+  /// alias the object that owns the bytes. Null means an empty body.
+  std::shared_ptr<const std::string> body;
+
+  /// The body's bytes; empty when there is no body.
+  std::string_view body_view() const {
+    return body ? std::string_view{*body} : std::string_view{};
+  }
 
   static HttpResponse json(std::string body, int status = 200) {
-    return HttpResponse{status, "application/json", std::move(body)};
+    return {status, "application/json", own(std::move(body))};
   }
   static HttpResponse text(std::string body, int status = 200) {
-    return HttpResponse{status, "text/plain; version=0.0.4", std::move(body)};
+    return {status, "text/plain; version=0.0.4", own(std::move(body))};
   }
   static HttpResponse not_found(std::string why = "not found") {
-    return HttpResponse{404, "text/plain; version=0.0.4", std::move(why) + "\n"};
+    return text(std::move(why) + "\n", 404);
   }
   static HttpResponse bad_request(std::string why) {
-    return HttpResponse{400, "text/plain; version=0.0.4", std::move(why) + "\n"};
+    return text(std::move(why) + "\n", 400);
+  }
+
+ private:
+  static std::shared_ptr<const std::string> own(std::string body) {
+    return std::make_shared<const std::string>(std::move(body));
   }
 };
 

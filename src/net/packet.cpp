@@ -7,19 +7,19 @@
 namespace vp::net {
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+void store_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v));
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+  store_u16(p, static_cast<std::uint16_t>(v >> 16));
+  store_u16(p + 2, static_cast<std::uint16_t>(v));
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v));
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  store_u32(p, static_cast<std::uint32_t>(v >> 32));
+  store_u32(p + 4, static_cast<std::uint32_t>(v));
 }
 
 std::uint16_t get_u16(std::span<const std::uint8_t> d, std::size_t at) {
@@ -36,24 +36,6 @@ std::uint64_t get_u64(std::span<const std::uint8_t> d, std::size_t at) {
 
 }  // namespace
 
-void Ipv4Header::serialize(std::vector<std::uint8_t>& out) const {
-  const std::size_t start = out.size();
-  out.push_back(0x45);  // version 4, IHL 5
-  out.push_back(0x00);  // DSCP/ECN
-  put_u16(out, total_length);
-  put_u16(out, identification);
-  put_u16(out, 0x4000);  // flags: DF, fragment offset 0
-  out.push_back(ttl);
-  out.push_back(static_cast<std::uint8_t>(protocol));
-  put_u16(out, 0);  // checksum placeholder
-  put_u32(out, source.value());
-  put_u32(out, destination.value());
-  const std::uint16_t sum = internet_checksum(
-      std::span<const std::uint8_t>{out.data() + start, kSize});
-  out[start + 10] = static_cast<std::uint8_t>(sum >> 8);
-  out[start + 11] = static_cast<std::uint8_t>(sum);
-}
-
 std::optional<Ipv4Header> Ipv4Header::parse(
     std::span<const std::uint8_t> data) {
   if (data.size() < kSize) return std::nullopt;
@@ -68,13 +50,6 @@ std::optional<Ipv4Header> Ipv4Header::parse(
   h.destination = Ipv4Address{get_u32(data, 16)};
   if (h.total_length < kSize) return std::nullopt;
   return h;
-}
-
-void ProbePayload::serialize(std::vector<std::uint8_t>& out) const {
-  put_u32(out, kMagic);
-  put_u32(out, measurement_id);
-  put_u64(out, static_cast<std::uint64_t>(tx_time_usec));
-  put_u32(out, original_target.value());
 }
 
 std::optional<ProbePayload> ProbePayload::parse(
@@ -105,22 +80,34 @@ std::optional<IcmpEchoView> parse_icmp_echo_view(
 
 namespace {
 
-/// ICMP echo header + payload bytes appended to `out` with the checksum
-/// fixed up.
-void append_icmp_echo(std::vector<std::uint8_t>& out, IcmpType type,
-                      std::uint16_t identifier, std::uint16_t sequence,
-                      std::span<const std::uint8_t> payload) {
-  const std::size_t start = out.size();
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // code
-  put_u16(out, 0);   // checksum placeholder
-  put_u16(out, identifier);
-  put_u16(out, sequence);
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint16_t sum = internet_checksum(std::span<const std::uint8_t>{
-      out.data() + start, out.size() - start});
-  out[start + 2] = static_cast<std::uint8_t>(sum >> 8);
-  out[start + 3] = static_cast<std::uint8_t>(sum);
+/// Stores the 20-byte header `ip` (v4, no options, DF) at `p`, checksum
+/// included.
+void store_ipv4_header(std::uint8_t* p, const Ipv4Header& ip) {
+  p[0] = 0x45;  // version 4, IHL 5
+  p[1] = 0x00;  // DSCP/ECN
+  store_u16(p + 2, ip.total_length);
+  store_u16(p + 4, ip.identification);
+  store_u16(p + 6, 0x4000);  // flags: DF, fragment offset 0
+  p[8] = ip.ttl;
+  p[9] = static_cast<std::uint8_t>(ip.protocol);
+  store_u16(p + 10, 0);  // checksum, computed over the header below
+  store_u32(p + 12, ip.source.value());
+  store_u32(p + 16, ip.destination.value());
+  store_u16(p + 10, internet_checksum({p, Ipv4Header::kSize}));
+}
+
+/// Stores an ICMP echo header at `p` and checksums it together with the
+/// `payload_size` payload bytes already stored behind it.
+void store_icmp_echo_header(std::uint8_t* p, IcmpType type,
+                            std::uint16_t identifier, std::uint16_t sequence,
+                            std::size_t payload_size) {
+  p[0] = static_cast<std::uint8_t>(type);
+  p[1] = 0;              // code
+  store_u16(p + 2, 0);   // checksum, computed over header + payload below
+  store_u16(p + 4, identifier);
+  store_u16(p + 6, sequence);
+  store_u16(p + 2, internet_checksum(
+                       {p, IcmpEchoView::kHeaderSize + payload_size}));
 }
 
 }  // namespace
@@ -129,7 +116,6 @@ void build_echo_request_into(std::vector<std::uint8_t>& out,
                              Ipv4Address source, Ipv4Address destination,
                              std::uint16_t identifier, std::uint16_t sequence,
                              const ProbePayload& payload) {
-  out.clear();
   Ipv4Header ip;
   ip.protocol = IpProtocol::kIcmp;
   ip.source = source;
@@ -137,26 +123,22 @@ void build_echo_request_into(std::vector<std::uint8_t>& out,
   ip.identification = sequence;
   ip.total_length = static_cast<std::uint16_t>(
       Ipv4Header::kSize + IcmpEchoView::kHeaderSize + ProbePayload::kSize);
-  out.reserve(ip.total_length);
-  ip.serialize(out);
-  const std::size_t icmp_start = out.size();
-  out.push_back(static_cast<std::uint8_t>(IcmpType::kEchoRequest));
-  out.push_back(0);  // code
-  put_u16(out, 0);   // checksum placeholder
-  put_u16(out, identifier);
-  put_u16(out, sequence);
-  payload.serialize(out);
-  const std::uint16_t sum = internet_checksum(std::span<const std::uint8_t>{
-      out.data() + icmp_start, out.size() - icmp_start});
-  out[icmp_start + 2] = static_cast<std::uint8_t>(sum >> 8);
-  out[icmp_start + 3] = static_cast<std::uint8_t>(sum);
+  out.resize(ip.total_length);
+  std::uint8_t* icmp = out.data() + Ipv4Header::kSize;
+  std::uint8_t* probe = icmp + IcmpEchoView::kHeaderSize;
+  store_u32(probe, ProbePayload::kMagic);
+  store_u32(probe + 4, payload.measurement_id);
+  store_u64(probe + 8, static_cast<std::uint64_t>(payload.tx_time_usec));
+  store_u32(probe + 16, payload.original_target.value());
+  store_icmp_echo_header(icmp, IcmpType::kEchoRequest, identifier, sequence,
+                         ProbePayload::kSize);
+  store_ipv4_header(out.data(), ip);
 }
 
 void build_echo_reply_into(std::vector<std::uint8_t>& out,
                            const Ipv4Header& request_ip,
                            const IcmpEchoView& request_icmp,
                            Ipv4Address reply_source) {
-  out.clear();
   Ipv4Header ip;
   ip.protocol = IpProtocol::kIcmp;
   ip.source = reply_source;
@@ -165,10 +147,14 @@ void build_echo_reply_into(std::vector<std::uint8_t>& out,
   ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize +
                                                IcmpEchoView::kHeaderSize +
                                                request_icmp.payload.size());
-  out.reserve(ip.total_length);
-  ip.serialize(out);
-  append_icmp_echo(out, IcmpType::kEchoReply, request_icmp.identifier,
-                   request_icmp.sequence, request_icmp.payload);
+  out.resize(ip.total_length);
+  std::uint8_t* icmp = out.data() + Ipv4Header::kSize;
+  if (!request_icmp.payload.empty())
+    std::memcpy(icmp + IcmpEchoView::kHeaderSize,
+                request_icmp.payload.data(), request_icmp.payload.size());
+  store_icmp_echo_header(icmp, IcmpType::kEchoReply, request_icmp.identifier,
+                         request_icmp.sequence, request_icmp.payload.size());
+  store_ipv4_header(out.data(), ip);
 }
 
 std::optional<ParsedReplyView> parse_reply_view(

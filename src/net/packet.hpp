@@ -1,13 +1,14 @@
 // Wire-format IPv4 + ICMP echo packets.
 //
 // The probe pipeline works on real packet bytes end-to-end, like the
-// original Verfploeter: the prober serializes an ICMP Echo Request inside an
+// original Verfploeter: the prober writes an ICMP Echo Request inside an
 // IPv4 header, the simulated Internet delivers the raw bytes, hosts parse
 // them and emit Echo Replies, and per-site collectors parse the replies.
-// Every field crossing the "network" passes through serialize/parse with
-// checksums validated, so the parsing code is tested under the same
-// adversarial conditions a real deployment sees (truncation, corruption,
-// duplicate and unsolicited replies).
+// Every field crossing the "network" is written to and parsed from the
+// wire with checksums validated, so the parsing code is tested under the
+// same adversarial conditions a real deployment sees (truncation,
+// corruption, duplicate and unsolicited replies). The builders store each
+// field straight into a reused, fixed-size buffer; nothing is appended.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,6 @@ struct Ipv4Header {
   std::uint16_t identification = 0;
   std::uint16_t total_length = kSize;
 
-  /// Appends the serialized header (with correct checksum) to `out`.
-  void serialize(std::vector<std::uint8_t>& out) const;
-
   /// Parses and checksum-validates a header from the front of `data`.
   static std::optional<Ipv4Header> parse(std::span<const std::uint8_t> data);
 };
@@ -65,7 +63,6 @@ struct ProbePayload {
   std::int64_t tx_time_usec = 0;
   Ipv4Address original_target;
 
-  void serialize(std::vector<std::uint8_t>& out) const;
   static std::optional<ProbePayload> parse(std::span<const std::uint8_t> data);
 };
 
@@ -86,15 +83,17 @@ std::optional<IcmpEchoView> parse_icmp_echo_view(
     std::span<const std::uint8_t> data);
 
 /// Builds the raw bytes of an ICMP Echo Request probe into a reused buffer
-/// (cleared first), so a steady-state round never allocates per probe.
+/// (resized to the frame, every byte overwritten), so a steady-state round
+/// never allocates per probe.
 void build_echo_request_into(std::vector<std::uint8_t>& out,
                              Ipv4Address source, Ipv4Address destination,
                              std::uint16_t identifier, std::uint16_t sequence,
                              const ProbePayload& payload);
 
-/// Builds an Echo Reply for a parsed request into a reused buffer (cleared
-/// first), echoing the payload verbatim (as RFC 792 requires), optionally
-/// from a different source address.
+/// Builds an Echo Reply for a parsed request into a reused buffer (resized
+/// to the frame, every byte overwritten), echoing the payload verbatim (as
+/// RFC 792 requires), optionally from a different source address.
+/// `request_icmp.payload` must not point into `out`.
 void build_echo_reply_into(std::vector<std::uint8_t>& out,
                            const Ipv4Header& request_ip,
                            const IcmpEchoView& request_icmp,

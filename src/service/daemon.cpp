@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -639,18 +638,19 @@ net::HttpResponse Daemon::handle_map() {
     return net::HttpResponse::text("no map yet\n", 503);
   // Byte-identical to core::write_catchment_csv of the served round —
   // the chaos harness diffs this directly against offline vpctl output.
-  net::HttpResponse response =
-      net::HttpResponse::text(served->csv(deployment_));
+  // The body aliases the snapshot's rendered CSV, which keeps the
+  // snapshot alive until the response is sent; nothing is copied.
+  net::HttpResponse response;
   response.content_type = "text/csv";
+  response.body = std::shared_ptr<const std::string>{
+      served, &served->csv(deployment_)};
   return response;
 }
 
 const std::string& ServedMap::csv(const anycast::Deployment& deployment) const {
   static auto& renders = obs::metrics().counter("vp_serve_map_renders_total");
   std::call_once(csv_once_, [&] {
-    std::ostringstream out;
-    core::write_catchment_csv(out, result, deployment);
-    csv_ = std::move(out).str();
+    csv_ = core::catchment_csv(result, deployment);
     renders.add();
   });
   return csv_;

@@ -92,9 +92,9 @@ struct ServedMap {
   bool from_journal = false;  ///< resumed at startup rather than measured
   std::chrono::steady_clock::time_point published_at{};
 
-  /// The snapshot as CSV — core::write_catchment_csv of `result` — which
-  /// /map serves. Rendered by the first call and kept, so repeated /map
-  /// requests on one snapshot cost a copy, not a render
+  /// The snapshot as CSV — core::catchment_csv of `result` — which /map
+  /// serves. Rendered by the first call and kept, so repeated /map
+  /// requests on one snapshot share it instead of rendering again
   /// (vp_serve_map_renders_total counts renders). Thread-safe.
   const std::string& csv(const anycast::Deployment& deployment) const;
 

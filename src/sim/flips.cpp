@@ -47,36 +47,47 @@ bool FlipModel::is_flappy(const bgp::RoutingTable& routes,
          rate;
 }
 
-std::uint64_t FlipModel::flap_signature() const {
-  std::uint64_t h = util::hash_combine(util::mix64(0xf11b), config_.seed);
+namespace {
+std::uint64_t signature_of(const FlipConfig& config) {
+  std::uint64_t h = util::hash_combine(util::mix64(0xf11b), config.seed);
   h = util::hash_combine(
-      h, std::bit_cast<std::uint64_t>(config_.flappy_rate_load_balanced));
+      h, std::bit_cast<std::uint64_t>(config.flappy_rate_load_balanced));
   h = util::hash_combine(
-      h, std::bit_cast<std::uint64_t>(config_.flappy_rate_background));
+      h, std::bit_cast<std::uint64_t>(config.flappy_rate_background));
   return h;
 }
+}  // namespace
+
+FlipModel::FlipModel(const FlipConfig& config)
+    : config_(config),
+      flap_signature_(signature_of(config)),
+      transient_seed_(util::hash_combine(config.seed, 0x7a4e)) {}
 
 const bgp::CatchmentResolver* FlipModel::resolver_for(
     const bgp::RoutingTable& routes) const {
-  const std::uint64_t signature = flap_signature();
-  return routes.catchment_resolver(signature, [&] {
-    const auto flappy = [&](const net::Block24& b) {
-      return is_flappy(routes, b);
-    };
-    // Delta-derived tables invalidate incrementally: if the parent table
-    // already built a resolver under the same flip signature, only the
-    // blocks of ASes whose route actually changed are recomputed.
-    if (const auto parent_table = routes.parent()) {
-      if (const bgp::CatchmentResolver* parent =
-              parent_table->catchment_resolver();
-          parent != nullptr && parent->flip_signature() == signature) {
-        return std::make_unique<const bgp::CatchmentResolver>(
-            routes, signature, flappy, *parent, routes.changed_block_ranges());
+  const bgp::CatchmentResolver* resolver = routes.catchment_resolver();
+  if (resolver == nullptr) {
+    resolver = &routes.build_catchment_resolver([&] {
+      const auto flappy = [&](const net::Block24& b) {
+        return is_flappy(routes, b);
+      };
+      // Delta-derived tables invalidate incrementally: if the parent table
+      // already built a resolver under the same flip signature, only the
+      // blocks of ASes whose route actually changed are recomputed.
+      if (const auto parent_table = routes.parent()) {
+        if (const bgp::CatchmentResolver* parent =
+                parent_table->catchment_resolver();
+            parent != nullptr && parent->flip_signature() == flap_signature_) {
+          return std::make_unique<const bgp::CatchmentResolver>(
+              routes, flap_signature_, flappy, *parent,
+              routes.changed_block_ranges());
+        }
       }
-    }
-    return std::make_unique<const bgp::CatchmentResolver>(routes, signature,
-                                                          flappy);
-  });
+      return std::make_unique<const bgp::CatchmentResolver>(
+          routes, flap_signature_, flappy);
+    });
+  }
+  return resolver->flip_signature() == flap_signature_ ? resolver : nullptr;
 }
 
 void FlipModel::flush(ResolveTally& tally) {
@@ -111,8 +122,7 @@ anycast::SiteId FlipModel::site_in_round(const bgp::RoutingTable& routes,
     }
 
     const std::uint64_t th = util::hash_combine(
-        util::hash_combine(config_.seed, 0x7a4e),
-        util::hash_combine(block.index(), round));
+        transient_seed_, util::hash_combine(block.index(), round));
     if (site >= 0 && to_unit(th) < config_.transient_rate)
       site = resolver->transient_site(site, util::mix64(th));
     return site;
@@ -147,8 +157,7 @@ anycast::SiteId FlipModel::site_in_round_uncached(
   // Transient routing event: for one round, the block lands at some other
   // visible site of the deployment.
   const std::uint64_t th = util::hash_combine(
-      util::hash_combine(config_.seed, 0x7a4e),
-      util::hash_combine(block.index(), round));
+      transient_seed_, util::hash_combine(block.index(), round));
   if (site >= 0 && to_unit(th) < config_.transient_rate) {
     const auto& sites = routes.deployment().sites;
     const auto visible = [&](std::size_t s) {

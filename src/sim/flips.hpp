@@ -47,7 +47,7 @@ struct FlipConfig {
 
 class FlipModel {
  public:
-  explicit FlipModel(const FlipConfig& config = {}) : config_(config) {}
+  explicit FlipModel(const FlipConfig& config = {});
 
   const FlipConfig& config() const { return config_; }
 
@@ -80,12 +80,14 @@ class FlipModel {
   /// Hash of the flip configuration that shapes the flappy bitset (seed
   /// and the two flappy rates; transient_rate stays out because transient
   /// events are rolled per probe, never baked into the resolver).
-  std::uint64_t flap_signature() const;
+  /// Computed once, at construction.
+  std::uint64_t flap_signature() const { return flap_signature_; }
 
   /// The routing table's catchment resolver for this flip configuration,
   /// building it on first use; nullptr when the table's resolver was built
   /// under a different flip signature (callers fall back to the uncached
-  /// path — answers are identical either way).
+  /// path — answers are identical either way). Once built, this is one
+  /// acquire load and a signature compare.
   const bgp::CatchmentResolver* resolver_for(
       const bgp::RoutingTable& routes) const;
 
@@ -95,6 +97,9 @@ class FlipModel {
 
  private:
   FlipConfig config_;
+  std::uint64_t flap_signature_;
+  /// The (seed, stream) prefix of every transient-event hash.
+  std::uint64_t transient_seed_;
 };
 
 }  // namespace vp::sim

@@ -34,19 +34,14 @@ struct DataplaneMetrics {
 
 }  // namespace
 
-double InternetSim::rtt_ms(net::Block24 block, anycast::SiteId site,
-                           const bgp::RoutingTable& routes,
-                           std::uint64_t jitter_key) const {
-  double propagation_ms = 40.0;  // fallback when either end lacks geo
+double InternetSim::propagation_ms(net::Block24 block, anycast::SiteId site,
+                                   const bgp::RoutingTable& routes) const {
   const auto geo = topo_->geodb().lookup(block);
-  if (geo && site >= 0) {
-    const auto& site_loc =
-        routes.deployment().sites[static_cast<std::size_t>(site)].location;
-    // ~1ms per 100km round trip (speed of light in fiber, path stretch).
-    propagation_ms = geo::distance_km(geo->location, site_loc) / 100.0 * 2.0;
-  }
-  util::Rng rng{util::hash_combine(jitter_key, block.index())};
-  return propagation_ms + rng.exponential(config_.mean_queue_delay_ms);
+  if (!geo || site < 0) return 40.0;  // fallback when either end lacks geo
+  const auto& site_loc =
+      routes.deployment().sites[static_cast<std::size_t>(site)].location;
+  // ~1ms per 100km round trip (speed of light in fiber, path stretch).
+  return geo::distance_km(geo->location, site_loc) / 100.0 * 2.0;
 }
 
 void InternetSim::flush(DataplaneTally& tally) {
@@ -132,12 +127,14 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
 
   net::build_echo_reply_into(reply_scratch, *ip, *icmp, reply_source);
 
+  // Every copy travels the same path: only the queuing jitter differs.
+  const double path_ms = propagation_ms(block, site, routes);
   const std::uint64_t jitter_key = util::hash_combine(
       util::hash_combine(config_.responsiveness.seed, round), 0x9d7);
   for (std::uint8_t copy = 0; copy < behavior.copies; ++copy) {
-    double delay_ms =
-        rtt_ms(block, site, routes,
-               util::hash_combine(jitter_key, copy));
+    util::Rng rng{util::hash_combine(util::hash_combine(jitter_key, copy),
+                                     block.index())};
+    double delay_ms = path_ms + rng.exponential(config_.mean_queue_delay_ms);
     if (behavior.late && copy == 0)
       delay_ms += config_.late_extra_minutes * 60.0 * 1000.0;
     out.push_back(DeliveryView{

@@ -11,11 +11,15 @@
 // Thread-safety: probe_into() and every model beneath it (responsiveness,
 // flips, RTT jitter) are const and PURE — each stochastic decision is a
 // stateless hash of (block, round, seed), with all generator state local
-// to the call. The parallel probe engine (core/probe_engine.hpp) depends
-// on this: concurrent probe_into() calls against the same InternetSim and
-// RoutingTable must be data-race-free and give identical answers in any
-// interleaving. Do not add mutable caches here without a lock and a
-// determinism argument.
+// to the call and every per-model seed fixed at construction. The parallel
+// probe engine (core/probe_engine.hpp) depends on this: concurrent
+// probe_into() calls against the same InternetSim and RoutingTable must be
+// data-race-free and give identical answers in any interleaving. The one
+// piece of shared mutable state is the routing table's catchment
+// resolver: built once under a once-flag and published once through an
+// atomic pointer, which each probe reads with one acquire load. Do not
+// add other mutable caches here without a lock and a determinism
+// argument.
 #pragma once
 
 #include <cstdint>
@@ -106,9 +110,9 @@ class InternetSim {
   static void flush(DataplaneTally& tally);
 
  private:
-  double rtt_ms(net::Block24 block, anycast::SiteId site,
-                const bgp::RoutingTable& routes, std::uint64_t jitter_key)
-      const;
+  /// Round-trip propagation delay between a block and a site.
+  double propagation_ms(net::Block24 block, anycast::SiteId site,
+                        const bgp::RoutingTable& routes) const;
 
   const topology::Topology* topo_;
   InternetConfig config_;

@@ -11,10 +11,16 @@ double to_unit(std::uint64_t h) {
 }
 }  // namespace
 
+ResponsivenessModel::ResponsivenessModel(const topology::Topology& topo,
+                                         const ResponsivenessConfig& config)
+    : topo_(&topo), config_(config) {
+  for (std::size_t stream = 1; stream < stream_seeds_.size(); ++stream)
+    stream_seeds_[stream] = util::hash_combine(config_.seed, stream);
+}
+
 std::uint64_t ResponsivenessModel::block_hash(net::Block24 block,
-                                              std::uint64_t stream) const {
-  return util::hash_combine(util::hash_combine(config_.seed, stream),
-                            block.index());
+                                              std::size_t stream) const {
+  return util::hash_combine(stream_seeds_[stream], block.index());
 }
 
 bool ResponsivenessModel::ever_responds(net::Block24 block) const {

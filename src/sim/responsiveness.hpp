@@ -18,6 +18,8 @@
 // (core/probe_engine.hpp): the model holds no per-call mutable state.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "net/ipv4.hpp"
@@ -57,8 +59,7 @@ struct ReplyBehavior {
 class ResponsivenessModel {
  public:
   ResponsivenessModel(const topology::Topology& topo,
-                      const ResponsivenessConfig& config)
-      : topo_(&topo), config_(config) {}
+                      const ResponsivenessConfig& config);
 
   const ResponsivenessConfig& config() const { return config_; }
 
@@ -83,10 +84,13 @@ class ResponsivenessModel {
   bool is_live_host(net::Block24 block, std::uint8_t host) const;
 
  private:
-  std::uint64_t block_hash(net::Block24 block, std::uint64_t stream) const;
+  std::uint64_t block_hash(net::Block24 block, std::size_t stream) const;
 
   const topology::Topology* topo_;
   ResponsivenessConfig config_;
+  /// hash_combine(seed, stream) for streams 1-5, computed once: every
+  /// per-block draw starts from one of them.
+  std::array<std::uint64_t, 6> stream_seeds_{};
 };
 
 }  // namespace vp::sim

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "analysis/scenario.hpp"
 #include "core/dataset_io.hpp"
@@ -37,6 +43,70 @@ TEST(DatasetIo, CatchmentCsvRoundTrip) {
     EXPECT_EQ(loaded->map.site_of(block), site);
     EXPECT_NEAR(loaded->map.rtt_of(block), round.map.rtt_of(block), 0.01);
   }
+}
+
+/// What append_rtt must reproduce: printf "%.2f" of the widened float.
+std::string to_chars_rtt(float rtt) {
+  char buf[64];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf,
+                                       static_cast<double>(rtt),
+                                       std::chars_format::fixed, 2);
+  return std::string(buf, end);
+}
+
+std::string rtt_text(float rtt) {
+  std::string out;
+  append_rtt(out, rtt);
+  return out;
+}
+
+TEST(DatasetIo, RttTextMatchesToCharsOverWholeBinades) {
+  // Every float in [0.5, 1), [1, 2), [1024, 2048) and [4096, 8192).
+  std::string text;
+  for (const float low : {0.5f, 1.0f, 1024.0f, 4096.0f}) {
+    const auto first = std::bit_cast<std::uint32_t>(low);
+    const auto last = std::bit_cast<std::uint32_t>(low * 2);
+    std::uint64_t mismatches = 0;
+    for (std::uint32_t bits = first; bits < last; ++bits) {
+      const auto rtt = std::bit_cast<float>(bits);
+      text.clear();
+      append_rtt(text, rtt);
+      if (text != to_chars_rtt(rtt) && mismatches++ == 0)
+        ADD_FAILURE() << "first mismatch at " << to_chars_rtt(rtt) << " ("
+                      << std::hexfloat << rtt << "): " << text;
+    }
+    EXPECT_EQ(mismatches, 0u) << "binade from " << low;
+  }
+}
+
+TEST(DatasetIo, RttTextMatchesToCharsAtTheEdges) {
+  const float max = std::numeric_limits<float>::max();
+  const float limit = static_cast<float>(0x1p53 / 100);  // integer path ends
+  std::vector<float> values = {
+      // Exact ties at the second decimal: to_chars rounds them to even.
+      0.125f, 0.375f, 0.625f, 0.875f, 2.375f, 3.125f, 1000.875f,
+      65536.125f, 1048576.375f,
+      // Around zero, subnormals included.
+      0.0f, std::numeric_limits<float>::denorm_min(), 1e-40f,
+      std::numeric_limits<float>::min(), 0.004999f, 0.005f, 0.015f,
+      0.995f, 9.995f, 99.995f,
+      // Large integral values.
+      16777216.0f, 1e10f, 1e12f,
+      // Where the integer path hands over to to_chars.
+      std::nextafter(limit, 0.0f), limit, std::nextafter(limit, max),
+      std::nextafter(max, 0.0f), max,
+      // to_chars' own spellings: negatives, -0.0, NaN, infinities.
+      -0.0f, -0.125f, -1.5f, -max, std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity()};
+  util::Rng rng{2053};
+  for (int i = 0; i < 200'000; ++i)
+    values.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+  for (const float rtt : values)
+    EXPECT_EQ(rtt_text(rtt), to_chars_rtt(rtt)) << std::hexfloat << rtt;
+  EXPECT_EQ(rtt_text(-0.0f), "-0.00");
+  EXPECT_EQ(rtt_text(0.125f), "0.12");
+  EXPECT_EQ(rtt_text(2.375f), "2.38");
 }
 
 TEST(DatasetIo, CatchmentCsvIsSortedAndStable) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/checksum.hpp"
@@ -111,15 +112,85 @@ TEST(Checksum, OddLengthHandled) {
   EXPECT_EQ(internet_checksum(data), static_cast<std::uint16_t>(~0xab00));
 }
 
-TEST(Checksum, AccumulatorMatchesSingleShot) {
-  util::Rng rng{3};
-  std::vector<std::uint8_t> data(301);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
-  // Split at an odd boundary to exercise the straddling-byte path.
-  ChecksumAccumulator acc;
-  acc.add(std::span<const std::uint8_t>{data.data(), 151});
-  acc.add(std::span<const std::uint8_t>{data.data() + 151, 150});
-  EXPECT_EQ(acc.finish(), internet_checksum(data));
+/// RFC 1071 the slow way: big-endian 16-bit words one at a time, an odd
+/// trailing byte padded with zero, end-around carry.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    std::uint32_t word = std::uint32_t{data[i]} << 8;
+    if (i + 1 < data.size()) word |= data[i + 1];
+    sum += word;
+  }
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+TEST(Checksum, MatchesByteWiseReference) {
+  // Every length up to 64 and some up to 4,096, at every start offset
+  // 0-7 (the word-wise sum must not care about alignment or tail length).
+  util::Rng rng{1071};
+  std::vector<std::uint8_t> storage(4096 + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {127, 128, 255, 256, 1000, 1499, 1500, 2047,
+                              2048, 4093, 4095, 4096})
+    lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    for (int fill = 0; fill < 4; ++fill) {
+      for (auto& b : storage) b = static_cast<std::uint8_t>(rng());
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::span<const std::uint8_t> data{storage.data() + offset, n};
+        ASSERT_EQ(internet_checksum(data), reference_checksum(data))
+            << "length " << n << " offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(Checksum, SeparatesTheTwoZeros) {
+  // One's complement has two zeros. Only an all-zero buffer sums to
+  // 0x0000 (checksum 0xFFFF); a non-zero sum that is 0 mod 0xFFFF folds
+  // to 0xFFFF (checksum 0x0000).
+  std::vector<std::uint8_t> storage(4096 + 8);
+  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 20, 28, 63, 64, 4096}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::fill(storage.begin(), storage.end(), std::uint8_t{0});
+      const std::span<const std::uint8_t> data{storage.data() + offset, n};
+      EXPECT_EQ(internet_checksum(data), 0xffff) << n;
+      std::fill(storage.begin(), storage.end(), std::uint8_t{0xff});
+      EXPECT_EQ(internet_checksum(data), reference_checksum(data)) << n;
+      if (n % 2 == 0 && n > 0) {
+        EXPECT_EQ(internet_checksum(data), 0) << n;
+      }
+    }
+  }
+
+  // Seeded words, then one closing word that brings the (non-zero) sum to
+  // 0 mod 0xFFFF.
+  util::Rng rng{0xffff};
+  for (const std::size_t words : {1, 2, 3, 10, 14, 64, 2048}) {
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<std::uint8_t> crafted;
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i + 1 < words; ++i) {
+        const auto word = static_cast<std::uint16_t>(rng());
+        sum += word;
+        crafted.push_back(static_cast<std::uint8_t>(word >> 8));
+        crafted.push_back(static_cast<std::uint8_t>(word));
+      }
+      // In [1, 0xFFFF], so the total stays non-zero.
+      const auto closing = static_cast<std::uint16_t>(0xffff - sum % 0xffff);
+      crafted.push_back(static_cast<std::uint8_t>(closing >> 8));
+      crafted.push_back(static_cast<std::uint8_t>(closing));
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::copy(crafted.begin(), crafted.end(), storage.begin() + offset);
+        const std::span<const std::uint8_t> data{storage.data() + offset,
+                                                 crafted.size()};
+        ASSERT_EQ(reference_checksum(data), 0) << words << " words";
+        ASSERT_EQ(internet_checksum(data), 0) << words << " words";
+      }
+    }
+  }
 }
 
 // --- packets ------------------------------------------------------------------

@@ -168,7 +168,8 @@ TEST_F(DaemonTest, InitServes503UntilFirstRound) {
   EXPECT_EQ(daemon.handle(get("/map")).status, 503);
   // /metrics and /drift answer even without a map.
   EXPECT_EQ(daemon.handle(get("/metrics")).status, 200);
-  EXPECT_EQ(daemon.handle(get("/drift")).body, "{\"available\":false}");
+  EXPECT_EQ(daemon.handle(get("/drift")).body_view(),
+            "{\"available\":false}");
 }
 
 TEST_F(DaemonTest, RoundsPublishFreshMapAndDrift) {
@@ -196,10 +197,11 @@ TEST_F(DaemonTest, RoundsPublishFreshMapAndDrift) {
       site >= 0
           ? scenario().broot().sites[static_cast<std::size_t>(site)].code
           : "UNK";
-  EXPECT_NE(response.body.find("\"site\":\"" + code + "\""),
+  EXPECT_NE(response.body_view().find("\"site\":\"" + code + "\""),
             std::string::npos);
-  EXPECT_NE(response.body.find("\"map_round\":2"), std::string::npos);
-  EXPECT_NE(response.body.find("\"map_state\":\"fresh\""), std::string::npos);
+  EXPECT_NE(response.body_view().find("\"map_round\":2"), std::string::npos);
+  EXPECT_NE(response.body_view().find("\"map_state\":\"fresh\""),
+            std::string::npos);
 
   // Drift covers the newest good-round transition.
   const service::DriftReport drift = daemon.drift();
@@ -211,7 +213,7 @@ TEST_F(DaemonTest, RoundsPublishFreshMapAndDrift) {
   // /map is byte-identical to write_catchment_csv of the served round.
   std::ostringstream expected;
   core::write_catchment_csv(expected, served->result, scenario().broot());
-  EXPECT_EQ(daemon.handle(get("/map")).body, expected.str());
+  EXPECT_EQ(daemon.handle(get("/map")).body_view(), expected.str());
 }
 
 TEST_F(DaemonTest, MapBodyIsRenderedOncePerSnapshot) {
@@ -219,18 +221,25 @@ TEST_F(DaemonTest, MapBodyIsRenderedOncePerSnapshot) {
   service::Daemon daemon{scenario(), scenario().broot(), fast_config(1)};
   ASSERT_TRUE(daemon.run_rounds());
   const std::uint64_t before = renders.value();
-  const std::string first = daemon.handle(get("/map")).body;
+  const net::HttpResponse response = daemon.handle(get("/map"));
+  const std::string first{response.body_view()};
   EXPECT_FALSE(first.empty());
-  EXPECT_EQ(daemon.handle(get("/map")).body, first);
+  // A cached /map shares the snapshot's bytes instead of copying them.
+  EXPECT_EQ(daemon.handle(get("/map")).body, response.body);
   EXPECT_EQ(renders.value(), before + 1);
 
   // A publish swaps in a new snapshot, whose first /map renders again
-  // (round 0 once more: the same bytes).
-  const auto measured = daemon.current_map();
+  // (round 0 once more: the same bytes). Only the address is kept, so
+  // that nothing here holds the first snapshot.
+  const service::ServedMap* measured = daemon.current_map().get();
   ASSERT_TRUE(daemon.run_rounds());
-  EXPECT_NE(daemon.current_map(), measured);
-  EXPECT_EQ(daemon.handle(get("/map")).body, first);
+  EXPECT_NE(daemon.current_map().get(), measured);
+  EXPECT_EQ(daemon.handle(get("/map")).body_view(), first);
   EXPECT_EQ(renders.value(), before + 2);
+  // One more publish retires the first snapshot as the drift baseline
+  // too; the earlier response alone keeps it, and its body, alive.
+  ASSERT_TRUE(daemon.run_rounds());
+  EXPECT_EQ(response.body_view(), first);
 }
 
 TEST_F(DaemonTest, HeadMatchesGetOverRealSocket) {
@@ -283,14 +292,14 @@ TEST_F(DaemonTest, LoadEndpointPredictsUnderPrependConfig) {
 
   const auto baseline = daemon.handle(get("/load"));
   ASSERT_EQ(baseline.status, 200);
-  EXPECT_NE(baseline.body.find("\"sites\":["), std::string::npos);
+  EXPECT_NE(baseline.body_view().find("\"sites\":["), std::string::npos);
 
   const auto prepended = daemon.handle(get("/load", "MIA=3"));
   ASSERT_EQ(prepended.status, 200);
-  EXPECT_NE(prepended.body.find("\"site\":\"MIA\",\"prepend\":3"),
+  EXPECT_NE(prepended.body_view().find("\"site\":\"MIA\",\"prepend\":3"),
             std::string::npos);
   // Demoting MIA must change the predicted split.
-  EXPECT_NE(prepended.body, baseline.body);
+  EXPECT_NE(prepended.body_view(), baseline.body_view());
 
   EXPECT_EQ(daemon.handle(get("/load", "XXX=1")).status, 400);
   EXPECT_EQ(daemon.handle(get("/load", "MIA=99")).status, 400);
@@ -353,7 +362,8 @@ TEST_F(DaemonTest, StaleIsDerivedFromMapAge) {
   EXPECT_EQ(daemon.status().state, service::MapState::kStale);
   const auto response = daemon.handle(get("/healthz"));
   EXPECT_EQ(response.status, 200);  // stale still serves
-  EXPECT_NE(response.body.find("\"state\":\"stale\""), std::string::npos);
+  EXPECT_NE(response.body_view().find("\"state\":\"stale\""),
+            std::string::npos);
 }
 
 TEST_F(DaemonTest, JournalResumeRestoresServedMap) {
@@ -368,7 +378,7 @@ TEST_F(DaemonTest, JournalResumeRestoresServedMap) {
     service::Daemon daemon{scenario(), scenario().broot(), config};
     ASSERT_TRUE(daemon.run_rounds());
     EXPECT_EQ(daemon.journal_status(), core::JournalStatus::kFresh);
-    measured_map = daemon.handle(get("/map")).body;
+    measured_map = daemon.handle(get("/map")).body_view();
   }
 
   // A restarted daemon resumes the live map from the journal without
@@ -384,7 +394,7 @@ TEST_F(DaemonTest, JournalResumeRestoresServedMap) {
   const auto served = daemon.current_map();
   ASSERT_NE(served, nullptr);
   EXPECT_TRUE(served->from_journal);
-  EXPECT_EQ(daemon.handle(get("/map")).body, measured_map);
+  EXPECT_EQ(daemon.handle(get("/map")).body_view(), measured_map);
   std::remove(journal.c_str());
 }
 
@@ -404,7 +414,7 @@ TEST_F(DaemonTest, UnopenableJournalDegradesButServes) {
   EXPECT_EQ(daemon.handle(get("/map")).status, 200);
   const auto response = daemon.handle(get("/healthz"));
   EXPECT_EQ(response.status, 200);
-  EXPECT_NE(response.body.find("\"reason\":\"journal-io\""),
+  EXPECT_NE(response.body_view().find("\"reason\":\"journal-io\""),
             std::string::npos);
 }
 
@@ -434,7 +444,7 @@ TEST_F(DaemonTest, MetricsExportCarriesDaemonAndServeSeries) {
   ASSERT_TRUE(daemon.run_rounds());
   (void)daemon.handle(get("/block/10.1.2.3"));
   (void)daemon.handle(get("/healthz"));
-  const std::string text = daemon.handle(get("/metrics")).body;
+  const std::string text{daemon.handle(get("/metrics")).body_view()};
   for (const char* name :
        {"vp_daemon_state", "vp_daemon_map_age_seconds",
         "vp_daemon_rounds_completed_total", "vp_daemon_rounds_failed_total",
@@ -469,7 +479,7 @@ TEST_F(DaemonTest, ConcurrentServingDuringMeasurementIsCoherent) {
         const auto response = daemon.handle(request);
         EXPECT_TRUE(response.status == 200 || response.status == 503);
         if (response.status == 200 && request.path == "/map") {
-          EXPECT_FALSE(response.body.empty());
+          EXPECT_FALSE(response.body_view().empty());
         }
         answered.fetch_add(1, std::memory_order_relaxed);
       }
