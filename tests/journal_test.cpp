@@ -207,6 +207,18 @@ TEST(Journal, FingerprintMismatchRefuses) {
   std::remove(path.c_str());
 }
 
+// Literal fingerprints: every v1 journal on disk was stamped with these,
+// so each hashed slot must keep its value and its place.
+TEST(Journal, ProbeFingerprintIsPinned) {
+  EXPECT_EQ(probe_fingerprint(ProbeConfig{}), 0x51bae000bded4f18ULL);
+  ProbeConfig probe;
+  probe.max_retries = 2;
+  probe.probe_timeout_ms = 500.0;
+  probe.retry_backoff_ms = 100.0;
+  probe.order_seed = 9;
+  EXPECT_EQ(probe_fingerprint(probe), 0x1d171034c60a8497ULL);
+}
+
 TEST(Journal, RoundIdBeyondManifestIsCorrupt) {
   const std::string path = temp_path("badround");
   {
