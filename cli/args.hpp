@@ -4,8 +4,9 @@
 // journal refusal messages and the --metrics-out flush).
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 #include <map>
 #include <optional>
@@ -36,6 +37,17 @@ inline constexpr int kExitWriteFailed = 6;
 // journal is a resumable prefix; rerun with --resume to finish.
 inline constexpr int kExitInterrupted = 7;
 
+/// Thrown for a numeric option whose value is not a number. Both
+/// binaries' main reports it and exits 2, like any other usage error.
+struct BadNumber {
+  std::string key;
+
+  int report() const {
+    std::fprintf(stderr, "error: --%s expects a number\n", key.c_str());
+    return 2;
+  }
+};
+
 struct Args {
   std::string command;  // vpctl's subcommand; empty for vpd
   std::map<std::string, std::string> options;
@@ -46,12 +58,26 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    return get_number(key, fallback);
   }
   long get_long(const std::string& key, long fallback) const {
+    return get_number(key, fallback);
+  }
+
+  /// The number `key` holds, parsed from its whole token, or `fallback`
+  /// when it is absent. Throws BadNumber for anything else: "two", "4x",
+  /// "", an out-of-range value, NaN or an infinity.
+  template <typename T>
+  T get_number(const std::string& key, T fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atol(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const char* first = it->second.data();
+    const char* end = first + it->second.size();
+    T value{};
+    const auto [last, ec] = std::from_chars(first, end, value);
+    if (ec != std::errc{} || last != end || !std::isfinite(value))
+      throw BadNumber{key};
+    return value;
   }
 };
 

@@ -129,7 +129,8 @@ int usage() {
       "  7 interrupted by SIGINT/SIGTERM (current round + journal append\n"
       "  finished; journal is a resumable prefix)\n"
       "all commands exit 6 when an output file (--out/--metrics-out) or\n"
-      "  the journal cannot be written\n"
+      "  the journal cannot be written, and 2 when a numeric option is\n"
+      "  not a number\n"
       "predict options:\n"
       "  --catchment FILE   reuse an exported catchment instead of scanning\n"
       "  --date apr|may     which load dataset to weight with (default may)\n"
@@ -877,7 +878,7 @@ int dispatch(const Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args =
       cli::parse_args(argc, argv, /*has_command=*/true,
                       {"resume", "no-metrics", "probe", "no-withdraw",
@@ -885,4 +886,6 @@ int main(int argc, char** argv) {
   if (!args) return usage();
   if (args->has("no-metrics")) obs::metrics().set_enabled(false);
   return cli::finish_metrics(*args, dispatch(*args));
+} catch (const cli::BadNumber& bad) {
+  return bad.report();
 }

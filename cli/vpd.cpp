@@ -75,8 +75,9 @@ int usage() {
       "  --metrics-out FILE dump the metrics registry on exit\n"
       "  --no-metrics       disable metric collection\n"
       "\n"
-      "exit codes: 0 clean shutdown, 2 usage, 4 journal fingerprint\n"
-      "  mismatch, 5 journal corrupt, 6 artifact write failed\n");
+      "exit codes: 0 clean shutdown, 2 usage (also a numeric option\n"
+      "  that is not a number), 4 journal fingerprint mismatch,\n"
+      "  5 journal corrupt, 6 artifact write failed\n");
   return 2;
 }
 
@@ -88,7 +89,7 @@ void on_signal(int) { g_signalled = 1; }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args =
       cli::parse_args(argc, argv, /*has_command=*/false,
                       {"resume", "no-metrics", "exit-after-rounds"});
@@ -174,4 +175,6 @@ int main(int argc, char** argv) {
                 service::to_string(status.state));
   }
   return cli::finish_metrics(*args, rc);
+} catch (const cli::BadNumber& bad) {
+  return bad.report();
 }

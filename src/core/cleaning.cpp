@@ -73,7 +73,6 @@ PageClean clean_pages(std::span<const ReplyRows> runs,
   PageClean out;
   CleaningStats& stats = out.stats;
   std::uint64_t survivors = 0;
-  const bool multi_target = filter.addr_by_block.empty();
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const ReplyRows& rows = runs[r];
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -90,11 +89,7 @@ PageClean clean_pages(std::span<const ReplyRows> runs,
       }
       const std::size_t off = static_cast<std::size_t>(
           (source >> 8) - filter.block_lo);  // wraps below block_lo
-      if (off >= filter.block_span ||
-          (multi_target ? !std::binary_search(filter.sorted_addresses.begin(),
-                                              filter.sorted_addresses.end(),
-                                              source)
-                        : filter.addr_by_block[off] != source)) {
+      if (off >= filter.block_span || filter.addr_by_block[off] != source) {
         ++stats.unsolicited;
         continue;
       }

@@ -73,12 +73,9 @@ struct CleanFilter {
   /// and RTT tables clean_pages writes are indexed by block − block_lo.
   std::uint32_t block_lo = 0;
   std::size_t block_span = 0;
-  /// Single-target rounds: the address probed in each block, indexed by
-  /// block − block_lo (0 = none; a probed address is never 0).
+  /// The address probed in each block, indexed by block − block_lo
+  /// (0 = none; a probed address is never 0).
   std::span<const std::uint32_t> addr_by_block;
-  /// Multi-target rounds: every probed address, ascending. Used instead
-  /// of addr_by_block when that is empty.
-  std::span<const std::uint32_t> sorted_addresses;
 };
 
 /// One clean_pages call's output.

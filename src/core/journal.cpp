@@ -460,19 +460,18 @@ std::uint64_t probe_fingerprint(const ProbeConfig& probe) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   std::uint64_t f = 0x70726f6265ULL;  // "probe"
   f = util::hash_combine(f, probe.measurement_id);
-  f = util::hash_combine(f, bits(probe.rate_pps));
-  f = util::hash_combine(f, bits(probe.late_cutoff_minutes));
+  // The constants and the retired extra-targets count (always 0) keep
+  // their old slots, so every v1 journal keeps its fingerprint.
+  f = util::hash_combine(f, bits(kProbeRatePps));
+  f = util::hash_combine(f, bits(kLateCutoffMinutes));
   f = util::hash_combine(f, probe.order_seed);
-  f = util::hash_combine(f,
-                         static_cast<std::uint64_t>(
-                             static_cast<std::int64_t>(
-                                 probe.extra_targets_per_block)));
+  f = util::hash_combine(f, 0);
   f = util::hash_combine(
       f, static_cast<std::uint64_t>(
              static_cast<std::int64_t>(probe.max_retries)));
   f = util::hash_combine(f, bits(probe.probe_timeout_ms));
   f = util::hash_combine(f, bits(probe.retry_backoff_ms));
-  f = util::hash_combine(f, bits(probe.retry_backoff_factor));
+  f = util::hash_combine(f, bits(kRetryBackoffFactor));
   return f;
 }
 

@@ -119,8 +119,8 @@ class CampaignJournal {
   int fd_ = -1;
 };
 
-/// 64-bit fingerprint of a probe configuration (every field affects
-/// results; floats hash by bit pattern).
+/// 64-bit fingerprint of a probe configuration and the round constants
+/// (every one affects results; floats hash by bit pattern).
 std::uint64_t probe_fingerprint(const ProbeConfig& probe);
 
 /// 64-bit fingerprint of a fault plan (0 for "no injector").

@@ -35,7 +35,6 @@ constexpr std::size_t kRunEntries = 4096;
 struct WorkerWs {
   std::vector<net::Ipv4Address> run_targets;  // batched drop draws input
   std::vector<std::uint8_t> drops;            // batched drop draws output
-  std::vector<net::Ipv4Address> targets_scratch;
   std::vector<std::uint8_t> probe_bytes;
   std::vector<std::uint8_t> reply_bytes;
   std::vector<sim::DeliveryView> deliveries;
@@ -60,12 +59,9 @@ struct WorkerWs {
 struct EngineWorkspace {
   std::vector<std::uint32_t> order;    // probe position -> entry index
   std::vector<std::uint32_t> inverse;  // entry index -> probe position
-  std::vector<std::uint64_t> offset;   // extra-targets mode only
   std::vector<ReplyRows> runs;         // one per run of kRunEntries
-  std::vector<std::vector<std::uint32_t>> probed;  // per run, extra targets
   std::vector<WorkerWs> workers;
   std::vector<std::uint32_t> addr_by_block;  // block off -> probed address
-  std::vector<std::uint32_t> sorted_addresses;  // extra-targets mode only
   std::vector<std::uint32_t> page_bounds;  // worker -> first /8 it cleans
   std::vector<std::uint64_t> winners;      // block off -> first reply
   std::vector<float> rtts;                 // block off -> kept RTT slots
@@ -126,8 +122,8 @@ std::pair<double, double> rtt_p50_p95(std::span<float> values) {
 ProbeEngine::ProbeEngine(const sim::InternetSim& internet,
                          const hitlist::Hitlist& hitlist)
     : internet_(&internet), hitlist_(&hitlist) {
-  // Every probed address lies inside its entry's block, so the span
-  // covers all of them.
+  // Every probed address is its entry's target, so the span covers all
+  // of them.
   if (hitlist.size() == 0) return;
   std::uint32_t lo = 0xffffffff, hi = 0;
   for (const hitlist::Entry& entry : hitlist.entries()) {
@@ -169,11 +165,9 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   // --- plan ---------------------------------------------------------------
   // Probe i's global index gives its tx timestamp and ICMP sequence as
   // pure functions (tx = start + i/rate), so packets are bit-identical to
-  // the serial walk's no matter which worker builds them, or when. With
-  // no extra targets the index IS the order position (one probe per
-  // entry) and the prefix-sum array is elided entirely — 51MB saved at
-  // 6.4M. The workers walk entries, so they read each entry's position
-  // from the inverse permutation.
+  // the serial walk's no matter which worker builds them, or when. One
+  // probe per entry makes the index the entry's order position; the
+  // workers walk entries, so they read it from the inverse permutation.
   const unsigned worker_count = static_cast<unsigned>(std::min<std::uint64_t>(
       util::resolve_threads(spec.threads),
       std::max<std::uint64_t>(entries.size(), 1)));
@@ -188,24 +182,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
                        for (std::size_t i = begin; i < end; ++i)
                          ws.inverse[order[i]] = static_cast<std::uint32_t>(i);
                      });
-  const std::uint64_t target_seed =
-      util::hash_combine(config.order_seed, 0x7a6e);
-  const bool multi_target = config.extra_targets_per_block > 0;
-  std::uint64_t total_probes = order.size();
-  if (multi_target) {
-    ws.offset.reserve(order.size() + 1);
-    ws.offset.assign(order.size() + 1, 0);
-    std::vector<net::Ipv4Address> scratch;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      ws.offset[i + 1] =
-          ws.offset[i] + hitlist_
-                             ->targets_into(entries[order[i]],
-                                            config.extra_targets_per_block,
-                                            target_seed, scratch)
-                             .size();
-    }
-    total_probes = ws.offset[order.size()];
-  }
+  const std::uint64_t total_probes = order.size();
 
   const std::size_t run_count =
       (entries.size() + kRunEntries - 1) / kRunEntries;
@@ -214,27 +191,21 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
     ws.runs.resize(run_count);
     ++hot_grows;
   }
-  if (multi_target && ws.probed.size() < run_count) {
-    ws.probed.resize(run_count);
-    ++hot_grows;
-  }
 
   // The direct-mapped probed-address table and the cleaner's per-block
-  // tables hold one slot per /24 of the hitlist's block span.
+  // tables hold one slot per /24 of the hitlist's block span. The address
+  // table is filled race-free by the walk: each hitlist entry (and thus
+  // each block slot) belongs to exactly one run. The zero sentinel is
+  // unambiguous — probed addresses have a nonzero host byte, so their
+  // value is never 0.
   const std::uint32_t block_lo = block_lo_;
   const std::size_t block_span = block_span_;
-  if (!multi_target) {
-    // Filled race-free by the walk: each hitlist entry (and thus each
-    // block slot) belongs to exactly one run. The zero sentinel is
-    // unambiguous — probed addresses have a nonzero host byte, so their
-    // value is never 0.
-    ws.addr_by_block.reserve(block_span);
-    ws.addr_by_block.assign(block_span, 0);
-  }
+  ws.addr_by_block.reserve(block_span);
+  ws.addr_by_block.assign(block_span, 0);
 
   // --- probe phase (claimed runs, block order) ----------------------------
   const util::SimTime gap =
-      util::SimTime::from_seconds(1.0 / config.rate_pps);
+      util::SimTime::from_seconds(1.0 / kProbeRatePps);
   // Fault/retry path: only taken when a live plan or retries are
   // configured, so a plain round stays byte-identical to the pre-fault
   // engine. Retry timing is a pure function of the probe's global index
@@ -288,13 +259,9 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       ReplyRows& rows = ws.runs[r];
       const std::size_t rows_cap = rows.capacity();
       rows.restart();
-      std::vector<std::uint32_t>* probed =
-          multi_target ? &ws.probed[r] : nullptr;
-      const std::size_t probed_cap = probed ? probed->capacity() : 0;
-      if (probed) probed->clear();
       const std::size_t e_begin = r * kRunEntries;
       const std::size_t e_end = std::min(e_begin + kRunEntries, entries.size());
-      if (injector != nullptr && !multi_target) {
+      if (injector != nullptr) {
         // Batch the first-attempt forward-loss draws for the whole run:
         // the seed/salt/round combine hoists out of the loop, the bits
         // are identical to per-probe drops_probe calls.
@@ -309,105 +276,90 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
 
       for (std::size_t e = e_begin; e < e_end; ++e) {
         const hitlist::Entry& entry = entries[e];
-        const auto targets =
-            hitlist_->targets_into(entry, config.extra_targets_per_block,
-                                   target_seed, worker.targets_scratch);
-        std::uint64_t probe_index = multi_target
-                                        ? ws.offset[ws.inverse[e]]
-                                        : std::uint64_t{ws.inverse[e]};
-        for (std::size_t k = 0; k < targets.size(); ++k) {
-          const net::Ipv4Address target = targets[k];
-          if (multi_target)
-            probed->push_back(target.value());
-          else
-            ws.addr_by_block[entry.block.index() - block_lo] = target.value();
-          util::SimTime attempt_tx =
-              spec.start + util::SimTime{gap.usec * static_cast<std::int64_t>(
-                                                        probe_index)};
-          double backoff_ms = config.retry_backoff_ms;
-          bool answered = false;
-          std::uint16_t seq = 0;
-          for (int attempt = 0; attempt < max_attempts; ++attempt) {
-            if (attempt > 0) ++worker.faults.retries;
-            bool answered_in_time = false;
-            const bool dropped =
-                injector != nullptr &&
-                (attempt == 0 && !multi_target
-                     ? worker.drops[e - e_begin] != 0
-                     : injector->drops_probe(
-                           target, spec.round,
-                           static_cast<std::uint32_t>(attempt)));
-            if (dropped) {
-              ++worker.faults.probes_lost;
-            } else {
-              net::ProbePayload payload;
-              payload.measurement_id = config.measurement_id;
-              payload.tx_time_usec = attempt_tx.usec;
-              payload.original_target = target;
-              net::build_echo_request_into(
-                  worker.probe_bytes, deployment.measurement_address, target,
-                  static_cast<std::uint16_t>(config.measurement_id & 0xffff),
-                  static_cast<std::uint16_t>(probe_index & 0xffff), payload);
-              internet_->probe_into(routes, worker.probe_bytes, attempt_tx,
-                                    spec.round, worker.deliveries,
-                                    worker.reply_bytes, dataplane,
-                                    &resolve_tally);
-              if (injector != nullptr) {
-                injector->apply_reply_faults(
-                    worker.deliveries, entry.block, spec.round,
-                    static_cast<std::uint32_t>(attempt), attempt_tx,
-                    site_count, spec.start, window, worker.faults);
-              } else if (robust) {
-                worker.faults.replies_generated += worker.deliveries.size();
-              }
-              if (!worker.deliveries.empty()) {
-                // All deliveries of one attempt share the same bytes:
-                // parse once, then append one row per delivery.
-                const auto parsed = net::parse_reply_view(worker.reply_bytes);
-                for (const sim::DeliveryView& delivery : worker.deliveries) {
-                  if (delivery.arrival <= attempt_tx + timeout)
-                    answered_in_time = true;
-                  const auto site = static_cast<std::size_t>(delivery.site);
-                  worker.site_bytes[site] += worker.reply_bytes.size();
-                  if (!parsed) {
-                    ++worker.malformed;
-                  } else {
-                    ++worker.site_replies[site];
-                    rows.push(delivery.arrival.usec,
-                              parsed->probe.tx_time_usec, probe_index,
-                              parsed->ip.source.value(),
-                              parsed->probe.measurement_id, seq,
-                              delivery.site);
-                  }
-                  ++seq;
+        const net::Ipv4Address target = entry.target;
+        const std::uint64_t probe_index = ws.inverse[e];
+        ws.addr_by_block[entry.block.index() - block_lo] = target.value();
+        util::SimTime attempt_tx =
+            spec.start +
+            util::SimTime{gap.usec * static_cast<std::int64_t>(probe_index)};
+        double backoff_ms = config.retry_backoff_ms;
+        bool answered = false;
+        std::uint16_t seq = 0;
+        for (int attempt = 0; attempt < max_attempts; ++attempt) {
+          if (attempt > 0) ++worker.faults.retries;
+          bool answered_in_time = false;
+          const bool dropped =
+              injector != nullptr &&
+              (attempt == 0 ? worker.drops[e - e_begin] != 0
+                            : injector->drops_probe(
+                                  target, spec.round,
+                                  static_cast<std::uint32_t>(attempt)));
+          if (dropped) {
+            ++worker.faults.probes_lost;
+          } else {
+            net::ProbePayload payload;
+            payload.measurement_id = config.measurement_id;
+            payload.tx_time_usec = attempt_tx.usec;
+            payload.original_target = target;
+            net::build_echo_request_into(
+                worker.probe_bytes, deployment.measurement_address, target,
+                static_cast<std::uint16_t>(config.measurement_id & 0xffff),
+                static_cast<std::uint16_t>(probe_index & 0xffff), payload);
+            internet_->probe_into(routes, worker.probe_bytes, attempt_tx,
+                                  spec.round, worker.deliveries,
+                                  worker.reply_bytes, dataplane,
+                                  &resolve_tally);
+            if (injector != nullptr) {
+              injector->apply_reply_faults(
+                  worker.deliveries, entry.block, spec.round,
+                  static_cast<std::uint32_t>(attempt), attempt_tx,
+                  site_count, spec.start, window, worker.faults);
+            } else if (robust) {
+              worker.faults.replies_generated += worker.deliveries.size();
+            }
+            if (!worker.deliveries.empty()) {
+              // All deliveries of one attempt share the same bytes:
+              // parse once, then append one row per delivery.
+              const auto parsed = net::parse_reply_view(worker.reply_bytes);
+              for (const sim::DeliveryView& delivery : worker.deliveries) {
+                if (delivery.arrival <= attempt_tx + timeout)
+                  answered_in_time = true;
+                const auto site = static_cast<std::size_t>(delivery.site);
+                worker.site_bytes[site] += worker.reply_bytes.size();
+                if (!parsed) {
+                  ++worker.malformed;
+                } else {
+                  ++worker.site_replies[site];
+                  rows.push(delivery.arrival.usec, parsed->probe.tx_time_usec,
+                            probe_index, parsed->ip.source.value(),
+                            parsed->probe.measurement_id, seq, delivery.site);
                 }
+                ++seq;
               }
             }
-            if (answered_in_time) {
-              if (attempt > 0) ++worker.faults.recovered;
-              answered = true;
-              break;
-            }
-            attempt_tx += timeout + util::SimTime::from_seconds(
-                                        backoff_ms / 1000.0);
-            backoff_ms *= config.retry_backoff_factor;
           }
-          ++worker.obs_probes;
-          if (answered)
-            ++worker.obs_replied;
-          else
-            ++worker.obs_unanswered;
-          ++probe_index;
-          if (observer != nullptr && ++since_report == stride) {
-            std::lock_guard lock{observer_mutex};
-            sent_total += since_report;
-            since_report = 0;
-            observer->on_probe_progress(spec, sent_total, total_probes);
+          if (answered_in_time) {
+            if (attempt > 0) ++worker.faults.recovered;
+            answered = true;
+            break;
           }
+          attempt_tx +=
+              timeout + util::SimTime::from_seconds(backoff_ms / 1000.0);
+          backoff_ms *= kRetryBackoffFactor;
+        }
+        ++worker.obs_probes;
+        if (answered)
+          ++worker.obs_replied;
+        else
+          ++worker.obs_unanswered;
+        if (observer != nullptr && ++since_report == stride) {
+          std::lock_guard lock{observer_mutex};
+          sent_total += since_report;
+          since_report = 0;
+          observer->on_probe_progress(spec, sent_total, total_probes);
         }
       }
       if (rows.capacity() != rows_cap) ++worker.hot_grows;
-      if (probed && probed->capacity() != probed_cap) ++worker.hot_grows;
       // One flush of the run's dataplane/resolution tallies — the only
       // time this worker touches the shared obs layer per run.
       sim::InternetSim::flush(dataplane);
@@ -503,24 +455,10 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   CleanFilter filter;
   filter.measurement_id = config.measurement_id;
   filter.cutoff_usec =
-      (spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes))
-          .usec;
+      (spec.start + util::SimTime::from_minutes(kLateCutoffMinutes)).usec;
   filter.block_lo = block_lo;
   filter.block_span = block_span;
-  if (multi_target) {
-    // Probed-address index: concatenate the runs' (disjoint) address
-    // lists and binary-search. The direct map can't be used — a block
-    // probes several addresses.
-    ws.sorted_addresses.reserve(total_probes);
-    ws.sorted_addresses.clear();
-    for (std::size_t r = 0; r < run_count; ++r)
-      ws.sorted_addresses.insert(ws.sorted_addresses.end(),
-                                 ws.probed[r].begin(), ws.probed[r].end());
-    std::sort(ws.sorted_addresses.begin(), ws.sorted_addresses.end());
-    filter.sorted_addresses = ws.sorted_addresses;
-  } else {
-    filter.addr_by_block = ws.addr_by_block;
-  }
+  filter.addr_by_block = ws.addr_by_block;
   ws.page_bounds.reserve(worker_count + 1);
   ws.page_bounds.assign(worker_count + 1, 0);
   ws.page_bounds[worker_count] = 1u << 8;

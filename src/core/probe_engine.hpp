@@ -8,9 +8,9 @@
 // are pure functions of the probe's *global index* in that order. So the
 // engine:
 //
-//   1. materializes the round's probe order, its inverse (entry -> order
-//      position) and, in multi-target mode, the prefix sum of per-entry
-//      target counts, giving every probe its global index up front;
+//   1. materializes the round's probe order and its inverse (entry ->
+//      order position); every entry gets exactly one probe, so that
+//      position is the probe's global index;
 //   2. probes in BLOCK-ORDERED RUNS: workers claim fixed-size runs of
 //      consecutive hitlist entries from a shared counter and walk each
 //      run in entry order, which is block order, so the resolver, geo and

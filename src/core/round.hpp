@@ -22,23 +22,25 @@ class RoundArena;
 
 namespace vp::core {
 
+/// Probe transmission rate (paper §4.2: 10k/s; §3.1 mentions ~6k/s).
+inline constexpr double kProbeRatePps = 10'000.0;
+/// Replies later than this after measurement start are discarded (§4).
+inline constexpr double kLateCutoffMinutes = 15.0;
+/// Exponential growth of the backoff across successive retries.
+inline constexpr double kRetryBackoffFactor = 2.0;
+
+/// One probe per hitlist entry, i.e. per /24 block (paper §3.1).
 struct ProbeConfig {
   std::uint32_t measurement_id = 1;
-  /// Probe transmission rate (paper §4.2: 10k/s; §3.1 mentions ~6k/s).
-  double rate_pps = 10'000.0;
-  /// Replies later than this after measurement start are discarded (§4).
-  double late_cutoff_minutes = 15.0;
   /// Seed for the pseudorandom probe order.
   std::uint64_t order_seed = 1;
-  /// Extra addresses probed per block (0 = the paper's single-probe
-  /// design; >0 = the Trinocular-style ablation).
-  int extra_targets_per_block = 0;
   /// Retry attempts per probe that saw no reply within the timeout
   /// (0 = the paper's fire-once design; §3.1 leaves retries as future
   /// work — we implement them). Retries never shift other probes' tx
   /// times: attempt a of probe k goes out at
   ///   start + k/rate + a*timeout + backoff*(factor^0 + ... + factor^(a-1)),
-  /// a pure function of (k, a), which is what keeps the sharded merge
+  /// with rate kProbeRatePps and factor kRetryBackoffFactor, a pure
+  /// function of (k, a), which is what keeps the sharded merge
   /// bit-identical for any thread count.
   int max_retries = 0;
   /// How long the prober waits for a reply before declaring an attempt
@@ -46,8 +48,6 @@ struct ProbeConfig {
   double probe_timeout_ms = 1'000.0;
   /// Base backoff added on top of the timeout before each retry.
   double retry_backoff_ms = 250.0;
-  /// Exponential growth of the backoff across successive retries.
-  double retry_backoff_factor = 2.0;
 };
 
 /// Everything that defines one measurement round.
@@ -81,7 +81,7 @@ struct RoundResult {
   CatchmentMap map;
   std::vector<std::uint64_t> raw_replies_per_site;
   util::SimTime started;
-  util::SimTime probing_duration;  // time to emit all probes at rate_pps
+  util::SimTime probing_duration;  // time to emit all probes at kProbeRatePps
   /// Injected-fault and retry accounting; all-zero when the round ran
   /// without a fault plan and without retries.
   sim::FaultStats faults;

@@ -1,7 +1,7 @@
 #include "hitlist/hitlist.hpp"
 
-#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
@@ -87,24 +87,6 @@ void Hitlist::probe_order_into(std::uint64_t round_seed,
   util::Rng rng{round_seed};
   for (std::size_t i = out.size(); i > 1; --i)
     std::swap(out[i - 1], out[rng.below(i)]);
-}
-
-std::span<const net::Ipv4Address> Hitlist::targets_into(
-    const Entry& entry, int extra_targets_per_block, std::uint64_t seed,
-    std::vector<net::Ipv4Address>& scratch) const {
-  if (extra_targets_per_block <= 0) return {&entry.target, 1};
-  scratch.clear();
-  scratch.push_back(entry.target);
-  util::Rng rng{util::hash_combine(seed, entry.block.index())};
-  for (int i = 0; i < extra_targets_per_block; ++i) {
-    net::Ipv4Address candidate =
-        entry.block.address(static_cast<std::uint8_t>(1 + rng.below(250)));
-    if (std::find(scratch.begin(), scratch.end(), candidate) ==
-        scratch.end()) {
-      scratch.push_back(candidate);
-    }
-  }
-  return scratch;
 }
 
 }  // namespace vp::hitlist

@@ -6,7 +6,9 @@
 // for a fraction it points at a stale address (the host moved), making the
 // block unmappable even though something in it is alive — one of the
 // reasons the paper sees only ~55% response and proposes multi-target
-// probing as future work (our retry ablation exercises exactly this).
+// probing as future work. An earlier ablation here tried it (EXPERIMENTS.md):
+// nine targets per block lifted coverage only from 57.0% to 59.3%, so the
+// engine probes exactly one address per entry.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +65,6 @@ class Hitlist {
   /// permutations via `round_seed`.
   void probe_order_into(std::uint64_t round_seed,
                         std::vector<std::uint32_t>& out) const;
-
-  /// The addresses to probe for `entry`: its target plus
-  /// `extra_targets_per_block` additional ones (the Trinocular-style retry
-  /// ablation, §3.1 "we could improve the response rate by probing
-  /// multiple targets in each block"). Returned as a span over `scratch`,
-  /// or directly over the entry's own target when no extras are requested
-  /// — zero work on the paper's single-probe design.
-  std::span<const net::Ipv4Address> targets_into(
-      const Entry& entry, int extra_targets_per_block, std::uint64_t seed,
-      std::vector<net::Ipv4Address>& scratch) const;
 
  private:
   std::vector<Entry> entries_;

@@ -194,7 +194,7 @@ Daemon::RoundOutcome Daemon::run_supervised(std::uint32_t round) {
   for (int attempt = 0; attempt <= config_.round_retries; ++attempt) {
     if (stop_.load(std::memory_order_relaxed)) return RoundOutcome::kStopped;
     if (attempt > 0 &&
-        !sleep_ms(config_.retry_backoff_ms * static_cast<double>(1 << (attempt - 1))))
+        !sleep_ms(std::ldexp(config_.retry_backoff_ms, attempt - 1)))
       return RoundOutcome::kStopped;
 
     auto result = run_attempt(round, attempt);

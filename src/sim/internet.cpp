@@ -90,8 +90,8 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
   }
 
   // Hosts answer only if probed at an address that is actually alive
-  // (the hitlist's representative may be stale; multi-target probing can
-  // still find a live secondary host).
+  // (the hitlist's representative may be stale; a stale target answers
+  // only when it happens to hit a live secondary host).
   if (!responsiveness_.is_live_host(
           block, static_cast<std::uint8_t>(ip->destination.value() & 0xff))) {
     ++tally.unresponsive;

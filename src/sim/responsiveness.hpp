@@ -44,7 +44,7 @@ struct ResponsivenessConfig {
   /// Probability the (single) reply arrives after the late cutoff.
   double late_rate = 0.003;
   /// Probability that any given non-representative host offset is also
-  /// alive (multi-target probing can find these).
+  /// alive (a stale hitlist target may hit one).
   double secondary_live_rate = 0.12;
 };
 
@@ -79,8 +79,8 @@ class ResponsivenessModel {
 
   /// Whether a specific host offset within the block is alive. The
   /// representative host always is (when the block responds at all); a
-  /// sprinkling of secondary hosts is too, which is what multi-target
-  /// probing (the Trinocular-style ablation) can discover.
+  /// sprinkling of secondary hosts is too, so a stale hitlist target can
+  /// still draw a reply.
   bool is_live_host(net::Block24 block, std::uint8_t host) const;
 
  private:

@@ -3,7 +3,8 @@
 // through util::atomic_file, so an unwritable path surfaces at flush
 // time — this forks the real binary and checks the distinct write-failed
 // exit code (6) for --out and --metrics-out, and that successful runs
-// actually leave the artifact behind.
+// actually leave the artifact behind. A numeric option that is not a
+// number exits 2 in both vpctl and vpd.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -17,6 +18,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -61,6 +63,43 @@ std::string unwritable(const std::string& leaf) {
 }
 
 const std::string kScan = "scan --scale 0.03 --seed 5";
+
+/// Runs `binary` with `args`, discarding stdout; returns the exit code and
+/// leaves stderr in `err`.
+int run_capturing_stderr(const char* binary, const std::string& args,
+                         std::string& err) {
+  const std::string path = test_dir() + "/stderr.txt";
+  const std::string cmd =
+      std::string{binary} + " " + args + " > /dev/null 2> " + path;
+  const int status = std::system(cmd.c_str());
+  err = read_file(path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// A numeric option must be one whole number: "two" is not 0 retries and
+// "4x" is not 4 threads. Both binaries refuse with the usage exit code.
+TEST(CliExit, MalformedNumberExits2) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"--retries two", "retries"},
+      {"--threads 4x", "threads"},
+      {"--scale abc", "scale"}};
+  for (const auto& [bad, key] : cases) {
+    std::string err;
+    EXPECT_EQ(run_capturing_stderr(VPCTL_PATH, kScan + " " + bad, err), 2)
+        << bad;
+    EXPECT_NE(err.find("error: --" + key + " expects a number"),
+              std::string::npos)
+        << err;
+  }
+  std::string err;
+  EXPECT_EQ(run_capturing_stderr(VPD_PATH,
+                                 "--scale 0.03 --rounds 1 --round-retries x",
+                                 err),
+            2);
+  EXPECT_NE(err.find("error: --round-retries expects a number"),
+            std::string::npos)
+      << err;
+}
 
 TEST(CliExit, ScanOutUnwritableExits6) {
   EXPECT_EQ(run_vpctl(kScan + " --out " + unwritable("c.csv")),

@@ -119,16 +119,6 @@ TEST_F(CoreTest, DifferentRoundsDifferSlightly) {
   EXPECT_LT(differing, round().map.mapped_blocks() / 10);
 }
 
-TEST_F(CoreTest, ExtraTargetsImproveCoverage) {
-  ProbeConfig probe;
-  probe.measurement_id = 600;
-  probe.extra_targets_per_block = 3;
-  const RoundResult retried =
-      scenario().engine().run(routes(), {probe, 0});
-  EXPECT_GT(retried.map.mapped_blocks(), round().map.mapped_blocks());
-  EXPECT_GT(retried.map.probes_sent, round().map.probes_sent * 3);
-}
-
 TEST_F(CoreTest, PerSiteCountsSumToMapped) {
   const auto counts =
       round().map.per_site_counts(scenario().broot().sites.size());

@@ -110,30 +110,6 @@ TEST_F(HitlistTest, ProbeOrderIsNotSequential) {
   EXPECT_LT(sequential, order.size() / 100);
 }
 
-TEST_F(HitlistTest, ExtraTargetsStayInBlockAndDedupe) {
-  const Entry& entry = hitlist().entries()[42];
-  std::vector<net::Ipv4Address> scratch{net::Ipv4Address{1, 2, 3, 4}};
-  const auto targets = hitlist().targets_into(entry, 5, 77, scratch);
-  EXPECT_EQ(targets.data(), scratch.data());
-  ASSERT_GE(targets.size(), 2u);
-  ASSERT_LE(targets.size(), 6u);
-  EXPECT_EQ(targets[0], entry.target);
-  std::unordered_set<std::uint32_t> unique;
-  for (const net::Ipv4Address t : targets) {
-    EXPECT_EQ(net::Block24::containing(t), entry.block);
-    EXPECT_TRUE(unique.insert(t.value()).second);
-  }
-}
-
-TEST_F(HitlistTest, ZeroExtraTargetsMeansSingleProbe) {
-  const Entry& entry = hitlist().entries()[7];
-  std::vector<net::Ipv4Address> scratch;
-  const auto targets = hitlist().targets_into(entry, 0, 1, scratch);
-  ASSERT_EQ(targets.size(), 1u);
-  EXPECT_EQ(targets[0], entry.target);
-  EXPECT_TRUE(scratch.empty());  // the paper's single probe copies nothing
-}
-
 TEST_F(HitlistTest, BuildIsDeterministic) {
   const Hitlist again = Hitlist::build(topo(), model());
   ASSERT_EQ(again.size(), hitlist().size());

@@ -90,21 +90,6 @@ TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalToSerial) {
   }
 }
 
-TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalWithExtraTargets) {
-  // Multi-target probing makes per-entry probe counts uneven, exercising
-  // the prefix-sum shard boundaries.
-  RoundSpec spec;
-  spec.probe.measurement_id = 4200;
-  spec.probe.extra_targets_per_block = 2;
-  spec.round = 1;
-
-  spec.threads = 1;
-  const RoundResult serial = scenario().engine().run(routes(), spec);
-  spec.threads = 8;
-  const RoundResult parallel = scenario().engine().run(routes(), spec);
-  expect_identical(serial, parallel, "extra targets, 8 threads");
-}
-
 TEST_F(ProbeEngineTest, ThreadCountBeyondEntriesIsHarmless) {
   RoundSpec spec;
   spec.probe.measurement_id = 4300;

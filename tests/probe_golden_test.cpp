@@ -110,7 +110,7 @@ TEST_F(ProbeGoldenTest, FrameDigest) {
     const std::uint32_t measurement_id = 5100 + round;
     const util::SimTime start = util::SimTime::from_minutes(30.0 * round);
     const util::SimTime gap =
-        util::SimTime::from_seconds(1.0 / config.rate_pps);
+        util::SimTime::from_seconds(1.0 / core::kProbeRatePps);
     s.hitlist().probe_order_into(
         util::hash_combine(config.order_seed, round), order);
     std::uint32_t request_crc = 0, reply_crc = 0, delivery_crc = 0;

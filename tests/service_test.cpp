@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -351,6 +352,27 @@ TEST_F(DaemonTest, EmptyRoundDegradesButKeepsLastGoodMap) {
   const service::DriftReport drift = daemon.drift();
   EXPECT_EQ(drift.from_round, 0u);
   EXPECT_EQ(drift.to_round, 2u);
+}
+
+TEST_F(DaemonTest, RetryBackoffDoublesPastThirtyOneRetries) {
+  // 34 retries of an all-loss round: the backoff before retry a is
+  // base * 2^(a-1), which outgrows a 32-bit int at a = 32. A base of
+  // 1e-9 ms keeps the whole ladder to (2^34 - 1) * 1e-9 ms, about 17 ms.
+  EnvGuard loss{"VP_DAEMON_LOSS_ROUND", "0"};
+  service::DaemonConfig config = fast_config(1);
+  config.round_retries = 34;
+  config.retry_backoff_ms = 1e-9;
+  service::Daemon daemon{scenario(), scenario().broot(), config};
+  const auto started = std::chrono::steady_clock::now();
+  ASSERT_TRUE(daemon.run_rounds());
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - started)
+                                .count();
+
+  const service::DaemonStatus status = daemon.status();
+  EXPECT_EQ(status.rounds_completed, 0u);
+  EXPECT_EQ(status.rounds_failed, 1u);
+  EXPECT_GE(elapsed_ms, 17.0);
 }
 
 TEST_F(DaemonTest, StaleIsDerivedFromMapAge) {

@@ -3,8 +3,8 @@
 #
 # Runs one full Verfploeter round (`vpctl gen --probe`) at 120k, 1.3M and
 # 6.4M /24 blocks under `perf stat -e cache-misses,LLC-load-misses` and
-# prints a per-scale table, so the effect of the block-range tiling and
-# the SoA reply buffers shows up as counter deltas instead of vibes.
+# prints a per-scale table, so the effect of the block-ordered probe runs
+# and the SoA reply rows shows up as counter deltas instead of vibes.
 # Containers without perf (or without perf_event_paranoid access) fall
 # back to `/usr/bin/time -v`, which still reports wall time and page
 # faults. Compare a before/after pair by running the script on both
@@ -12,8 +12,8 @@
 #
 #   tools/profile_round.sh build-release/cli/vpctl > /tmp/after.txt
 #
-# The 6.4M run generates the paper-scale topology in-process and needs
-# ~10 GB of RAM and a few minutes; trim SCALES for a quick look.
+# The 6.4M run generates the paper-scale topology in-process; its peak
+# RSS is about 1.2 GB. Trim SCALES for a quick look.
 set -u
 
 VPCTL="${1:-build-release/cli/vpctl}"
