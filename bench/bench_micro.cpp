@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark): the hot paths of the pipeline —
-// packet build/parse, checksum, trie lookups, a full probe round-trip
+// packet build/parse, checksum, a full probe round-trip
 // through the simulated dataplane, and BGP route computation.
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 #include "bgp/routing_engine.hpp"
 #include "net/checksum.hpp"
 #include "net/packet.hpp"
-#include "net/prefix_trie.hpp"
 #include "util/rng.hpp"
 
 using namespace vp;
@@ -68,22 +67,6 @@ void BM_ParseReply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseReply);
-
-void BM_TrieLookup(benchmark::State& state) {
-  const auto& topo = shared_scenario().topo();
-  util::Rng rng{2};
-  std::vector<net::Ipv4Address> addresses;
-  for (int i = 0; i < 1024; ++i) {
-    const auto& info =
-        topo.blocks()[rng.below(topo.block_count())];
-    addresses.push_back(info.block.address(1));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo.route_lookup(addresses[i++ & 1023]));
-  }
-}
-BENCHMARK(BM_TrieLookup);
 
 std::vector<net::Block24> sample_blocks(const analysis::Scenario& scenario,
                                         std::uint64_t seed) {

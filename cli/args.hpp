@@ -111,13 +111,11 @@ inline std::optional<Args> parse_args(
 }
 
 /// The simulated Internet behind --scale/--seed, announced before the
-/// (slow) build. `route_cache_bytes` caps the scenario's route cache.
-inline analysis::Scenario make_scenario(const Args& args,
-                                        std::size_t route_cache_bytes = 0) {
+/// (slow) build.
+inline analysis::Scenario make_scenario(const Args& args) {
   analysis::ScenarioConfig config;
   config.scale = args.get_double("scale", 0.4);
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
-  config.route_cache_bytes = route_cache_bytes;
   std::printf("building simulated Internet (scale %.2f, seed %llu)...\n",
               config.scale, static_cast<unsigned long long>(config.seed));
   return analysis::Scenario{config};

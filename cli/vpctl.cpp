@@ -102,9 +102,6 @@ int usage() {
       "  --metrics-out FILE dump the run's metrics registry on exit\n"
       "                     (.json = JSON, .prom/.txt = Prometheus text)\n"
       "  --no-metrics       disable metric collection (results identical)\n"
-      "  --route-cache-bytes N  cap retained route-cache table memory;\n"
-      "                     least-recently-used tables are evicted\n"
-      "                     (default 0 = unbounded; env VP_ROUTE_CACHE_BYTES)\n"
       "scan options:\n"
       "  --prepend SITE=N   AS-prepend the SITE announcement N times\n"
       "  --out FILE         write the catchment as CSV\n"
@@ -171,19 +168,6 @@ int usage() {
       "  --date apr|may     load dataset for baseline + capacity\n"
       "  --out FILE         write the playbook (.json = JSON, else CSV)\n");
   return 2;
-}
-
-/// cli::make_scenario plus vpctl's route-cache cap (--route-cache-bytes,
-/// else VP_ROUTE_CACHE_BYTES).
-analysis::Scenario build_scenario(const Args& args) {
-  std::size_t cache_bytes = 0;
-  if (args.has("route-cache-bytes")) {
-    cache_bytes =
-        static_cast<std::size_t>(args.get_long("route-cache-bytes", 0));
-  } else if (const char* env = std::getenv("VP_ROUTE_CACHE_BYTES")) {
-    cache_bytes = std::strtoull(env, nullptr, 10);
-  }
-  return cli::make_scenario(args, cache_bytes);
 }
 
 std::uint64_t load_date_seed(const Args& args) {
@@ -295,7 +279,7 @@ core::RoundResult run_scan(const analysis::Scenario& scenario,
 }
 
 int cmd_scan(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   anycast::Deployment deployment = pick_deployment(scenario, args);
   if (args.has("prepend")) {
     const std::string spec = args.get("prepend", "");
@@ -321,7 +305,7 @@ int cmd_scan(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto& base = pick_deployment(scenario, args);
   const std::string site_code = args.get("site", "MIA");
   const auto site = base.site_by_code(site_code);
@@ -375,7 +359,7 @@ int cmd_campaign(const Args& args) {
   // Installed before the (slow) scenario build so an early ^C is caught.
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto rounds = static_cast<std::uint32_t>(args.get_long("rounds", 16));
   const double interval = args.get_double("interval-min", 15.0);
@@ -477,7 +461,7 @@ int cmd_campaign(const Args& args) {
 }
 
 int cmd_atlas(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto routes_ptr = scenario.route(deployment);
   const auto& routes = *routes_ptr;
@@ -497,7 +481,7 @@ int cmd_atlas(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   core::RoundResult round;
   if (args.has("catchment")) {
@@ -528,7 +512,7 @@ int cmd_predict(const Args& args) {
 }
 
 int cmd_recommend(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto round = run_scan(scenario, deployment, 0, args);
   const auto load = scenario.broot_load(load_date_seed(args));
@@ -551,7 +535,7 @@ int cmd_recommend(const Args& args) {
 }
 
 int cmd_export_load(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto load = scenario.broot_load(load_date_seed(args));
   const std::string path = args.get("out", "load.csv");
   if (!core::save_load_csv(path, load)) {
@@ -759,7 +743,7 @@ std::string playbook_json(const agility::Playbook& playbook,
 }
 
 int cmd_playbook(const Args& args) {
-  const auto scenario = build_scenario(args);
+  const auto scenario = cli::make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
 
   agility::PlaybookConfig config;

@@ -110,8 +110,7 @@ OfferedLoad offered_load(const topology::Topology& topo,
       case AttackKind::kPolarized: {
         if (baseline_routes.site_for_block(info) != out.resolved_target)
           break;
-        if (block_unit(spec.seed, 0xb07, row) >= spec.attacker_fraction)
-          break;
+        if (block_unit(spec.seed, 0xb07, row) >= kAttackerFraction) break;
         weight = pareto_weight(block_unit(spec.seed, 0xb08, row), 1.5, 200.0);
         break;
       }
@@ -121,9 +120,7 @@ OfferedLoad offered_load(const topology::Topology& topo,
           break;
         // Querying blocks surge in proportion to their usual volume;
         // silent blocks join at a fraction of the mean (new eyeballs).
-        weight = legit > 0.0
-                     ? legit
-                     : 0.2 * base.config().mean_daily_per_block;
+        weight = legit > 0.0 ? legit : 0.2 * dnsload::kMeanDailyPerBlock;
         break;
       }
       case AttackKind::kSpoofedFlood: {

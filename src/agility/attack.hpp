@@ -50,6 +50,9 @@ std::string_view to_string(AttackKind kind);
 /// the long forms "flash-crowd", "spoofed-flood"); nullopt on anything else.
 std::optional<AttackKind> attack_kind_from_string(std::string_view name);
 
+/// Polarized: fraction of target-catchment blocks hosting attackers.
+inline constexpr double kAttackerFraction = 0.05;
+
 /// One attack shape: everything the generator needs, and nothing more —
 /// two specs with equal fields produce byte-identical OfferedLoads on
 /// the same scenario. Per-kind knobs are ignored by the other kinds.
@@ -61,8 +64,6 @@ struct AttackSpec {
   /// Site whose catchment the attack concentrates in (polarized and
   /// volumetric); kUnknownSite picks an enabled site from the seed.
   anycast::SiteId target_site = anycast::kUnknownSite;
-  /// Polarized: fraction of target-catchment blocks hosting attackers.
-  double attacker_fraction = 0.05;
   /// Spoofed flood: fraction of all allocated blocks that appear as
   /// (spoofed) sources.
   double spoof_fraction = 0.25;

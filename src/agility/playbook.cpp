@@ -152,7 +152,7 @@ std::vector<Candidate> PlaybookOptimizer::enumerate_candidates() const {
   if (config_.strategy == SearchStrategy::kExhaustive) {
     double combos = 1.0;
     for (const auto& menu : menus) combos *= static_cast<double>(menu.size());
-    if (combos <= static_cast<double>(config_.max_exhaustive)) {
+    if (combos <= static_cast<double>(kMaxExhaustive)) {
       // Odometer walk over the cartesian product, site 0 fastest — a
       // fixed enumeration order that the ranking tie-break relies on.
       std::vector<std::size_t> pick(menus.size(), 0);
@@ -488,7 +488,7 @@ PlaybookEntry PlaybookOptimizer::respond(const AttackSpec& attack) const {
   // pairwise. Selection uses the same deterministic order as the final
   // ranking, so the stage-2 candidate set is a pure function of the
   // stage-1 scores.
-  if (config_.strategy == SearchStrategy::kStaged && config_.stage_combine > 1) {
+  if (config_.strategy == SearchStrategy::kStaged && kStageCombine > 1) {
     std::vector<std::size_t> order(candidates.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -498,7 +498,7 @@ PlaybookEntry PlaybookOptimizer::respond(const AttackSpec& attack) const {
     for (const std::size_t i : order) {
       if (candidates[i].delta.sites.size() != 1) continue;  // singles only
       top.push_back(i);
-      if (top.size() >= config_.stage_combine) break;
+      if (top.size() >= kStageCombine) break;
     }
     std::vector<Candidate> combos;
     for (std::size_t a = 0; a < top.size(); ++a) {

@@ -143,6 +143,12 @@ enum class SearchStrategy : std::uint8_t {
   kExhaustive,
 };
 
+/// kStaged: how many of the best single-site moves to combine pairwise.
+inline constexpr std::size_t kStageCombine = 3;
+/// kExhaustive refuses (falls back to kStaged) beyond this many
+/// candidates; (max_prepend + 2)^sites grows fast.
+inline constexpr std::size_t kMaxExhaustive = 65536;
+
 struct PlaybookConfig {
   /// Per-site prepend depths searched: 0..max_prepend.
   int max_prepend = 3;
@@ -160,11 +166,6 @@ struct PlaybookConfig {
   double capacity_headroom = 1.6;
   /// Ranked responses kept per attack.
   std::size_t top_k = 5;
-  /// kStaged: how many of the best single-site moves to combine pairwise.
-  std::size_t stage_combine = 3;
-  /// kExhaustive refuses (falls back to kStaged) beyond this many
-  /// candidates; (max_prepend + 2)^sites grows fast.
-  std::size_t max_exhaustive = 65536;
 };
 
 class PlaybookOptimizer {

@@ -16,9 +16,6 @@ ScenarioConfig ScenarioConfig::from_env() {
   if (const char* seed = std::getenv("VP_SEED")) {
     config.seed = std::strtoull(seed, nullptr, 10);
   }
-  if (const char* cap = std::getenv("VP_ROUTE_CACHE_BYTES")) {
-    config.route_cache_bytes = std::strtoull(cap, nullptr, 10);
-  }
   if (const char* ases = std::getenv("VP_GEN_ASES")) {
     config.generated_ases = static_cast<std::uint32_t>(
         std::strtoull(ases, nullptr, 10));
@@ -75,8 +72,7 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   atlas_small_ = std::make_unique<atlas::AtlasPlatform>(
       *topo_, internet_->responsiveness(), small);
 
-  route_cache_ =
-      std::make_unique<bgp::RouteCache>(*topo_, config.route_cache_bytes);
+  route_cache_ = std::make_unique<bgp::RouteCache>(*topo_);
 
   if (config.generated_ases > 0) {
     // Same site counts as the paper's deployments (Table 3), hosted at

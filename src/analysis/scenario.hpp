@@ -38,11 +38,8 @@ struct ScenarioConfig {
   /// B-Root/Tangled deployment slots are filled by generated 2- and
   /// 9-site deployments hosted at the synthetic transit core.
   std::uint32_t generated_ases = 0;
-  /// Byte cap on retained route-cache tables (0 = unbounded); LRU
-  /// eviction by RoutingTable::memory_bytes() accounting.
-  std::size_t route_cache_bytes = 0;
-  /// Reads VP_SCALE, VP_SEED, VP_GEN_ASES and VP_ROUTE_CACHE_BYTES from
-  /// the environment (bench knobs).
+  /// Reads VP_SCALE, VP_SEED and VP_GEN_ASES from the environment (bench
+  /// knobs).
   static ScenarioConfig from_env();
 };
 

@@ -93,25 +93,6 @@ void ConfigDelta::apply_to(Deployment& deployment) const {
   }
 }
 
-std::uint64_t ConfigDelta::fingerprint() const {
-  std::uint64_t f = 0x64656c7461ULL;  // "delta"
-  f = util::hash_combine(f, sites.size());
-  for (const SiteDelta& change : sites) {
-    f = util::hash_combine(f, static_cast<std::uint64_t>(
-                                  static_cast<std::int64_t>(change.site)));
-    f = util::hash_combine(
-        f, change.prepend
-               ? 0x100u | static_cast<std::uint64_t>(
-                              static_cast<std::int64_t>(*change.prepend) & 0xff)
-               : 0u);
-    f = util::hash_combine(f, change.enabled ? (2u | (*change.enabled ? 1u : 0u))
-                                             : 0u);
-    f = util::hash_combine(f, change.hidden ? (2u | (*change.hidden ? 1u : 0u))
-                                            : 0u);
-  }
-  return f;
-}
-
 std::size_t Deployment::active_site_count() const {
   return static_cast<std::size_t>(
       std::count_if(sites.begin(), sites.end(), [](const AnycastSite& s) {

@@ -91,10 +91,6 @@ struct ConfigDelta {
 
   /// Mutates `deployment` in place. Out-of-range site ids are ignored.
   void apply_to(Deployment& deployment) const;
-
-  /// Order-sensitive hash of the change set (used for cache keys and
-  /// metrics labels; distinct from the post-delta deployment fingerprint).
-  std::uint64_t fingerprint() const;
 };
 
 /// B-Root after its May 2017 anycast deployment: LAX + MIA (Table 3).

@@ -46,7 +46,7 @@ AtlasPlatform::AtlasPlatform(const topology::Topology& topo,
     const auto center = static_cast<std::uint16_t>(
         std::lower_bound(cumulative.begin(), cumulative.end(), x) -
         cumulative.begin());
-    const bool prefer_responsive = rng.chance(config.responsive_block_bias);
+    const bool prefer_responsive = rng.chance(kResponsiveBlockBias);
     const auto& pool = prefer_responsive && !responsive_pool[center].empty()
                            ? responsive_pool[center]
                            : any_pool[center];
@@ -129,7 +129,7 @@ Campaign AtlasPlatform::measure(const bgp::RoutingTable& routes,
     const std::uint64_t h = util::hash_combine(
         util::hash_combine(config_.seed, 0xa7a5),
         util::hash_combine(vps_[i].id, round));
-    if (static_cast<double>(h >> 11) * 0x1.0p-53 < config_.down_rate)
+    if (static_cast<double>(h >> 11) * 0x1.0p-53 < kDownRate)
       continue;
     // A CHAOS TXT hostname.bind query goes wherever BGP takes this VP's
     // network right now — identical ground truth to Verfploeter's

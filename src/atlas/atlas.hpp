@@ -24,17 +24,18 @@
 
 namespace vp::atlas {
 
+/// Probability that a probe is unreachable during a campaign
+/// (Table 4: 455/9807 ≈ 4.6%).
+inline constexpr double kDownRate = 0.046;
+/// Probability a probe is forced into a ping-responsive block (Atlas
+/// hosts are well-connected; calibrates the Table 4 "unique" overlap:
+/// ~77% of Atlas blocks are also seen by Verfploeter).
+inline constexpr double kResponsiveBlockBias = 0.45;
+
 struct AtlasConfig {
   std::uint64_t seed = 47;
   /// Number of probes to deploy.
   std::uint32_t vp_count = 500;
-  /// Probability that a probe is unreachable during a campaign
-  /// (Table 4: 455/9807 ≈ 4.6%).
-  double down_rate = 0.046;
-  /// Probability a probe is forced into a ping-responsive block (Atlas
-  /// hosts are well-connected; calibrates the Table 4 "unique" overlap:
-  /// ~77% of Atlas blocks are also seen by Verfploeter).
-  double responsive_block_bias = 0.45;
 };
 
 /// One deployed Atlas probe.

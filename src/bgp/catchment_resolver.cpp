@@ -50,53 +50,6 @@ CatchmentResolver::CatchmentResolver(const RoutingTable& routes,
   registry.gauge("vp_bgp_resolver_bytes").add(static_cast<double>(bytes()));
 }
 
-CatchmentResolver::CatchmentResolver(
-    const RoutingTable& routes, std::uint64_t flip_signature,
-    const FlappyPredicate& is_flappy, const CatchmentResolver& parent,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> changed_ranges)
-    : first_(parent.first_),
-      flip_signature_(flip_signature),
-      sites_(parent.sites_),
-      flappy_bits_(parent.flappy_bits_) {
-  auto& registry = obs::metrics();
-  obs::Span span{&registry.histogram("vp_bgp_resolver_build_ms",
-                                     obs::latency_buckets_ms())};
-
-  // Only blocks of ASes whose best route changed can resolve
-  // differently; everything else is inherited from the parent verbatim.
-  // Flappy membership can also change (it reads the new candidate set),
-  // so the bit is re-derived for the same blocks.
-  const auto blocks = routes.topology().blocks();
-  for (const auto& [begin, end] : changed_ranges) {
-    const std::uint32_t stop =
-        std::min<std::uint32_t>(end, static_cast<std::uint32_t>(blocks.size()));
-    for (std::uint32_t i = begin; i < stop; ++i) {
-      const topology::BlockInfo& info = blocks[i];
-      const std::uint32_t off = info.block.index() - first_;
-      if (off >= sites_.size()) continue;
-      sites_[off] = routes.site_for_block(info);
-      const std::uint64_t bit = std::uint64_t{1} << (off & 63);
-      if (is_flappy(info.block))
-        flappy_bits_[off >> 6] |= bit;
-      else
-        flappy_bits_[off >> 6] &= ~bit;
-    }
-  }
-
-  // The visible-site list is cheap and deployment-dependent (announce /
-  // withdraw deltas change it): always rebuilt from scratch.
-  const auto& sites = routes.deployment().sites;
-  visible_pos_.assign(sites.size(), 0xffff);
-  for (std::size_t s = 0; s < sites.size(); ++s) {
-    if (!sites[s].enabled || sites[s].hidden) continue;
-    visible_pos_[s] = static_cast<std::uint16_t>(visible_.size());
-    visible_.push_back(static_cast<anycast::SiteId>(s));
-  }
-
-  registry.counter("vp_bgp_resolver_warm_builds_total").add();
-  registry.gauge("vp_bgp_resolver_bytes").add(static_cast<double>(bytes()));
-}
-
 std::size_t CatchmentResolver::bytes() const {
   return sizeof(*this) + sites_.capacity() * sizeof(anycast::SiteId) +
          flappy_bits_.capacity() * sizeof(std::uint64_t) +

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "anycast/deployment.hpp"
@@ -49,18 +48,6 @@ class CatchmentResolver {
 
   CatchmentResolver(const RoutingTable& routes, std::uint64_t flip_signature,
                     const FlappyPredicate& is_flappy);
-
-  /// Warm rebuild from the resolver of the table's delta parent: copies
-  /// the parent's block->site table and flappy bitset, then recomputes
-  /// only `changed_ranges` ([begin, end) index ranges into
-  /// Topology::blocks() — RoutingTable::changed_block_ranges()). The
-  /// visible-site list is rebuilt from the new deployment. Produces
-  /// exactly the table a cold build of `routes` would.
-  CatchmentResolver(
-      const RoutingTable& routes, std::uint64_t flip_signature,
-      const FlappyPredicate& is_flappy, const CatchmentResolver& parent,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>>
-          changed_ranges);
 
   /// Signature of the flip configuration folded into the flappy bitset.
   std::uint64_t flip_signature() const { return flip_signature_; }

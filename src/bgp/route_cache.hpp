@@ -7,17 +7,13 @@
 // most expensive call in those loops. Catchments are a pure function of
 // (topology, deployment, routing options), so the cache keys each
 // computed RoutingTable by (anycast::fingerprint(deployment),
-// tiebreak_salt, epoch_jitter_rate) and hands out one shared immutable
-// table per distinct configuration — shared across rounds, probe worker
-// threads, and campaign resumes. Computation goes through a one-shot
+// tiebreak_salt) and hands out one shared immutable table per distinct
+// configuration — shared across rounds, probe worker threads, and
+// campaign resumes. Computation goes through a one-shot
 // bgp::RoutingEngine; the delta-aware entry point `routes_delta` keys on
 // the *post-delta* fingerprint, so a table reached by delta and the same
-// configuration routed directly unify on one cache entry.
-//
-// Bounded: an optional byte cap (vpctl --route-cache-bytes /
-// VP_ROUTE_CACHE_BYTES) evicts least-recently-used entries by
-// RoutingTable::memory_bytes() accounting. The most recent entry is
-// never evicted; outstanding shared_ptrs always stay valid.
+// configuration routed directly unify on one cache entry. Every table
+// computed stays retained for the cache's lifetime.
 //
 // Lifetime: tables own a copy of their deployment, so callers may pass
 // short-lived Deployment values — e.g.
@@ -26,13 +22,11 @@
 //
 // Determinism: a hit returns a table whose every answer is identical to
 // a fresh computation (tests/route_cache_test.cpp byte-compares whole
-// rounds against fresh RoutingEngine::full() tables). Hit/miss/bytes/
-// evictions are surfaced through obs::MetricsRegistry
-// (vp_bgp_route_cache_*).
+// rounds against fresh RoutingEngine::full() tables). Hits and misses
+// are surfaced through obs::MetricsRegistry (vp_bgp_route_cache_*).
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -45,17 +39,13 @@ namespace vp::bgp {
 struct RouteCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;  // approximate retained table memory
 };
 
 class RouteCache {
  public:
-  /// `byte_limit` caps retained table memory (0 = unbounded).
-  explicit RouteCache(const topology::Topology& topo,
-                      std::size_t byte_limit = 0)
-      : topo_(&topo), byte_limit_(byte_limit) {}
+  explicit RouteCache(const topology::Topology& topo) : topo_(&topo) {}
 
   RouteCache(const RouteCache&) = delete;
   RouteCache& operator=(const RouteCache&) = delete;
@@ -76,36 +66,22 @@ class RouteCache {
 
   RouteCacheStats stats() const;
 
-  /// Drops every retained table (outstanding shared_ptrs stay valid).
-  void clear();
-
  private:
   struct Key {
     std::uint64_t fingerprint;   // anycast::fingerprint(deployment)
     std::uint64_t salt;          // RoutingOptions::tiebreak_salt
-    std::uint64_t jitter_bits;   // bit pattern of epoch_jitter_rate
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept;
   };
-  struct Entry {
-    std::shared_ptr<const RoutingTable> table;
-    std::size_t bytes = 0;
-    std::list<Key>::iterator lru;  // position in lru_ (front = hottest)
-  };
-
-  /// Evicts LRU entries until within the cap; requires mutex_ held.
-  void enforce_limit_locked() const;
 
   const topology::Topology* topo_;
-  const std::size_t byte_limit_;
   mutable std::mutex mutex_;
-  mutable std::unordered_map<Key, Entry, KeyHash> entries_;
-  mutable std::list<Key> lru_;  // most recently used first
+  mutable std::unordered_map<Key, std::shared_ptr<const RoutingTable>, KeyHash>
+      entries_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-  mutable std::uint64_t evictions_ = 0;
   mutable std::size_t bytes_ = 0;
 };
 

@@ -85,18 +85,19 @@ struct AsRoutingState {
   bool multi_site() const;
 };
 
+/// Fraction of tied advertisement decisions that are re-rolled per
+/// epoch instead of following nearest-egress hot-potato. Models IGP
+/// re-weighting, maintenance, and TE changes between measurement dates
+/// — the mechanism behind the paper's 82.4% -> 87.8% block shift over
+/// one month (§5.5). Deterministic per salt.
+inline constexpr double kEpochJitterRate = 0.25;
+
 /// Knobs for a routing computation.
 struct RoutingOptions {
   /// Salt mixed into the tie-break hash. Different salts model different
   /// routing epochs: ASes with tied candidates may flip their canonical
   /// choice, reproducing the April-to-May catchment shift of §5.5.
   std::uint64_t tiebreak_salt = 0;
-  /// Fraction of tied advertisement decisions that are re-rolled per
-  /// epoch instead of following nearest-egress hot-potato. Models IGP
-  /// re-weighting, maintenance, and TE changes between measurement dates
-  /// — the mechanism behind the paper's 82.4% -> 87.8% block shift over
-  /// one month (§5.5). Deterministic per salt.
-  double epoch_jitter_rate = 0.25;
 };
 
 /// A [begin, end) index range into Topology::blocks() whose site answers
@@ -109,8 +110,8 @@ using BlockRange = std::pair<std::uint32_t, std::uint32_t>;
 /// unchanged per-AS states with their predecessor (`&a.state(as) ==
 /// &b.state(as)` for every AS whose routes did not change) and record
 /// delta provenance: the predecessor (`parent()`), the ASes whose final
-/// route changed, and the affected block ranges — what CatchmentResolver
-/// uses to rebuild only the invalidated slice of its block->site table.
+/// route changed, and the affected block ranges — what the playbook uses
+/// to re-score only the blocks a candidate configuration moved.
 class RoutingTable {
  public:
   /// Construction from hand-built per-AS states (test fixtures). The
@@ -171,8 +172,8 @@ class RoutingTable {
   std::span<const AsId> changed_ases() const { return changed_ases_; }
 
   /// Merged, sorted [begin, end) ranges into topology().blocks() owned
-  /// by the changed ASes — the slice of the block->site relation a
-  /// warm CatchmentResolver rebuild must recompute.
+  /// by the changed ASes — the only blocks whose site can differ from
+  /// parent()'s.
   std::span<const BlockRange> changed_block_ranges() const {
     return changed_block_ranges_;
   }

@@ -338,8 +338,7 @@ class Kernel {
           options_.tiebreak_salt,
           util::hash_combine(sender_node.asn.value,
                              topo_.as_at(receiver).asn.value));
-      if (static_cast<double>(jitter >> 11) * 0x1.0p-53 <
-          options_.epoch_jitter_rate) {
+      if (static_cast<double>(jitter >> 11) * 0x1.0p-53 < kEpochJitterRate) {
         chosen = &fl[util::mix64(jitter) % fl.size()];
       }
     }

@@ -53,16 +53,15 @@ LoadModel::LoadModel(const topology::Topology& topo,
     const std::uint64_t h = util::hash_combine(
         util::hash_combine(membership_seed, 0xd05), info.block.index());
     const bool responsive = responsiveness.ever_responds(info.block);
-    const double p = config.querying_rate_responsive *
-                     (responsive ? 1.0 : config.nonresponsive_factor);
+    const double p =
+        kQueryingRateResponsive * (responsive ? 1.0 : kNonresponsiveFactor);
     if (to_unit(h) >= p) continue;
 
     util::Rng rng{util::hash_combine(
         util::hash_combine(config.seed, h), 0x10ad)};
-    double volume = rng.pareto(1.0, config.pareto_alpha);
-    if (rng.chance(config.hotspot_rate))
-      volume *= config.hotspot_multiplier;
-    if (!responsive) volume *= config.nonresponsive_volume_multiplier;
+    double volume = rng.pareto(1.0, kParetoAlpha);
+    if (rng.chance(kHotspotRate)) volume *= kHotspotMultiplier;
+    if (!responsive) volume *= kNonresponsiveVolumeMultiplier;
     // The record is a temporary: keep the country code itself, not a
     // view into it.
     const geo::GeoRecord record =
@@ -71,19 +70,19 @@ LoadModel::LoadModel(const topology::Topology& topo,
     // geolocation keep multiplier 1.
     volume *= country_volume_multiplier(config.profile,
                                         std::string_view{record.country, 2});
-    volume = std::min(volume, config.max_block_multiple);
+    volume = std::min(volume, kMaxBlockMultiple);
 
     BlockLoad load;
     load.block = info.block;
     load.daily_queries = volume;
     load.good_fraction = static_cast<float>(
-        std::clamp(rng.normal(config.good_reply_mean, 0.15), 0.02, 0.98));
+        std::clamp(rng.normal(kGoodReplyMean, 0.15), 0.02, 0.98));
     raw_total += volume;
     blocks_.push_back(load);
   }
-  // Normalize so the mean per-block volume matches the configured target.
+  // Normalize so the mean per-block volume is kMeanDailyPerBlock.
   const double target_total =
-      config.mean_daily_per_block * static_cast<double>(blocks_.size());
+      kMeanDailyPerBlock * static_cast<double>(blocks_.size());
   const double factor = raw_total > 0 ? target_total / raw_total : 0.0;
   index_.reserve(blocks_.size() * 2);
   for (std::uint32_t i = 0; i < blocks_.size(); ++i) {

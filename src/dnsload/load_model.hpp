@@ -35,6 +35,33 @@ enum class LoadProfile {
   kNlLike,    // Europe/Netherlands-concentrated ccTLD (.nl)
 };
 
+/// Probability that a ping-responsive block runs a resolver that
+/// queries this service.
+inline constexpr double kQueryingRateResponsive = 0.40;
+/// Multiplier on that probability for ping-unresponsive blocks.
+inline constexpr double kNonresponsiveFactor = 0.08;
+/// Volume multiplier for querying blocks that are ping-unresponsive:
+/// ICMP-filtering networks are often large NATted ISPs whose resolvers
+/// serve many users, which is why the paper's unmappable 12.9% of
+/// blocks carry 17.6% of queries (Table 5).
+inline constexpr double kNonresponsiveVolumeMultiplier = 3.5;
+/// Pareto shape of per-block daily volume (heavy tail).
+inline constexpr double kParetoAlpha = 1.2;
+/// Fraction of querying blocks that are major-resolver hotspots, and
+/// their volume multiplier.
+inline constexpr double kHotspotRate = 0.004;
+inline constexpr double kHotspotMultiplier = 60.0;
+/// Cap on a single block's volume, as a multiple of the mean block.
+/// Stops the pareto x hotspot x regional product from minting a block
+/// that alone carries percents of the service's traffic.
+inline constexpr double kMaxBlockMultiple = 400.0;
+/// Average daily queries per querying block after normalization
+/// (B-Root 2017: ~2.2G/day over ~1.39M blocks ~ 1580 q/day/block).
+inline constexpr double kMeanDailyPerBlock = 1580.0;
+/// Mean fraction of queries that yield "good" replies (the root sees
+/// mostly junk names; §3.2 separates good replies from all replies).
+inline constexpr double kGoodReplyMean = 0.45;
+
 struct LoadConfig {
   std::uint64_t seed = 31;
   /// Seed for *which* blocks query. Defaults to `seed`; give two models
@@ -43,32 +70,6 @@ struct LoadConfig {
   /// resolvers mostly does not).
   std::uint64_t membership_seed = 0;  // 0 = use `seed`
   LoadProfile profile = LoadProfile::kRootLike;
-  /// Probability that a ping-responsive block runs a resolver that
-  /// queries this service.
-  double querying_rate_responsive = 0.40;
-  /// Multiplier on that probability for ping-unresponsive blocks.
-  double nonresponsive_factor = 0.08;
-  /// Volume multiplier for querying blocks that are ping-unresponsive:
-  /// ICMP-filtering networks are often large NATted ISPs whose resolvers
-  /// serve many users, which is why the paper's unmappable 12.9% of
-  /// blocks carry 17.6% of queries (Table 5).
-  double nonresponsive_volume_multiplier = 3.5;
-  /// Pareto shape of per-block daily volume (heavy tail).
-  double pareto_alpha = 1.2;
-  /// Fraction of querying blocks that are major-resolver hotspots, and
-  /// their volume multiplier.
-  double hotspot_rate = 0.004;
-  double hotspot_multiplier = 60.0;
-  /// Cap on a single block's volume, as a multiple of the mean block.
-  /// Stops the pareto x hotspot x regional product from minting a block
-  /// that alone carries percents of the service's traffic.
-  double max_block_multiple = 400.0;
-  /// Average daily queries per querying block after normalization
-  /// (B-Root 2017: ~2.2G/day over ~1.39M blocks ~ 1580 q/day/block).
-  double mean_daily_per_block = 1580.0;
-  /// Mean fraction of queries that yield "good" replies (the root sees
-  /// mostly junk names; §3.2 separates good replies from all replies).
-  double good_reply_mean = 0.45;
 };
 
 /// Load record for one querying block.

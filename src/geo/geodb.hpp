@@ -109,8 +109,6 @@ class GeoBinner {
   /// nearest world center).
   std::vector<std::pair<Continent, std::vector<double>>> by_continent() const;
 
-  std::size_t category_count() const { return category_count_; }
-
  private:
   struct BinKey {
     std::int32_t packed;

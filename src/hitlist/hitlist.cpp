@@ -22,10 +22,10 @@ std::optional<Entry> make_entry(const topology::BlockInfo& info,
                                 const HitlistConfig& config) {
   const std::uint64_t h = util::hash_combine(
       util::hash_combine(config.seed, 0xb10c), info.block.index());
-  if (to_unit(h) < config.missing_block_rate) return std::nullopt;
+  if (to_unit(h) < kMissingBlockRate) return std::nullopt;
   std::uint8_t host = responsiveness.responsive_host(info.block);
   const std::uint64_t h2 = util::hash_combine(h, 0x57a1e);
-  if (to_unit(h2) < config.stale_entry_rate) {
+  if (to_unit(h2) < kStaleEntryRate) {
     // Stale entry: the census-era host is gone; point somewhere else.
     host = static_cast<std::uint8_t>(1 + (host + 1 + h2 % 248) % 250);
   }

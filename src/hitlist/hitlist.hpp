@@ -21,13 +21,14 @@
 
 namespace vp::hitlist {
 
+/// Fraction of entries pointing at a stale (wrong) host address.
+inline constexpr double kStaleEntryRate = 0.07;
+/// Fraction of allocated blocks missing from the hitlist entirely
+/// (never observed by the historical censuses that feed it).
+inline constexpr double kMissingBlockRate = 0.02;
+
 struct HitlistConfig {
   std::uint64_t seed = 23;
-  /// Fraction of entries pointing at a stale (wrong) host address.
-  double stale_entry_rate = 0.07;
-  /// Fraction of allocated blocks missing from the hitlist entirely
-  /// (never observed by the historical censuses that feed it).
-  double missing_block_rate = 0.02;
 };
 
 /// One hitlist entry: the representative address to probe for a block.

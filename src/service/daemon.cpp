@@ -101,7 +101,7 @@ Daemon::Daemon(const analysis::Scenario& scenario,
   // source of truth shared with `vpctl campaign`, which is what makes a
   // daemon journal and a batch journal interchangeable.
   const std::uint32_t manifest_rounds =
-      config_.rounds > 0 ? config_.rounds : config_.max_rounds;
+      config_.rounds > 0 ? config_.rounds : kMaxRounds;
   campaign_.probe(config_.probe)
       .rounds(manifest_rounds)
       .interval(config_.sim_interval)
@@ -133,7 +133,7 @@ bool Daemon::run_rounds() {
   if (!config_.journal_path.empty()) {
     const core::JournalManifest manifest{
         campaign_.fingerprint(),
-        config_.rounds > 0 ? config_.rounds : config_.max_rounds};
+        config_.rounds > 0 ? config_.rounds : kMaxRounds};
     auto opened =
         journal_.open(config_.journal_path, manifest, config_.resume);
     {
@@ -168,7 +168,7 @@ bool Daemon::run_rounds() {
   }
 
   const std::uint32_t limit =
-      config_.rounds > 0 ? config_.rounds : config_.max_rounds;
+      config_.rounds > 0 ? config_.rounds : kMaxRounds;
   bool first = true;
   for (std::uint32_t round = next; round < limit; ++round) {
     if (!first && config_.cadence_ms > 0 && !sleep_ms(config_.cadence_ms))
@@ -349,7 +349,7 @@ void Daemon::publish(std::uint32_t round, core::RoundResult result,
     const double prior_mean = drift_mean_;
     const double prior_std =
         drift_n_ > 1 ? std::sqrt(drift_m2_ / (drift_n_ - 1)) : 0.0;
-    report.alarm = moved > config_.drift_alarm_fraction &&
+    report.alarm = moved > kDriftAlarmFraction &&
                    (drift_n_ == 0 || moved > prior_mean + 4 * prior_std);
     drift_n_ += 1;
     const double delta = moved - drift_mean_;

@@ -118,15 +118,19 @@ struct DriftReport {
   bool alarm = false;
 };
 
+/// Journal manifest round cap in continuous mode (rounds == 0); part of
+/// the fingerprint, so resuming requires the same cap.
+inline constexpr std::uint32_t kMaxRounds = 1u << 20;
+/// Absolute moved-fraction floor for the drift alarm.
+inline constexpr double kDriftAlarmFraction = 0.05;
+
 struct DaemonConfig {
   /// Base probe configuration; round r runs exactly as vpctl campaign's
   /// round r (measurement id base + r, per-round order seed).
   core::ProbeConfig probe;
-  /// Measurement rounds to run before the loop parks (0 = until stop).
+  /// Measurement rounds to run before the loop parks (0 = until stop,
+  /// journaled under the kMaxRounds cap).
   std::uint32_t rounds = 0;
-  /// Journal manifest round cap when rounds == 0 (continuous mode); part
-  /// of the fingerprint, so resuming requires the same cap.
-  std::uint32_t max_rounds = 1u << 20;
   /// Simulated spacing between rounds (the campaign policy knob).
   util::SimTime sim_interval = util::SimTime::from_minutes(15);
   /// Wall-clock spacing between round *starts* (0 = back to back).
@@ -145,8 +149,6 @@ struct DaemonConfig {
   /// Age beyond which a Fresh map is reported Stale (0 = derive as
   /// 3 x cadence_ms; if cadence is also 0, age alone never stales).
   double stale_after_ms = 0.0;
-  /// Absolute moved-fraction floor for the drift alarm.
-  double drift_alarm_fraction = 0.05;
   /// Crash-safe journal path ("" = journaling disabled).
   std::string journal_path;
   /// Attempt journal resume on startup (ignored without a journal path).

@@ -1,6 +1,5 @@
 #include "sim/flips.hpp"
 
-#include <bit>
 #include <memory>
 
 #include "bgp/catchment_resolver.hpp"
@@ -38,29 +37,17 @@ bool FlipModel::is_flappy(const bgp::RoutingTable& routes,
   const bgp::AsRoutingState& state = routes.state(info->as_id);
   if (!state.reachable() || !state.multi_site()) return false;
   const topology::AsNode& node = routes.topology().as_at(info->as_id);
-  const double rate = (node.load_balanced
-                           ? config_.flappy_rate_load_balanced
-                           : config_.flappy_rate_background) *
-                      node.flap_scale;
+  const double rate =
+      (node.load_balanced ? kFlappyRateLoadBalanced : kFlappyRateBackground) *
+      node.flap_scale;
   return to_unit(util::hash_combine(
              util::hash_combine(config_.seed, 0xf1a9), block.index())) <
          rate;
 }
 
-namespace {
-std::uint64_t signature_of(const FlipConfig& config) {
-  std::uint64_t h = util::hash_combine(util::mix64(0xf11b), config.seed);
-  h = util::hash_combine(
-      h, std::bit_cast<std::uint64_t>(config.flappy_rate_load_balanced));
-  h = util::hash_combine(
-      h, std::bit_cast<std::uint64_t>(config.flappy_rate_background));
-  return h;
-}
-}  // namespace
-
 FlipModel::FlipModel(const FlipConfig& config)
     : config_(config),
-      flap_signature_(signature_of(config)),
+      flap_signature_(util::hash_combine(util::mix64(0xf11b), config.seed)),
       transient_seed_(util::hash_combine(config.seed, 0x7a4e)) {}
 
 const bgp::CatchmentResolver* FlipModel::resolver_for(
@@ -68,23 +55,9 @@ const bgp::CatchmentResolver* FlipModel::resolver_for(
   const bgp::CatchmentResolver* resolver = routes.catchment_resolver();
   if (resolver == nullptr) {
     resolver = &routes.build_catchment_resolver([&] {
-      const auto flappy = [&](const net::Block24& b) {
-        return is_flappy(routes, b);
-      };
-      // Delta-derived tables invalidate incrementally: if the parent table
-      // already built a resolver under the same flip signature, only the
-      // blocks of ASes whose route actually changed are recomputed.
-      if (const auto parent_table = routes.parent()) {
-        if (const bgp::CatchmentResolver* parent =
-                parent_table->catchment_resolver();
-            parent != nullptr && parent->flip_signature() == flap_signature_) {
-          return std::make_unique<const bgp::CatchmentResolver>(
-              routes, flap_signature_, flappy, *parent,
-              routes.changed_block_ranges());
-        }
-      }
       return std::make_unique<const bgp::CatchmentResolver>(
-          routes, flap_signature_, flappy);
+          routes, flap_signature_,
+          [&](const net::Block24& b) { return is_flappy(routes, b); });
     });
   }
   return resolver->flip_signature() == flap_signature_ ? resolver : nullptr;

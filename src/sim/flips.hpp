@@ -31,14 +31,14 @@ struct ResolveTally {
   std::uint64_t misses = 0;
 };
 
+/// Fraction of blocks within a load-balanced, multi-site AS that are
+/// persistently flappy (re-rolled each round).
+inline constexpr double kFlappyRateLoadBalanced = 0.010;
+/// Same, for ASes that are multi-site-tied but not flagged load-balanced.
+inline constexpr double kFlappyRateBackground = 0.0008;
+
 struct FlipConfig {
   std::uint64_t seed = 11;
-  /// Fraction of blocks within a load-balanced, multi-site AS that are
-  /// persistently flappy (re-rolled each round).
-  double flappy_rate_load_balanced = 0.010;
-  /// Same, for ASes that are multi-site-tied but not flagged
-  /// load-balanced.
-  double flappy_rate_background = 0.0008;
   /// Per-(block, round) probability of a transient routing event sending
   /// the block to a different site for just that round — the long "Other"
   /// tail of Table 7: thousands of ASes with one or two flips each.
@@ -77,10 +77,10 @@ class FlipModel {
   /// Whether the block belongs to the flappy population under `routes`.
   bool is_flappy(const bgp::RoutingTable& routes, net::Block24 block) const;
 
-  /// Hash of the flip configuration that shapes the flappy bitset (seed
-  /// and the two flappy rates; transient_rate stays out because transient
-  /// events are rolled per probe, never baked into the resolver).
-  /// Computed once, at construction.
+  /// Hash of the flip configuration that shapes the flappy bitset (the
+  /// seed; transient_rate stays out because transient events are rolled
+  /// per probe, never baked into the resolver). Computed once, at
+  /// construction.
   std::uint64_t flap_signature() const { return flap_signature_; }
 
   /// The routing table's catchment resolver for this flip configuration,

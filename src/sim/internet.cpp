@@ -134,9 +134,9 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
   for (std::uint8_t copy = 0; copy < behavior.copies; ++copy) {
     util::Rng rng{util::hash_combine(util::hash_combine(jitter_key, copy),
                                      block.index())};
-    double delay_ms = path_ms + rng.exponential(config_.mean_queue_delay_ms);
+    double delay_ms = path_ms + rng.exponential(kMeanQueueDelayMs);
     if (behavior.late && copy == 0)
-      delay_ms += config_.late_extra_minutes * 60.0 * 1000.0;
+      delay_ms += kLateExtraMinutes * 60.0 * 1000.0;
     out.push_back(DeliveryView{
         site, tx_time + util::SimTime::from_seconds(delay_ms / 1000.0)});
   }

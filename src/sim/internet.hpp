@@ -34,13 +34,14 @@
 
 namespace vp::sim {
 
+/// Mean of the random queuing component added to propagation delay.
+inline constexpr double kMeanQueueDelayMs = 12.0;
+/// Extra delay (beyond the cutoff) for "late" replies.
+inline constexpr double kLateExtraMinutes = 20.0;
+
 struct InternetConfig {
   ResponsivenessConfig responsiveness;
   FlipConfig flips;
-  /// Mean of the random queuing component added to propagation delay.
-  double mean_queue_delay_ms = 12.0;
-  /// Extra delay (beyond the cutoff) for "late" replies.
-  double late_extra_minutes = 20.0;
 };
 
 /// A reply arriving at one anycast site's collector. All deliveries of one

@@ -24,7 +24,7 @@ std::uint64_t ResponsivenessModel::block_hash(net::Block24 block,
 }
 
 bool ResponsivenessModel::ever_responds(net::Block24 block) const {
-  double rate = config_.base_responsive_rate;
+  double rate = kBaseResponsiveRate;
   if (const auto* info = topo_->block_info(block)) {
     rate *= topo_->as_at(info->as_id).icmp_response_scale;
   } else {
@@ -38,7 +38,7 @@ bool ResponsivenessModel::responds_in_round(net::Block24 block,
   if (!ever_responds(block)) return false;
   const std::uint64_t h =
       util::hash_combine(block_hash(block, /*stream=*/2), round);
-  return to_unit(h) >= config_.round_down_rate;
+  return to_unit(h) >= kRoundDownRate;
 }
 
 ReplyBehavior ResponsivenessModel::behavior(net::Block24 block,
@@ -50,13 +50,13 @@ ReplyBehavior ResponsivenessModel::behavior(net::Block24 block,
       util::hash_combine(block_hash(block, /*stream=*/3), round);
   // Slice independent uniforms out of one hash chain.
   util::Rng rng{h};
-  if (rng.chance(config_.heavy_duplicate_rate)) {
+  if (rng.chance(kHeavyDuplicateRate)) {
     out.copies = static_cast<std::uint8_t>(8 + rng.below(56));
-  } else if (rng.chance(config_.duplicate_rate)) {
+  } else if (rng.chance(kDuplicateRate)) {
     out.copies = 2;
   }
-  out.alias = rng.chance(config_.alias_rate);
-  out.late = rng.chance(config_.late_rate);
+  out.alias = rng.chance(kAliasRate);
+  out.late = rng.chance(kLateRate);
   return out;
 }
 
@@ -71,7 +71,7 @@ bool ResponsivenessModel::is_live_host(net::Block24 block,
   if (host == responsive_host(block)) return true;
   const std::uint64_t h =
       util::hash_combine(block_hash(block, /*stream=*/5), host);
-  return to_unit(h) < config_.secondary_live_rate;
+  return to_unit(h) < kSecondaryLiveRate;
 }
 
 }  // namespace vp::sim

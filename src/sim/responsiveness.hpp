@@ -27,25 +27,26 @@
 
 namespace vp::sim {
 
+/// Probability a block's representative host ever answers pings (before
+/// the per-AS icmp_response_scale multiplier).
+inline constexpr double kBaseResponsiveRate = 0.68;
+/// Probability that an otherwise-responsive block is down in a round.
+inline constexpr double kRoundDownRate = 0.024;
+/// Probability a reply is sent twice.
+inline constexpr double kDuplicateRate = 0.02;
+/// Probability a reply is sent many times (tens; "in some cases up to
+/// thousands" — we cap the tail for runtime sanity).
+inline constexpr double kHeavyDuplicateRate = 0.0002;
+/// Probability a host replies from a different address than probed.
+inline constexpr double kAliasRate = 0.012;
+/// Probability the (single) reply arrives after the late cutoff.
+inline constexpr double kLateRate = 0.003;
+/// Probability that any given non-representative host offset is also
+/// alive (a stale hitlist target may hit one).
+inline constexpr double kSecondaryLiveRate = 0.12;
+
 struct ResponsivenessConfig {
   std::uint64_t seed = 7;
-  /// Probability a block's representative host ever answers pings (before
-  /// the per-AS icmp_response_scale multiplier).
-  double base_responsive_rate = 0.68;
-  /// Probability that an otherwise-responsive block is down in a round.
-  double round_down_rate = 0.024;
-  /// Probability a reply is sent twice.
-  double duplicate_rate = 0.02;
-  /// Probability a reply is sent many times (tens; "in some cases up to
-  /// thousands" — we cap the tail for runtime sanity).
-  double heavy_duplicate_rate = 0.0002;
-  /// Probability a host replies from a different address than probed.
-  double alias_rate = 0.012;
-  /// Probability the (single) reply arrives after the late cutoff.
-  double late_rate = 0.003;
-  /// Probability that any given non-representative host offset is also
-  /// alive (a stale hitlist target may hit one).
-  double secondary_live_rate = 0.12;
 };
 
 /// How one probe of one block in one round behaves.

@@ -19,6 +19,14 @@
 
 namespace vp::topology::gen {
 
+/// Fraction of blocks deliberately left out of the geolocation db
+/// (mirrors the 678 unlocatable blocks of Table 4).
+inline constexpr double kUngeolocatableRate = 0.0002;
+
+/// Fraction of regional ASes with load-balanced multipath that sprays
+/// across ties (candidate catchment flippers beyond the named giants).
+inline constexpr double kLoadBalancedRate = 0.02;
+
 // ---------------------------------------------------------------------------
 // Address space allocation
 // ---------------------------------------------------------------------------
@@ -35,8 +43,6 @@ class BlockAllocator {
     next_ = base + count;
     return net::Prefix{net::Ipv4Address{base << 8}, length};
   }
-
-  std::uint32_t allocated_blocks() const { return next_ - kFirstBlock; }
 
  private:
   // Reserved /8s we never allocate from: 0, 10, 127, and 224+ (multicast).

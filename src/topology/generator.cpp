@@ -26,6 +26,9 @@ using gen::jitter;
 using gen::make_pops;
 using gen::sample_distinct;
 
+/// Number of tier-1 transit ASes (fully meshed peer clique).
+constexpr std::uint32_t kTransitCount = 12;
+
 /// Closest pair of PoPs between two ASes, for link attachment points.
 std::pair<std::uint16_t, std::uint16_t> closest_pops(const AsNode& a,
                                                      const AsNode& b) {
@@ -104,7 +107,6 @@ struct SpecialAsSpec {
   bool load_balanced = false;
   double icmp_response_scale = 1.0;
   int provider_count = 2;
-  bool is_giant = false;  // only generated when include_giants
   double flap_scale = 1.0;
 };
 
@@ -116,45 +118,44 @@ std::vector<SpecialAsSpec> special_specs() {
       // announcement as a short customer route — the reason ~80% of
       // blocks go to LAX in the paper's Table 6.
       {226, "LOS-NETTOS", AsTier::kRegional, {"Los Angeles", "Washington"},
-       {16, 19, 22}, false, 1.0, 10, false},
+       {16, 19, 22}, false, 1.0, 10},
       {20080, "AMPATH", AsTier::kRegional,
        {"Miami", "Sao Paulo", "Buenos Aires"},
-       {16, 18, 20}, false, 1.0, 2, false},
+       {16, 18, 20}, false, 1.0, 2},
       {20473, "VULTR", AsTier::kTransit,
        {"Sydney", "Paris", "London", "Tokyo", "New York", "Amsterdam",
         "Singapore"},
-       {15, 17, 19, 21, 22}, false, 1.0, 2, false},
-      {2500, "WIDE", AsTier::kRegional, {"Tokyo"}, {17, 20}, false, 1.0, 1,
-       false},
+       {15, 17, 19, 21, 22}, false, 1.0, 2},
+      {2500, "WIDE", AsTier::kRegional, {"Tokyo"}, {17, 20}, false, 1.0, 1},
       {1103, "SURFNET", AsTier::kRegional, {"Amsterdam", "Enschede"},
-       {16, 19}, false, 1.0, 2, false},
+       {16, 19}, false, 1.0, 2},
       {1972, "USC-ISI-E", AsTier::kRegional, {"Washington"}, {18, 21}, false,
-       1.0, 2, false},
+       1.0, 2},
       {1251, "ANSP", AsTier::kRegional, {"Sao Paulo", "Rio de Janeiro"},
-       {17, 20}, false, 1.0, 2, false},
+       {17, 20}, false, 1.0, 2},
       {39839, "DK-HOSTMASTER", AsTier::kRegional, {"Copenhagen"}, {19, 22},
-       false, 1.0, 2, false},
+       false, 1.0, 2},
       // Table 7 flip-heavy giants -----------------------------------------
       {4134, "CHINANET", AsTier::kRegional,
        {"Beijing", "Shanghai", "Guangzhou", "Chengdu"},
        {11, 13, 13, 15, 16, 17, 18, 18, 19, 20, 20, 21, 22, 23, 24},
-       true, 0.85, 3, true, 2.5},
+       true, 0.85, 3, 2.5},
       {7922, "COMCAST", AsTier::kRegional,
        {"New York", "Chicago", "Dallas", "Seattle", "Miami"},
-       {12, 14, 16, 17, 19, 20, 21, 22}, true, 1.0, 3, true, 0.5},
+       {12, 14, 16, 17, 19, 20, 21, 22}, true, 1.0, 3, 0.5},
       {6983, "ITCDELTA", AsTier::kRegional, {"Washington", "Miami"},
-       {15, 18, 20, 22}, true, 1.0, 2, true, 0.5},
+       {15, 18, 20, 22}, true, 1.0, 2, 0.5},
       {6739, "ONO-AS", AsTier::kRegional, {"Madrid"}, {15, 18, 21}, true,
-       1.0, 2, true, 0.6},
+       1.0, 2, 0.6},
       {37963, "ALIBABA", AsTier::kRegional, {"Shanghai", "Beijing"},
-       {14, 17, 19, 21}, true, 0.9, 2, true, 0.5},
+       {14, 17, 19, 21}, true, 0.9, 2, 0.5},
       // ICMP-culture outliers (drive the unmappable hotspots of Fig. 4a) --
       {4766, "KORNET", AsTier::kRegional, {"Seoul"},
-       {12, 14, 16, 18, 20}, false, 0.18, 3, true},
+       {12, 14, 16, 18, 20}, false, 0.18, 3},
       {4713, "NTT-OCN", AsTier::kRegional, {"Tokyo", "Osaka"},
-       {13, 15, 17, 20}, false, 0.55, 3, true},
+       {13, 15, 17, 20}, false, 0.55, 3},
       {9829, "BSNL-IN", AsTier::kRegional, {"Mumbai", "Delhi", "Bangalore"},
-       {13, 15, 17, 19, 21}, false, 0.7, 2, true},
+       {13, 15, 17, 19, 21}, false, 0.7, 2},
   };
 }
 
@@ -204,7 +205,7 @@ class Generator {
         if (node.pops.size() > 1 && rng_.chance(0.05))
           pop = static_cast<std::uint16_t>(rng_.below(node.pops.size()));
         topo_.add_block(block, id, pop, prefix_index);
-        if (!rng_.chance(config_.ungeolocatable_rate)) {
+        if (!rng_.chance(gen::kUngeolocatableRate)) {
           const Pop& p = node.pops[pop];
           const PopulationCenter& c = centers[p.center_id];
           geo::GeoRecord rec;
@@ -221,7 +222,7 @@ class Generator {
   }
 
   void make_transits() {
-    for (std::uint32_t i = 0; i < config_.transit_count; ++i) {
+    for (std::uint32_t i = 0; i < kTransitCount; ++i) {
       static constexpr std::uint32_t kTier1Asns[] = {
           174,  701,  1299, 2914, 3257, 3320, 3356, 3491,
           5511, 6453, 6762, 7018, 6939, 1239, 3549, 2828};
@@ -290,7 +291,6 @@ class Generator {
 
   void make_specials() {
     for (const SpecialAsSpec& spec : special_specs()) {
-      if (spec.is_giant && !config_.include_giants) continue;
       AsNode node;
       node.asn = AsNumber{spec.asn};
       node.tier = spec.tier;
@@ -420,7 +420,7 @@ class Generator {
       node.tier = AsTier::kRegional;
       const std::uint16_t home = block_sampler_.sample(rng_);
       node.name = "REG-" + std::to_string(node.asn.value);
-      node.load_balanced = rng_.chance(config_.load_balanced_regional_rate);
+      node.load_balanced = rng_.chance(gen::kLoadBalancedRate);
       // 1-5 PoPs: home plus nearby centers on the same continent.
       std::vector<std::uint16_t> centers{home};
       const auto world = geo::world_centers();

@@ -28,25 +28,10 @@ struct TopologyConfig {
   std::uint64_t seed = 42;
 
   /// Approximate number of /24 blocks in the generated Internet. The
-  /// generator fills categories in order (giants, transits, specials,
-  /// regionals, then stubs) and stops adding stubs once the target is
-  /// reached, so the result lands within a few percent of this value.
+  /// generator fills categories in order (transits, specials, regionals,
+  /// then stubs) and stops adding stubs once the target is reached, so
+  /// the result lands within a few percent of this value.
   std::uint32_t target_blocks = 120'000;
-
-  /// Number of tier-1 transit ASes (fully meshed peer clique).
-  std::uint32_t transit_count = 12;
-
-  /// Include the giant named ASes (Chinanet, Comcast, ...). Disabled by
-  /// some unit tests that want a tiny, fully hand-checkable topology.
-  bool include_giants = true;
-
-  /// Fraction of blocks deliberately left out of the geolocation db
-  /// (mirrors the 678 unlocatable blocks of Table 4).
-  double ungeolocatable_rate = 0.0002;
-
-  /// Fraction of generated regional ASes with load-balanced multipath
-  /// (candidate catchment flippers beyond the named giants).
-  double load_balanced_regional_rate = 0.02;
 
   /// Returns a config whose size is `factor` × the default 120k blocks.
   static TopologyConfig scaled(double factor);

@@ -33,6 +33,11 @@ constexpr std::uint64_t kFlagTag = 0x466c6167;   // "Flag"
 constexpr std::uint64_t kBlockTag = 0x426c6f63;  // "Bloc"
 constexpr std::uint64_t kGeoTag = 0x47656f52;    // "GeoR"
 
+/// Share of non-transit ASes that are regional providers.
+constexpr double kRegionalFraction = 0.12;
+/// Chance a regional buys from a lower-id regional.
+constexpr double kSecondTierRate = 0.30;
+
 constexpr double to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
@@ -136,7 +141,7 @@ struct ScaleGenerator::Impl {
     const std::uint32_t rest = n_total - n_transit;
     n_regional = std::min<std::uint32_t>(
         rest, static_cast<std::uint32_t>(
-                  std::llround(cfg.regional_fraction * rest)));
+                  std::llround(kRegionalFraction * rest)));
     n_stub = rest - n_regional;
 
     // Address budget split by tier; empty tiers hand their share down.
@@ -299,7 +304,7 @@ AsPlan ScaleGenerator::Impl::plan_as(AsId v) const {
         // prepending shift load gradually (§6.1). Lower-id-only keeps the
         // provider DAG acyclic, and low-id regionals never do this, so
         // every chain bottoms out at a transit.
-        if (lower_regionals >= 8 && rng.chance(cfg.second_tier_rate))
+        if (lower_regionals >= 8 && rng.chance(kSecondTierRate))
           chosen.front() =
               n_transit + static_cast<AsId>(rng.below(lower_regionals));
         for (const AsId c : chosen) {
@@ -380,7 +385,7 @@ AsPlan ScaleGenerator::Impl::plan_as(AsId v) const {
         p.node.multipath = rng.chance(0.5);
         break;
       case AsTier::kRegional:
-        p.node.load_balanced = rng.chance(cfg.load_balanced_rate);
+        p.node.load_balanced = rng.chance(gen::kLoadBalancedRate);
         p.node.multipath =
             p.node.load_balanced ||
             rng.chance(std::min(
@@ -523,7 +528,7 @@ Topology ScaleGenerator::generate() const {
                            BlockInfo{block, static_cast<AsId>(v), pop,
                                      pfx.prefix_index});
             const std::uint64_t g = im.key(kGeoTag, block.index());
-            if (to_unit(g) >= im.cfg.ungeolocatable_rate) {
+            if (to_unit(g) >= gen::kUngeolocatableRate) {
               const Pop& at = node.pops[pop];
               const PopulationCenter& c = centers[at.center_id];
               Rng jitter_rng{hash_combine(g, 1)};

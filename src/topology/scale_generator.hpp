@@ -34,13 +34,8 @@ struct ScaleConfig {
   std::uint32_t as_count = 10'000;
   std::uint32_t target_blocks = 130'000;  // ~13 blocks/AS, paper-like ratio
   std::uint32_t transit_count = 16;       // tier-1 clique size
-  double regional_fraction = 0.12;   // share of non-transit ASes that are
-                                     // regional providers
   double multihoming_mean = 0.35;    // mean extra providers per stub
   double peering_density = 0.15;     // chance a regional peers laterally
-  double second_tier_rate = 0.30;    // chance a regional buys from a regional
-  double load_balanced_rate = 0.02;  // regionals that spray across ties
-  double ungeolocatable_rate = 0.0002;
   std::uint32_t shard_size = 4096;  // ASes per shard (any value >= 1 yields
                                     // the same topology)
   unsigned threads = 0;             // 0 = hardware concurrency

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "geo/world.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
@@ -205,11 +206,23 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
   const auto block_count = r.get<std::uint64_t>();
   const auto geo_count = r.get<std::uint64_t>();
 
+  // The CRC and the digest only prove the bytes are self-consistent:
+  // anyone can recompute both. Every index is checked against the table
+  // it points into before the build API sees it.
+  const std::size_t centers = geo::world_centers().size();
+  const auto reject = [&error](const char* what) {
+    error = std::string{"topology image: "} + what + " out of range";
+    return false;
+  };
+
   Topology topo;
   for (std::uint64_t v = 0; v < as_count && r.ok; ++v) {
     AsNode node;
     node.asn = AsNumber{r.get<std::uint32_t>()};
-    node.tier = static_cast<AsTier>(r.get<std::uint8_t>());
+    const auto tier = r.get<std::uint8_t>();
+    if (tier > static_cast<std::uint8_t>(AsTier::kStub))
+      return reject("AS tier byte");
+    node.tier = static_cast<AsTier>(tier);
     node.load_balanced = r.get<std::uint8_t>() != 0;
     node.multipath = r.get<std::uint8_t>() != 0;
     node.name = r.get_str();
@@ -219,6 +232,7 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     for (std::uint16_t i = 0; i < pop_count && r.ok; ++i) {
       Pop pop;
       pop.center_id = r.get<std::uint16_t>();
+      if (pop.center_id >= centers) return reject("PoP center id");
       pop.location.lat = r.get_f64();
       pop.location.lon = r.get_f64();
       node.pops.push_back(pop);
@@ -228,7 +242,10 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     for (std::uint32_t i = 0; i < link_count && r.ok; ++i) {
       Link link;
       link.neighbor = r.get<AsId>();
-      link.rel = static_cast<Relationship>(r.get<std::uint8_t>());
+      const auto rel = r.get<std::uint8_t>();
+      if (rel > static_cast<std::uint8_t>(Relationship::kProvider))
+        return reject("link relationship byte");
+      link.rel = static_cast<Relationship>(rel);
       link.local_pop = r.get<std::uint16_t>();
       link.remote_pop = r.get<std::uint16_t>();
       link.local_pref_bonus = r.get<std::int8_t>();
@@ -238,10 +255,22 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     const AsId id = topo.add_as(std::move(node));
     topo.as_mutable(id).links = std::move(links);
   }
+  // A link may name an AS stored after it, so links are checked once
+  // every AS and its PoP count is known.
+  for (const AsNode& node : topo.ases()) {
+    for (const Link& link : node.links) {
+      if (link.neighbor >= topo.as_count()) return reject("link neighbor AS");
+      if (link.local_pop >= node.pops.size() ||
+          link.remote_pop >= topo.as_at(link.neighbor).pops.size())
+        return reject("link PoP");
+    }
+  }
   for (std::uint64_t i = 0; i < prefix_count && r.ok; ++i) {
     const auto base = r.get<std::uint32_t>();
     const auto len = r.get<std::uint8_t>();
     const auto origin = r.get<AsId>();
+    if (origin >= topo.as_count()) return reject("prefix origin AS");
+    if (len > 24) return reject("prefix length");
     topo.announce(origin, net::Prefix{net::Ipv4Address{base}, len});
   }
   for (std::uint64_t i = 0; i < block_count && r.ok; ++i) {
@@ -249,6 +278,10 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     const auto as_id = r.get<AsId>();
     const auto pop = r.get<std::uint16_t>();
     const auto prefix_index = r.get<std::uint32_t>();
+    if (as_id >= topo.as_count()) return reject("block AS");
+    if (pop >= topo.as_at(as_id).pops.size()) return reject("block PoP");
+    if (prefix_index >= topo.announced_prefixes().size())
+      return reject("block prefix index");
     topo.add_block(net::Block24{index}, as_id, pop, prefix_index);
   }
   for (std::uint64_t i = 0; i < geo_count && r.ok; ++i) {
@@ -257,10 +290,14 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     rec.location.lat = r.get_f64();
     rec.location.lon = r.get_f64();
     rec.center_id = r.get<std::uint16_t>();
+    if (rec.center_id >= centers) return reject("geo center id");
     rec.country[0] = r.get<char>();
     rec.country[1] = r.get<char>();
     rec.country[2] = '\0';
-    rec.continent = static_cast<geo::Continent>(r.get<std::uint8_t>());
+    const auto continent = r.get<std::uint8_t>();
+    if (continent > static_cast<std::uint8_t>(geo::Continent::kOceania))
+      return reject("geo continent byte");
+    rec.continent = static_cast<geo::Continent>(continent);
     topo.geodb_mutable().add(net::Block24{index}, rec);
   }
   if (!r.ok) {

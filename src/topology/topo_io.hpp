@@ -31,8 +31,10 @@ std::string serialize_topology(const Topology& topo);
 bool save_topology(const Topology& topo, const std::string& path);
 
 /// Rebuilds a topology from a serialized image. Returns false on a
-/// malformed image, CRC mismatch, or digest mismatch after the rebuild
-/// (`error` gets a one-line reason).
+/// malformed image, CRC mismatch, an index outside the table it points
+/// into (AS, PoP, prefix, population center, enum byte, or a prefix
+/// longer than /24), or digest mismatch after the rebuild (`error` gets
+/// a one-line reason).
 bool deserialize_topology(const std::string& bytes, Topology& out,
                           std::string& error);
 

@@ -100,7 +100,6 @@ void Topology::set_local_pref_bonus(AsId from, AsId to, std::int8_t bonus) {
 std::uint32_t Topology::announce(AsId as_id, net::Prefix prefix) {
   const auto index = static_cast<std::uint32_t>(prefixes_.size());
   prefixes_.push_back(AnnouncedPrefix{prefix, as_id});
-  trie_.insert(prefix, index);
   AsNode& node = ases_[as_id];
   if (node.prefix_count == 0) node.first_prefix = index;
   ++node.prefix_count;
@@ -143,7 +142,7 @@ std::size_t Topology::memory_bytes() const {
                       block_slots_.capacity() * sizeof(std::uint32_t) +
                       by_asn_.size() * (sizeof(std::uint32_t) + sizeof(AsId) +
                                         2 * sizeof(void*)) +
-                      trie_.memory_bytes() + geodb_.memory_bytes();
+                      geodb_.memory_bytes();
   for (const AsNode& node : ases_) {
     bytes += node.pops.capacity() * sizeof(Pop) +
              node.links.capacity() * sizeof(Link);

@@ -2,13 +2,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "geo/geodb.hpp"
-#include "net/prefix_trie.hpp"
 #include "topology/as_node.hpp"
 
 namespace vp::topology {
@@ -31,12 +29,6 @@ class Topology {
 
   /// Ownership record for a block; nullptr if the block is unallocated.
   const BlockInfo* block_info(net::Block24 block) const;
-
-  /// Longest-prefix-match against announced prefixes.
-  std::optional<std::pair<net::Prefix, std::uint32_t>> route_lookup(
-      net::Ipv4Address addr) const {
-    return trie_.lookup(addr);
-  }
 
   const geo::GeoDatabase& geodb() const { return geodb_; }
 
@@ -100,7 +92,6 @@ class Topology {
   // that dominated both lookup latency and memory at 6.4M blocks.
   std::uint32_t block_first_ = 0;
   std::vector<std::uint32_t> block_slots_;
-  net::PrefixTrie<std::uint32_t> trie_;  // prefix -> index in prefixes_
   geo::GeoDatabase geodb_;
 };
 

@@ -49,8 +49,7 @@ TEST_F(LoadTest, OnlyAMinorityOfBlocksQuery) {
 
 TEST_F(LoadTest, TotalsAreNormalized) {
   const double expected =
-      load().config().mean_daily_per_block *
-      static_cast<double>(load().blocks().size());
+      kMeanDailyPerBlock * static_cast<double>(load().blocks().size());
   EXPECT_NEAR(load().total_daily_queries(), expected, expected * 1e-9);
   EXPECT_GT(load().total_daily_good_replies(), 0.0);
   EXPECT_LT(load().total_daily_good_replies(), load().total_daily_queries());

@@ -12,13 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "geo/world.hpp"
 #include "hitlist/hitlist.hpp"
 #include "sim/internet.hpp"
 #include "topology/scale_generator.hpp"
 #include "topology/topo_io.hpp"
 #include "topology/topology.hpp"
+#include "util/atomic_file.hpp"
 
 namespace vp {
 namespace {
@@ -164,6 +168,165 @@ TEST(GeneratorDeterminism, CorruptImageIsRejected) {
   std::string error;
   EXPECT_FALSE(topology::deserialize_topology(bytes, restored, error));
   EXPECT_FALSE(error.empty());
+}
+
+// Forged images. The CRC and the structural digest can be recomputed from
+// the bytes, so the loader must check every index itself. Each case forges
+// one field of a valid image: on a Topology where the build API stores the
+// field verbatim (serialize_topology then writes a valid CRC and digest),
+// or, for a prefix's origin AS, in the bytes with the CRC re-framed.
+
+constexpr net::Block24 kForgedBlock{0x010000};  // 1.0.0.0/24
+
+/// AS 0: two PoPs, AS 1's provider. AS 1: one PoP; announces 1.0.0.0 as a
+/// /prefix_length and homes the geolocated block 1.0.0.0/24 under it.
+Topology forgeable(std::uint8_t prefix_length = 24) {
+  const auto centers = geo::world_centers();
+  Topology topo;
+  const auto add = [&](std::uint32_t asn, topology::AsTier tier,
+                       std::uint16_t pops) {
+    topology::AsNode node;
+    node.asn = topology::AsNumber{asn};
+    node.tier = tier;
+    node.name = "AS" + std::to_string(asn);
+    for (std::uint16_t c = 0; c < pops; ++c)
+      node.pops.push_back(topology::Pop{c, centers[c].location});
+    return topo.add_as(std::move(node));
+  };
+  const topology::AsId transit = add(64500, topology::AsTier::kTransit, 2);
+  const topology::AsId stub = add(64501, topology::AsTier::kStub, 1);
+  topo.link(stub, 0, transit, 1, topology::Relationship::kProvider);
+  const std::uint32_t prefix = topo.announce(
+      stub, net::Prefix{kForgedBlock.base_address(), prefix_length});
+  topo.add_block(kForgedBlock, stub, 0, prefix);
+  geo::GeoRecord rec;
+  rec.location = centers[0].location;
+  rec.continent = centers[0].continent;
+  topo.geodb_mutable().add(kForgedBlock, rec);
+  topo.seal();
+  return topo;
+}
+
+/// The loader's error for `bytes`, or "" if it accepted them.
+std::string load_error(const std::string& bytes) {
+  Topology restored;
+  std::string error;
+  return topology::deserialize_topology(bytes, restored, error) ? "" : error;
+}
+
+/// The error for forgeable() after `forge` edits it in place.
+template <typename Forge>
+std::string forged_error(Forge forge) {
+  Topology topo = forgeable();
+  forge(topo);
+  return load_error(topology::serialize_topology(topo));
+}
+
+void set_geo(Topology& topo, std::uint16_t center, std::uint8_t continent) {
+  geo::GeoRecord rec = *topo.geodb().lookup(kForgedBlock);
+  rec.center_id = center;
+  rec.continent = static_cast<geo::Continent>(continent);
+  topo.geodb_mutable().add(kForgedBlock, rec);
+}
+
+TEST(GeneratorDeterminism, ForgeableImageLoads) {
+  EXPECT_EQ(load_error(topology::serialize_topology(forgeable())), "");
+}
+
+TEST(GeneratorDeterminism, ForgedPrefixOriginIsRejected) {
+  // Image tail: prefix (base u32, length u8, origin u32), block (14
+  // bytes), geo record (25 bytes), CRC-32.
+  std::string bytes = topology::serialize_topology(forgeable());
+  const std::size_t origin_at = bytes.size() - 4 - 25 - 14 - 4;
+  std::uint32_t origin = 0;
+  std::memcpy(&origin, bytes.data() + origin_at, sizeof origin);
+  ASSERT_EQ(origin, 1u);
+  origin = 1000;
+  std::memcpy(bytes.data() + origin_at, &origin, sizeof origin);
+  const std::uint32_t crc = util::crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+  EXPECT_EQ(load_error(bytes),
+            "topology image: prefix origin AS out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedPrefixLengthIsRejected) {
+  EXPECT_EQ(load_error(topology::serialize_topology(forgeable(25))),
+            "topology image: prefix length out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedBlockAsIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.set_block(0, {kForgedBlock, 1000, 0, 0});
+            }),
+            "topology image: block AS out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedBlockPopIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.set_block(0, {kForgedBlock, 1, 9, 0});
+            }),
+            "topology image: block PoP out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedBlockPrefixIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.set_block(0, {kForgedBlock, 1, 0, 1});
+            }),
+            "topology image: block prefix index out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedLinkNeighborIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.as_mutable(1).links[0].neighbor = 2;
+            }),
+            "topology image: link neighbor AS out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedLinkPopIsRejected) {
+  // AS 1's link joins its only PoP to the provider's PoP 1 of 2: one
+  // past the end on either side is forged.
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.as_mutable(1).links[0].local_pop = 1;
+            }),
+            "topology image: link PoP out of range");
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.as_mutable(1).links[0].remote_pop = 2;
+            }),
+            "topology image: link PoP out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedPopCenterIsRejected) {
+  const auto centers = static_cast<std::uint16_t>(geo::world_centers().size());
+  EXPECT_EQ(forged_error([&](Topology& t) {
+              t.as_mutable(0).pops[1].center_id = centers;
+            }),
+            "topology image: PoP center id out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedGeoCenterIsRejected) {
+  const auto centers = static_cast<std::uint16_t>(geo::world_centers().size());
+  EXPECT_EQ(forged_error([&](Topology& t) { set_geo(t, centers, 0); }),
+            "topology image: geo center id out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedTierIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.as_mutable(1).tier = static_cast<topology::AsTier>(3);
+            }),
+            "topology image: AS tier byte out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedRelationshipIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.as_mutable(1).links[0].rel =
+                  static_cast<topology::Relationship>(3);
+            }),
+            "topology image: link relationship byte out of range");
+}
+
+TEST(GeneratorDeterminism, ForgedContinentIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) { set_geo(t, 0, 6); }),
+            "topology image: geo continent byte out of range");
 }
 
 }  // namespace

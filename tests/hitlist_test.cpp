@@ -66,7 +66,7 @@ TEST_F(HitlistTest, MostEntriesPointAtTheLiveHost) {
   }
   const double fraction =
       static_cast<double>(fresh) / static_cast<double>(hitlist().size());
-  // stale_entry_rate defaults to 9%.
+  // kStaleEntryRate is 7%.
   EXPECT_GT(fraction, 0.87);
   EXPECT_LT(fraction, 0.95);
 }

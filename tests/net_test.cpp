@@ -6,7 +6,6 @@
 #include "net/checksum.hpp"
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
-#include "net/prefix_trie.hpp"
 #include "util/rng.hpp"
 
 namespace vp::net {
@@ -320,92 +319,6 @@ TEST(Packet, ChecksumFieldsAreValid) {
   // ICMP checksum validates to zero over the ICMP part.
   EXPECT_EQ(internet_checksum(std::span{pkt}.subspan(Ipv4Header::kSize)), 0);
 }
-
-// --- prefix trie -------------------------------------------------------------
-
-TEST(PrefixTrie, LongestMatchWins) {
-  PrefixTrie<int> trie;
-  trie.insert(*Prefix::parse("10.0.0.0/8"), 8);
-  trie.insert(*Prefix::parse("10.1.0.0/16"), 16);
-  trie.insert(*Prefix::parse("10.1.2.0/24"), 24);
-
-  const auto hit = trie.lookup(*Ipv4Address::parse("10.1.2.3"));
-  ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->second, 24);
-  EXPECT_EQ(trie.lookup(*Ipv4Address::parse("10.1.9.9"))->second, 16);
-  EXPECT_EQ(trie.lookup(*Ipv4Address::parse("10.9.9.9"))->second, 8);
-  EXPECT_FALSE(trie.lookup(*Ipv4Address::parse("11.0.0.1")));
-}
-
-TEST(PrefixTrie, InsertReplaceSemantics) {
-  PrefixTrie<int> trie;
-  EXPECT_TRUE(trie.insert(*Prefix::parse("1.2.3.0/24"), 1));
-  EXPECT_FALSE(trie.insert(*Prefix::parse("1.2.3.0/24"), 2));
-  EXPECT_EQ(trie.size(), 1u);
-  EXPECT_EQ(trie.lookup(*Ipv4Address::parse("1.2.3.4"))->second, 2);
-}
-
-TEST(PrefixTrie, ExactFind) {
-  PrefixTrie<int> trie;
-  trie.insert(*Prefix::parse("5.0.0.0/8"), 5);
-  EXPECT_NE(trie.find(*Prefix::parse("5.0.0.0/8")), nullptr);
-  EXPECT_EQ(trie.find(*Prefix::parse("5.0.0.0/9")), nullptr);
-}
-
-TEST(PrefixTrie, DefaultRouteMatchesAll) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix{Ipv4Address{0}, 0}, -1);
-  EXPECT_EQ(trie.lookup(Ipv4Address{0xdeadbeef})->second, -1);
-}
-
-TEST(PrefixTrie, ForEachVisitsAllInOrder) {
-  PrefixTrie<int> trie;
-  trie.insert(*Prefix::parse("2.0.0.0/8"), 1);
-  trie.insert(*Prefix::parse("1.0.0.0/8"), 2);
-  trie.insert(*Prefix::parse("1.128.0.0/9"), 3);
-  std::vector<std::string> seen;
-  trie.for_each([&](Prefix p, int) { seen.push_back(p.to_string()); });
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], "1.0.0.0/8");
-  EXPECT_EQ(seen[1], "1.128.0.0/9");
-  EXPECT_EQ(seen[2], "2.0.0.0/8");
-}
-
-/// Property sweep: trie lookups agree with brute-force longest match over
-/// random prefix sets.
-class PrefixTrieProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PrefixTrieProperty, AgreesWithBruteForce) {
-  util::Rng rng{GetParam()};
-  PrefixTrie<std::size_t> trie;
-  std::vector<Prefix> prefixes;
-  for (int i = 0; i < 200; ++i) {
-    const auto length = static_cast<std::uint8_t>(rng.range(4, 28));
-    const Prefix p{Ipv4Address{static_cast<std::uint32_t>(rng())}, length};
-    if (trie.insert(p, prefixes.size())) prefixes.push_back(p);
-  }
-  for (int i = 0; i < 2000; ++i) {
-    const Ipv4Address addr{static_cast<std::uint32_t>(rng())};
-    // Brute force: most specific containing prefix.
-    const Prefix* expected = nullptr;
-    for (const Prefix& p : prefixes) {
-      if (p.contains(addr) &&
-          (expected == nullptr || p.length() > expected->length())) {
-        expected = &p;
-      }
-    }
-    const auto actual = trie.lookup(addr);
-    if (expected == nullptr) {
-      EXPECT_FALSE(actual);
-    } else {
-      ASSERT_TRUE(actual);
-      EXPECT_EQ(actual->first, *expected);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTrieProperty,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 /// Property sweep: packet round trip with random payload contents.
 class PacketRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};

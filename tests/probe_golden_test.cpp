@@ -93,10 +93,10 @@ TEST_F(ProbeGoldenTest, FrameDigest) {
   const sim::InternetSim& internet = s.internet();
   const auto entries = s.hitlist().entries();
   const core::ProbeConfig config;
-  // A late copy arrives late_extra_minutes after its RTT; no other delay
+  // A late copy arrives kLateExtraMinutes after its RTT; no other delay
   // in a fault-free round comes near it.
   const util::SimTime late_after =
-      util::SimTime::from_minutes(sim::InternetConfig{}.late_extra_minutes);
+      util::SimTime::from_minutes(sim::kLateExtraMinutes);
 
   std::ostringstream digest;
   std::vector<std::uint32_t> order;

@@ -118,34 +118,6 @@ TEST_F(RouteCacheTest, TablesOutliveTemporaryDeployments) {
   EXPECT_GE(table->site_for_pop(0, 0), -1);
 }
 
-TEST_F(RouteCacheTest, ByteCapEvictsLeastRecentlyUsed) {
-  // A cap below one table's size keeps only the hottest entry; an evicted
-  // configuration is recomputed on its next lookup, answer for answer.
-  bgp::RouteCache cache{scenario().topo(), /*byte_limit=*/1};
-  const auto a = cache.routes(scenario().broot());
-  EXPECT_EQ(cache.stats().entries, 1u);
-  cache.routes(scenario().tangled());
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-  const auto b = cache.routes(scenario().broot());
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_NE(a.get(), b.get());
-  for (const topology::BlockInfo& info : scenario().topo().blocks())
-    ASSERT_EQ(a->site_for_block(info.block), b->site_for_block(info.block));
-}
-
-TEST_F(RouteCacheTest, ClearDropsEntriesButOutstandingTablesSurvive) {
-  bgp::RouteCache cache{scenario().topo()};
-  const auto table = cache.routes(scenario().tangled());
-  EXPECT_EQ(cache.stats().entries, 1u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(table->deployment().name, "Tangled");  // still alive
-}
-
 // ---- whole-round byte-equality: cached table vs a fresh one -------------
 
 class CampaignEquivalence : public ::testing::Test {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <unordered_set>
+#include <vector>
 
 #include "topology/generator.hpp"
 #include "topology/topology.hpp"
@@ -58,12 +60,17 @@ TEST_F(TopologyTest, EveryBlockInsideItsAnnouncedPrefix) {
   }
 }
 
-TEST_F(TopologyTest, RouteLookupFindsOwningPrefix) {
-  for (std::size_t i = 0; i < topo().block_count(); i += 97) {
-    const BlockInfo& info = topo().blocks()[i];
-    const auto hit = topo().route_lookup(info.block.address(1));
-    ASSERT_TRUE(hit) << info.block.to_string();
-    EXPECT_EQ(hit->second, info.prefix_index);
+TEST_F(TopologyTest, AnnouncedPrefixesAreDisjoint) {
+  // With EveryBlockInsideItsAnnouncedPrefix, this makes each block's
+  // prefix the only announced prefix that contains it.
+  std::vector<net::Prefix> sorted;
+  for (const AnnouncedPrefix& ap : topo().announced_prefixes())
+    sorted.push_back(ap.prefix);
+  std::sort(sorted.begin(), sorted.end());  // by base, then length
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    const net::Prefix& prev = sorted[i - 1];
+    EXPECT_LE(prev.base().value() + prev.size(), sorted[i].base().value())
+        << prev.to_string() << " overlaps " << sorted[i].to_string();
   }
 }
 
