@@ -1,6 +1,6 @@
 # Runs one paper bench and byte-compares its stdout with a committed golden.
 #
-#   cmake -DBENCH=<binary> -DGOLDEN=<file> -DACTUAL=<file> -P golden_stdout.cmake
+#   cmake -DBENCH=<bin> -DGOLDEN=<file> -DACTUAL=<file> -P golden_stdout.cmake
 #
 # VP_SCALE comes from the test's environment; VP_SEED and VP_GEN_ASES are
 # cleared so a caller's shell cannot move the scenario under the golden.
