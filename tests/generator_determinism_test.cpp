@@ -159,6 +159,70 @@ TEST(GeneratorDeterminism, SerializeRoundTripPreservesDigest) {
   EXPECT_EQ(topo.block_count(), restored.block_count());
 }
 
+/// A hand-built topology that sets every field an image stores. Its
+/// coordinates are literals: generated ones pass through libm, whose last
+/// ulp differs across hosts.
+Topology pinned_topology() {
+  Topology topo;
+  const auto add = [&](std::uint32_t asn, topology::AsTier tier,
+                       std::vector<topology::Pop> pops) {
+    topology::AsNode node;
+    node.asn = topology::AsNumber{asn};
+    node.tier = tier;
+    node.name = "AS" + std::to_string(asn);
+    node.pops = std::move(pops);
+    return topo.add_as(std::move(node));
+  };
+  const topology::AsId transit =
+      add(64510, topology::AsTier::kTransit,
+          {{3, {52.375, 4.875}}, {7, {40.75, -74.0}}});
+  const topology::AsId regional =
+      add(64511, topology::AsTier::kRegional, {{5, {48.875, 2.25}}});
+  const topology::AsId stub =
+      add(64512, topology::AsTier::kStub, {{9, {35.625, 139.75}}});
+  topo.as_mutable(transit).load_balanced = true;
+  topo.as_mutable(transit).flap_scale = 1.5;
+  topo.as_mutable(regional).multipath = true;
+  topo.as_mutable(stub).icmp_response_scale = 0.75;
+  topo.link(regional, 0, transit, 1, topology::Relationship::kProvider);
+  topo.link(stub, 0, regional, 0, topology::Relationship::kProvider);
+  topo.link(stub, 0, transit, 0, topology::Relationship::kPeer);
+  topo.set_local_pref_bonus(stub, regional, 3);
+  const std::uint32_t wide =
+      topo.announce(regional, *net::Prefix::parse("10.0.0.0/23"));
+  const std::uint32_t narrow =
+      topo.announce(stub, *net::Prefix::parse("10.8.0.0/24"));
+  topo.add_block(net::Block24{0x0a0000}, regional, 0, wide);
+  topo.add_block(net::Block24{0x0a0001}, regional, 0, wide);
+  topo.add_block(net::Block24{0x0a0800}, stub, 0, narrow);
+  geo::GeoRecord rec;
+  rec.location = {48.875, 2.25};
+  rec.center_id = 5;
+  rec.country[0] = 'F';
+  rec.country[1] = 'R';
+  rec.continent = geo::Continent::kEurope;
+  topo.geodb_mutable().add(net::Block24{0x0a0000}, rec);
+  rec.location = {35.625, 139.75};
+  rec.center_id = 9;
+  rec.country[0] = 'J';
+  rec.country[1] = 'P';
+  rec.continent = geo::Continent::kAsia;
+  topo.geodb_mutable().add(net::Block24{0x0a0800}, rec);
+  topo.seal();
+  return topo;
+}
+
+// The image's bytes: its size and CRC-32.
+TEST(GeneratorDeterminism, SerializedImageIsPinned) {
+  const std::string bytes = topology::serialize_topology(pinned_topology());
+  EXPECT_EQ(bytes.size(), 414u);
+  EXPECT_EQ(util::crc32(bytes), 0x2144df1cu);
+  Topology restored;
+  std::string error;
+  ASSERT_TRUE(topology::deserialize_topology(bytes, restored, error)) << error;
+  EXPECT_EQ(topology::serialize_topology(restored), bytes);
+}
+
 // Corruption anywhere in the image must be rejected, not deserialized.
 TEST(GeneratorDeterminism, CorruptImageIsRejected) {
   const Topology topo = generate_scale_topology(small_config(5));

@@ -219,6 +219,49 @@ TEST(Journal, ProbeFingerprintIsPinned) {
   EXPECT_EQ(probe_fingerprint(probe), 0x1d171034c60a8497ULL);
 }
 
+/// A hand-built round that sets every encoded field: blocks in two /8
+/// pages, nonzero RTTs, two sites' raw counts and a distinct value in
+/// every cleaning and fault counter.
+RoundResult pinned_round() {
+  RoundResult result;
+  result.map.measurement_id = 4242;
+  result.map.probes_sent = 123'457;
+  result.map.blocks_probed = 120'001;
+  result.map.cleaning = {9001, 11, 12, 13, 14, 15, 8936};
+  result.map.set(net::Block24{0x0a0000}, 0, 12.25f);
+  result.map.set(net::Block24{0x0a0001}, 1, 7.5f);
+  result.map.set(net::Block24{0xc00002}, 1, 153.125f);
+  result.raw_replies_per_site = {5000, 4001};
+  result.started = util::SimTime::from_minutes(30);
+  result.probing_duration = util::SimTime::from_seconds(12.5);
+  sim::FaultStats& f = result.faults;
+  f.probes_lost = 21;
+  f.replies_generated = 22;
+  f.replies_lost = 23;
+  f.rate_limited = 24;
+  f.outage_drops = 25;
+  f.withdrawn = 26;
+  f.diverted = 27;
+  f.delayed = 28;
+  f.retries = 29;
+  f.recovered = 30;
+  return result;
+}
+
+// campaign_v1.journal pins what the decoder reads; these pin what the
+// encoder writes: the size and CRC-32 of a manifest frame and a round
+// frame.
+TEST(Journal, EncodingIsPinned) {
+  const std::string manifest =
+      CampaignJournal::frame(CampaignJournal::encode_manifest(kManifest));
+  EXPECT_EQ(manifest.size(), 25u);
+  EXPECT_EQ(util::crc32(manifest), 0xe7f7feaau);
+  const std::string round =
+      CampaignJournal::frame(CampaignJournal::encode_round(3, pinned_round()));
+  EXPECT_EQ(round.size(), 252u);
+  EXPECT_EQ(util::crc32(round), 0xc6c22b8eu);
+}
+
 TEST(Journal, RoundIdBeyondManifestIsCorrupt) {
   const std::string path = temp_path("badround");
   {
@@ -477,6 +520,47 @@ TEST_F(JournaledCampaignTest, CancelMidRunLeavesResumablePrefix) {
   EXPECT_EQ(resumed.journal, JournalStatus::kResumed);
   EXPECT_EQ(resumed.rounds_loaded, 1u);
   EXPECT_EQ(resumed.rounds_executed, 3u);
+  for (std::size_t r = 0; r < fresh.results.size(); ++r)
+    expect_equal(resumed.results[r], fresh.results[r]);
+  std::remove(path.c_str());
+}
+
+TEST_F(JournaledCampaignTest, CancelMidRunLeavesResumablePrefixConcurrently) {
+  const std::string path = temp_path("campaign");
+  const auto fresh = make_campaign().run_reported();
+  std::remove(path.c_str());
+
+  // Two rounds in flight: the first completion cancels. Whatever was in
+  // flight then finishes and is journaled; no later round starts.
+  std::atomic<bool> flag{false};
+  struct CancelAfterFirst : RoundObserver {
+    std::atomic<bool>* flag;
+    void on_round_complete(const RoundSpec&, const RoundResult&) override {
+      flag->store(true, std::memory_order_relaxed);
+    }
+  } observer;
+  observer.flag = &flag;
+  auto campaign = make_campaign();
+  const auto cancelled = campaign.concurrency(2)
+                             .cancel(&flag)
+                             .observe(observer)
+                             .run_reported();
+  EXPECT_TRUE(cancelled.interrupted);
+  ASSERT_EQ(cancelled.results.size(), 4u);
+  std::uint32_t completed = 0;
+  for (std::size_t r = 0; r < cancelled.results.size(); ++r) {
+    if (cancelled.results[r].map.blocks_probed == 0) continue;
+    expect_equal(cancelled.results[r], fresh.results[r]);
+    ++completed;
+  }
+  EXPECT_GE(completed, 1u);
+  EXPECT_LE(completed, 2u);
+
+  const auto resumed = make_campaign().resume().run_reported();
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.journal, JournalStatus::kResumed);
+  EXPECT_EQ(resumed.rounds_loaded, completed);
+  EXPECT_EQ(resumed.rounds_executed, 4u - completed);
   for (std::size_t r = 0; r < fresh.results.size(); ++r)
     expect_equal(resumed.results[r], fresh.results[r]);
   std::remove(path.c_str());

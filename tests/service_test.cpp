@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -215,6 +216,36 @@ TEST_F(DaemonTest, RoundsPublishFreshMapAndDrift) {
   std::ostringstream expected;
   core::write_catchment_csv(expected, served->result, scenario().broot());
   EXPECT_EQ(daemon.handle(get("/map")).body_view(), expected.str());
+}
+
+// The drift report's running mean and sample stddev, against a two-pass
+// computation over every transition's moved fraction. A daemon with a
+// budget of k rounds reports the transition (k-2 -> k-1) last, and rounds
+// do not depend on the budget, so one daemon per budget yields them all.
+TEST_F(DaemonTest, DriftStatisticsMatchTwoPassOverTransitions) {
+  constexpr std::uint32_t kRounds = 5;
+  std::vector<double> moved;
+  service::DriftReport last;
+  for (std::uint32_t budget = 2; budget <= kRounds; ++budget) {
+    service::Daemon daemon{scenario(), scenario().broot(),
+                           fast_config(budget)};
+    ASSERT_TRUE(daemon.run_rounds());
+    last = daemon.drift();
+    ASSERT_TRUE(last.available);
+    ASSERT_EQ(last.to_round, budget - 1);
+    moved.push_back(last.diff.moved_fraction());
+  }
+  ASSERT_GE(moved.size(), 3u);
+  double mean = 0.0;
+  for (const double m : moved) mean += m;
+  mean /= static_cast<double>(moved.size());
+  double sum_sq = 0.0;
+  for (const double m : moved) sum_sq += (m - mean) * (m - mean);
+  const double stddev =
+      std::sqrt(sum_sq / static_cast<double>(moved.size() - 1));
+  ASSERT_GT(stddev, 0.0);
+  EXPECT_NEAR(last.mean_moved_fraction, mean, 1e-12);
+  EXPECT_NEAR(last.stddev_moved_fraction, stddev, 1e-12);
 }
 
 TEST_F(DaemonTest, MapBodyIsRenderedOncePerSnapshot) {
