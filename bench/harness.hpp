@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "analysis/scenario.hpp"
 #include "core/round.hpp"
@@ -21,18 +20,10 @@
 namespace vp::bench {
 
 /// Accumulates the engine's RoundObserver callbacks across rounds:
-/// probes sent, per-site raw reply counters, cleaning totals. Benches
-/// read these instead of re-deriving the counts from each RoundResult.
+/// probes sent and cleaning totals. Benches read these instead of
+/// re-deriving the counts from each RoundResult.
 class RoundTally : public core::RoundObserver {
  public:
-  void on_replies_collected(
-      const core::RoundSpec&,
-      const std::vector<std::uint64_t>& per_site) override {
-    if (per_site_raw_replies.size() < per_site.size())
-      per_site_raw_replies.resize(per_site.size(), 0);
-    for (std::size_t s = 0; s < per_site.size(); ++s)
-      per_site_raw_replies[s] += per_site[s];
-  }
   void on_round_complete(const core::RoundSpec&,
                          const core::RoundResult& result) override {
     ++rounds;
@@ -49,7 +40,6 @@ class RoundTally : public core::RoundObserver {
 
   std::uint64_t rounds = 0;
   std::uint64_t probes_sent = 0;
-  std::vector<std::uint64_t> per_site_raw_replies;
   core::CleaningStats cleaning;
 };
 

@@ -6,12 +6,15 @@
 
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "analysis/scenario.hpp"
 #include "core/journal.hpp"
@@ -37,16 +40,47 @@ inline constexpr int kExitWriteFailed = 6;
 // journal is a resumable prefix; rerun with --resume to finish.
 inline constexpr int kExitInterrupted = 7;
 
-/// Thrown for a numeric option whose value is not a number. Both
-/// binaries' main reports it and exits 2, like any other usage error.
+/// Thrown for a numeric option whose value is not a number, or not one
+/// in the option's range. Both binaries' main reports it and exits 2,
+/// like any other usage error.
 struct BadNumber {
   std::string key;
+  std::string range;  ///< " in [0, N]" for counts; empty otherwise
 
   int report() const {
-    std::fprintf(stderr, "error: --%s expects a number\n", key.c_str());
+    std::fprintf(stderr, "error: --%s expects a number%s\n", key.c_str(),
+                 range.c_str());
     return 2;
   }
 };
+
+/// The whole of `text` as a number: nullopt for "two", "4x", "", an
+/// out-of-range value, NaN or an infinity. Unsigned types refuse "-1".
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [last, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || last != end || !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
+/// `text` as a count, depth or port: a whole number in [0, max].
+template <std::integral T>
+std::optional<T> parse_count(std::string_view text,
+                             T max = std::numeric_limits<T>::max()) {
+  using Unsigned = std::make_unsigned_t<T>;
+  const auto value = parse_number<Unsigned>(text);
+  if (!value || *value > static_cast<Unsigned>(max)) return std::nullopt;
+  return static_cast<T>(*value);
+}
+
+/// The BadNumber for a count option whose value is not in [0, max].
+template <std::integral T>
+BadNumber bad_count(const std::string& key, T max) {
+  return BadNumber{key, " in [0, " + std::to_string(max) + "]"};
+}
 
 struct Args {
   std::string command;  // vpctl's subcommand; empty for vpd
@@ -64,20 +98,28 @@ struct Args {
     return get_number(key, fallback);
   }
 
-  /// The number `key` holds, parsed from its whole token, or `fallback`
-  /// when it is absent. Throws BadNumber for anything else: "two", "4x",
-  /// "", an out-of-range value, NaN or an infinity.
+  /// The number `key` holds (see parse_number), or `fallback` when it is
+  /// absent. Throws BadNumber for anything else.
   template <typename T>
   T get_number(const std::string& key, T fallback) const {
     const auto it = options.find(key);
     if (it == options.end()) return fallback;
-    const char* first = it->second.data();
-    const char* end = first + it->second.size();
-    T value{};
-    const auto [last, ec] = std::from_chars(first, end, value);
-    if (ec != std::errc{} || last != end || !std::isfinite(value))
-      throw BadNumber{key};
-    return value;
+    const auto value = parse_number<T>(it->second);
+    if (!value) throw BadNumber{key, ""};
+    return *value;
+  }
+
+  /// The count `key` holds (see parse_count), or `fallback` when it is
+  /// absent. Counts and ports fit the field they set, so "-1", or 70000
+  /// for a port, throws BadNumber instead of wrapping.
+  template <std::integral T>
+  T get_count(const std::string& key, T fallback,
+              T max = std::numeric_limits<T>::max()) const {
+    const auto it = options.find(key);
+    if (it == options.end()) return fallback;
+    const auto value = parse_count<T>(it->second, max);
+    if (!value) throw bad_count(key, max);
+    return *value;
   }
 };
 
@@ -130,7 +172,7 @@ inline const anycast::Deployment& pick_deployment(
 
 /// --retries / --timeout-ms / --backoff-ms.
 inline void apply_retry_args(core::ProbeConfig& probe, const Args& args) {
-  probe.max_retries = static_cast<int>(args.get_long("retries", 0));
+  probe.max_retries = args.get_count("retries", 0);
   probe.probe_timeout_ms = args.get_double("timeout-ms", 1000.0);
   probe.retry_backoff_ms = args.get_double("backoff-ms", 250.0);
 }

@@ -104,13 +104,15 @@ int usage() {
       "  --no-metrics       disable metric collection (results identical)\n"
       "scan options:\n"
       "  --prepend SITE=N   AS-prepend the SITE announcement N times\n"
+      "                     (N in 0..16)\n"
       "  --out FILE         write the catchment as CSV\n"
       "sweep options:\n"
       "  --site CODE        site whose announcement is prepended\n"
       "                     (default MIA)\n"
-      "  --max-prepend N    sweep prepend 0..N (default 3); the sweep is\n"
-      "                     one incremental routing session, so each step\n"
-      "                     recomputes only the ASes whose best path changes\n"
+      "  --max-prepend N    sweep prepend 0..N (default 3, N <= 16); the\n"
+      "                     sweep is one incremental routing session, so\n"
+      "                     each step recomputes only the ASes whose best\n"
+      "                     path changes\n"
       "campaign options:\n"
       "  --rounds N         number of rounds (default 16)\n"
       "  --interval-min M   minutes between rounds (default 15)\n"
@@ -127,7 +129,8 @@ int usage() {
       "  finished; journal is a resumable prefix)\n"
       "all commands exit 6 when an output file (--out/--metrics-out) or\n"
       "  the journal cannot be written, and 2 when a numeric option is\n"
-      "  not a number\n"
+      "  not a number, or a count (rounds, threads, ...) is negative or\n"
+      "  out of range\n"
       "predict options:\n"
       "  --catchment FILE   reuse an exported catchment instead of scanning\n"
       "  --date apr|may     which load dataset to weight with (default may)\n"
@@ -160,7 +163,8 @@ int usage() {
       "                     in (default: seed-chosen enabled site)\n"
       "  --headroom F       per-site capacity = F x fair share of the\n"
       "                     legitimate baseline (default 1.6)\n"
-      "  --max-prepend N    prepend depths searched, 0..N (default 3)\n"
+      "  --max-prepend N    prepend depths searched, 0..N (default 3,\n"
+      "                     N <= 16)\n"
       "  --no-withdraw      exclude site withdrawal from the search\n"
       "  --exhaustive       search the full per-site action product\n"
       "                     instead of the staged single+pair search\n"
@@ -213,7 +217,7 @@ class ProgressObserver : public core::RoundObserver {
 };
 
 unsigned probe_threads(const Args& args) {
-  return static_cast<unsigned>(args.get_long("threads", 1));
+  return args.get_count("threads", 1u);
 }
 
 void print_fault_summary(const sim::FaultStats& faults) {
@@ -285,9 +289,16 @@ int cmd_scan(const Args& args) {
     const std::string spec = args.get("prepend", "");
     const auto eq = spec.find('=');
     if (eq == std::string::npos) return usage();
-    deployment =
-        deployment.with_prepend(spec.substr(0, eq),
-                                std::atoi(spec.c_str() + eq + 1));
+    const std::string code = spec.substr(0, eq);
+    if (!deployment.site_by_code(code)) {
+      std::fprintf(stderr, "error: deployment has no site '%s'\n",
+                   code.c_str());
+      return usage();
+    }
+    const auto depth = cli::parse_count(std::string_view{spec}.substr(eq + 1),
+                                        anycast::kMaxPrepend);
+    if (!depth) throw cli::bad_count("prepend", anycast::kMaxPrepend);
+    deployment = deployment.with_prepend(code, *depth);
     std::printf("prepending: %s\n", spec.c_str());
   }
   const auto round = run_scan(scenario, deployment, 0, args);
@@ -314,7 +325,8 @@ int cmd_sweep(const Args& args) {
                  site_code.c_str());
     return usage();
   }
-  const int max_prepend = static_cast<int>(args.get_long("max-prepend", 3));
+  const int max_prepend =
+      args.get_count("max-prepend", 3, anycast::kMaxPrepend);
   std::printf("sweeping %s prepend 0..%d (incremental delta routing)\n",
               site_code.c_str(), max_prepend);
 
@@ -361,7 +373,7 @@ int cmd_campaign(const Args& args) {
   std::signal(SIGTERM, on_signal);
   const auto scenario = cli::make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
-  const auto rounds = static_cast<std::uint32_t>(args.get_long("rounds", 16));
+  const auto rounds = args.get_count<std::uint32_t>("rounds", 16);
   const double interval = args.get_double("interval-min", 15.0);
   const auto routes_ptr = scenario.route(deployment);
   const auto& routes = *routes_ptr;
@@ -375,7 +387,7 @@ int cmd_campaign(const Args& args) {
       .rounds(rounds)
       .interval(util::SimTime::from_minutes(interval))
       .threads(probe_threads(args))
-      .concurrency(static_cast<unsigned>(args.get_long("concurrency", 1)))
+      .concurrency(args.get_count("concurrency", 1u))
       .observe(progress)
       .cancel(&g_interrupted)
       .faults(injector ? &*injector : nullptr);
@@ -522,7 +534,7 @@ int cmd_recommend(const Args& args) {
               report.load_weighted_mean_ms);
   const auto candidates = analysis::recommend_sites(
       scenario.topo(), round, load, deployment,
-      static_cast<std::size_t>(args.get_long("candidates", 5)));
+      args.get_count<std::size_t>("candidates", 5));
   util::Table table{{"#", "location", "blocks won", "mean saving"},
                     {util::Align::kRight, util::Align::kLeft}};
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -568,19 +580,14 @@ int cmd_gen(const Args& args) {
   } else {
     topology::ScaleConfig gen;
     gen.seed = static_cast<std::uint64_t>(args.get_long("gen-seed", 42));
-    gen.as_count =
-        static_cast<std::uint32_t>(args.get_long("gen-ases", 10'000));
-    gen.target_blocks = static_cast<std::uint32_t>(args.get_long(
-        "gen-blocks", static_cast<long>(13L * gen.as_count)));
-    gen.transit_count =
-        static_cast<std::uint32_t>(args.get_long("gen-transits", 16));
-    if (args.has("gen-shard")) {
-      gen.shard_size =
-          static_cast<std::uint32_t>(args.get_long("gen-shard", 4096));
-    }
+    gen.as_count = args.get_count<std::uint32_t>("gen-ases", 10'000);
+    gen.target_blocks = args.get_count(
+        "gen-blocks", static_cast<std::uint32_t>(13L * gen.as_count));
+    gen.transit_count = args.get_count<std::uint32_t>("gen-transits", 16);
+    gen.shard_size = args.get_count("gen-shard", gen.shard_size);
     gen.multihoming_mean = args.get_double("multihoming", 0.35);
     gen.peering_density = args.get_double("peering", 0.15);
-    gen.threads = static_cast<unsigned>(args.get_long("threads", 0));
+    gen.threads = args.get_count("threads", 0u);
     std::printf("generating %s ASes / %s target blocks (seed %llu)...\n",
                 util::with_commas(gen.as_count).c_str(),
                 util::with_commas(gen.target_blocks).c_str(),
@@ -636,7 +643,7 @@ int cmd_gen(const Args& args) {
     const auto seed =
         static_cast<std::uint64_t>(args.get_long("gen-seed", 42));
     const auto deployment = anycast::make_generated(
-        topo, static_cast<std::size_t>(args.get_long("sites", 4)), seed);
+        topo, args.get_count<std::size_t>("sites", 4), seed);
     if (deployment.sites.empty()) {
       std::fprintf(stderr, "error: topology has no transit core to host "
                            "anycast sites\n");
@@ -747,14 +754,14 @@ int cmd_playbook(const Args& args) {
   const auto& deployment = pick_deployment(scenario, args);
 
   agility::PlaybookConfig config;
-  config.max_prepend = static_cast<int>(args.get_long("max-prepend", 3));
+  config.max_prepend = args.get_count("max-prepend", 3, anycast::kMaxPrepend);
   config.allow_withdraw = !args.has("no-withdraw");
   config.strategy = args.has("exhaustive")
                         ? agility::SearchStrategy::kExhaustive
                         : agility::SearchStrategy::kStaged;
-  config.threads = static_cast<unsigned>(args.get_long("threads", 1));
+  config.threads = args.get_count("threads", 1u);
   config.capacity_headroom = args.get_double("headroom", 1.6);
-  config.top_k = static_cast<std::size_t>(args.get_long("top", 5));
+  config.top_k = args.get_count<std::size_t>("top", 5);
 
   anycast::SiteId target = anycast::kUnknownSite;
   if (args.has("target")) {

@@ -76,7 +76,8 @@ int usage() {
       "  --no-metrics       disable metric collection\n"
       "\n"
       "exit codes: 0 clean shutdown, 2 usage (also a numeric option\n"
-      "  that is not a number), 4 journal fingerprint mismatch,\n"
+      "  that is not a number, or a count or port out of range),\n"
+      "  4 journal fingerprint mismatch,\n"
       "  5 journal corrupt, 6 artifact write failed\n");
   return 2;
 }
@@ -106,13 +107,13 @@ int main(int argc, char** argv) try {
   service::DaemonConfig config;
   config.probe.measurement_id = 100;  // vpctl campaign's base id
   cli::apply_retry_args(config.probe, *args);
-  config.rounds = static_cast<std::uint32_t>(args->get_long("rounds", 0));
+  config.rounds = args->get_count<std::uint32_t>("rounds", 0);
   config.sim_interval =
       util::SimTime::from_minutes(args->get_double("interval-min", 15.0));
   config.cadence_ms = args->get_double("cadence-ms", 0.0);
-  config.threads = static_cast<unsigned>(args->get_long("threads", 1));
+  config.threads = args->get_count("threads", 1u);
   config.watchdog_ms = args->get_double("watchdog-ms", 30'000.0);
-  config.round_retries = static_cast<int>(args->get_long("round-retries", 1));
+  config.round_retries = args->get_count("round-retries", 1);
   config.stale_after_ms = args->get_double("stale-after-ms", 0.0);
   config.journal_path = args->get("journal", "");
   config.resume = args->has("resume");
@@ -123,8 +124,7 @@ int main(int argc, char** argv) try {
 
   net::HttpServer server;
   if (args->has("listen")) {
-    const auto port =
-        static_cast<std::uint16_t>(args->get_long("listen", 0));
+    const auto port = args->get_count<std::uint16_t>("listen", 0);
     if (!server.start(port, [&daemon](const net::HttpRequest& request) {
           return daemon.handle(request);
         })) {

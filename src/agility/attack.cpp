@@ -12,15 +12,11 @@ namespace vp::agility {
 
 namespace {
 
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 /// Stateless per-block uniform draw for a named substream of the attack.
 double block_unit(std::uint64_t seed, std::uint64_t stream,
                   std::uint32_t block_index) {
-  return to_unit(util::hash_combine(util::hash_combine(seed, stream),
-                                    block_index));
+  return util::to_unit(
+      util::hash_combine(util::hash_combine(seed, stream), block_index));
 }
 
 /// Bounded Pareto draw from a unit sample: heavy-tailed per-source
@@ -160,7 +156,7 @@ OfferedLoad offered_load(const topology::Topology& topo,
       while (ti < touched.size() && touched[ti].row < row)
         merged.push_back(touched[ti++]);
       const double w =
-          pareto_weight(to_unit(util::mix64(hash)), 0.8, 10'000.0);
+          pareto_weight(util::to_unit(util::mix64(hash)), 0.8, 10'000.0);
       if (ti < touched.size() && touched[ti].row == row) {
         Touched t = touched[ti++];
         t.weight = w;

@@ -103,7 +103,6 @@ PlaybookOptimizer::PlaybookOptimizer(const analysis::Scenario& scenario,
     : scenario_(&scenario),
       base_(base),
       config_(config),
-      routing_options_(scenario.delta_session(base).engine().options()),
       base_table_(scenario.route(base)),
       base_load_(scenario.broot_load(date_seed)) {
   // Fair-share provisioning: every site (announced or held in reserve)
@@ -393,10 +392,10 @@ std::vector<Score> PlaybookOptimizer::evaluate(
           for (std::size_t i = begin; i < end; ++i) {
             anycast::Deployment target = base_;
             candidates[i].delta.apply_to(target);
-            auto session = scenario_->delta_session(target);
-            const auto table = session.engine().full();
-            Score score =
-                full_score(*table, offered, base_sites, blocks, site_count);
+            bgp::RoutingEngine engine{scenario_->topo(), target,
+                                      scenario_->routing_options()};
+            Score score = full_score(*engine.full(), offered, base_sites,
+                                     blocks, site_count);
             finalize(score, capacity_);
             results[i] = std::move(score);
           }
@@ -418,7 +417,7 @@ std::vector<Score> PlaybookOptimizer::evaluate(
         }
         if (session.engine == nullptr) {
           session.engine = std::make_unique<bgp::RoutingEngine>(
-              scenario_->topo(), base_, routing_options_);
+              scenario_->topo(), base_, scenario_->routing_options());
           session.table = session.engine->full();
           session.config = base_;
           session.raw = base_score;

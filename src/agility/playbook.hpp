@@ -30,7 +30,7 @@
 //
 // Evaluation. Candidates are scored against per-site integer load sums.
 // The delta path walks each worker's contiguous candidate chunk through
-// one bgp::RoutingEngine session (Scenario::delta_session): step i
+// one bgp::RoutingEngine session (under Scenario::routing_options): step i
 // reuses step i-1's table and recomputes only the affected-AS set, and
 // the score is updated incrementally from the table's
 // changed_block_ranges() — exact, because the sums are integers. The
@@ -225,7 +225,6 @@ class PlaybookOptimizer {
   anycast::Deployment base_;
   PlaybookConfig config_;
   CapacityPlan capacity_;
-  bgp::RoutingOptions routing_options_;
   std::shared_ptr<const bgp::RoutingTable> base_table_;
   dnsload::LoadModel base_load_;
 

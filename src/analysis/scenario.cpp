@@ -87,26 +87,28 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   }
 }
 
-std::shared_ptr<const bgp::RoutingTable> Scenario::route(
-    const anycast::Deployment& deployment, std::uint64_t epoch_salt) const {
+bgp::RoutingOptions Scenario::routing_options(std::uint64_t epoch_salt) const {
   bgp::RoutingOptions options;
   options.tiebreak_salt = util::hash_combine(config_.seed, epoch_salt);
-  return route_cache_->routes(deployment, options);
+  return options;
+}
+
+std::shared_ptr<const bgp::RoutingTable> Scenario::route(
+    const anycast::Deployment& deployment, std::uint64_t epoch_salt) const {
+  return route_cache_->routes(deployment, routing_options(epoch_salt));
 }
 
 std::shared_ptr<const bgp::RoutingTable> Scenario::route_delta(
     const anycast::Deployment& base, const anycast::ConfigDelta& delta,
     std::uint64_t epoch_salt) const {
-  bgp::RoutingOptions options;
-  options.tiebreak_salt = util::hash_combine(config_.seed, epoch_salt);
-  return route_cache_->routes_delta(base, delta, options);
+  anycast::Deployment target = base;
+  delta.apply_to(target);
+  return route(target, epoch_salt);
 }
 
 DeltaSession Scenario::delta_session(const anycast::Deployment& base,
                                      std::uint64_t epoch_salt) const {
-  bgp::RoutingOptions options;
-  options.tiebreak_salt = util::hash_combine(config_.seed, epoch_salt);
-  return DeltaSession{*topo_, base, options};
+  return DeltaSession{*topo_, base, routing_options(epoch_salt)};
 }
 
 dnsload::LoadModel Scenario::broot_load(std::uint64_t date_seed) const {

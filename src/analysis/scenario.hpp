@@ -103,6 +103,11 @@ class Scenario {
   const anycast::Deployment& broot() const { return broot_; }
   const anycast::Deployment& tangled() const { return tangled_; }
 
+  /// The routing options of a routing epoch: the tie-break salt that
+  /// route(), route_delta() and delta_session() route under.
+  bgp::RoutingOptions routing_options(
+      std::uint64_t epoch_salt = kMayEpoch) const;
+
   /// Routes for a deployment under a routing epoch. Served from the
   /// scenario's route cache (sweeps that re-route the same deployment pay
   /// the route computation once); the returned pointer keeps its own
@@ -111,9 +116,9 @@ class Scenario {
       const anycast::Deployment& deployment,
       std::uint64_t epoch_salt = kMayEpoch) const;
 
-  /// Routes for `base` with `delta` applied, served through the route
-  /// cache (keyed on the post-delta configuration, so delta-derived and
-  /// directly-routed lookups of the same configuration unify).
+  /// route() of `base` with `delta` applied: the cache keys on the
+  /// post-delta configuration, so delta-derived and directly-routed
+  /// lookups of the same configuration share one table.
   std::shared_ptr<const bgp::RoutingTable> route_delta(
       const anycast::Deployment& base, const anycast::ConfigDelta& delta,
       std::uint64_t epoch_salt = kMayEpoch) const;
@@ -125,7 +130,7 @@ class Scenario {
   DeltaSession delta_session(const anycast::Deployment& base,
                              std::uint64_t epoch_salt = kMayEpoch) const;
 
-  /// The scenario's memoized routing front-end (stats, clear).
+  /// The scenario's memoized routing front-end (hit/miss stats).
   const bgp::RouteCache& route_cache() const { return *route_cache_; }
 
   /// B-Root-like load for a "date" (seed); .nl-like load for Figure 4b.

@@ -23,6 +23,11 @@ namespace vp::anycast {
 using SiteId = std::int8_t;
 inline constexpr SiteId kUnknownSite = -1;
 
+/// Deepest per-site AS-path prepend an operator may ask for: vpd's /load,
+/// vpctl scan --prepend and the sweep and playbook --max-prepend ladders
+/// refuse anything deeper.
+inline constexpr int kMaxPrepend = 16;
+
 /// One anycast site.
 struct AnycastSite {
   std::string code;              // e.g. "LAX"

@@ -129,8 +129,7 @@ Campaign AtlasPlatform::measure(const bgp::RoutingTable& routes,
     const std::uint64_t h = util::hash_combine(
         util::hash_combine(config_.seed, 0xa7a5),
         util::hash_combine(vps_[i].id, round));
-    if (static_cast<double>(h >> 11) * 0x1.0p-53 < kDownRate)
-      continue;
+    if (util::to_unit(h) < kDownRate) continue;
     // A CHAOS TXT hostname.bind query goes wherever BGP takes this VP's
     // network right now — identical ground truth to Verfploeter's
     // replies. The exchange uses real DNS wire bytes end to end: the VP

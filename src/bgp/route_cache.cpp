@@ -52,17 +52,6 @@ std::shared_ptr<const RoutingTable> RouteCache::routes(
   return table;
 }
 
-std::shared_ptr<const RoutingTable> RouteCache::routes_delta(
-    const anycast::Deployment& base, const anycast::ConfigDelta& delta,
-    const RoutingOptions& options) const {
-  anycast::Deployment target = base;
-  delta.apply_to(target);
-  // Keying on the post-delta fingerprint (not the (base, delta) pair)
-  // unifies delta-derived lookups with direct ones: however a
-  // configuration is reached, it has one cache entry.
-  return routes(target, options);
-}
-
 RouteCacheStats RouteCache::stats() const {
   std::lock_guard lock{mutex_};
   return RouteCacheStats{hits_, misses_, entries_.size(), bytes_};

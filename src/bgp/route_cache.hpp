@@ -10,10 +10,10 @@
 // tiebreak_salt) and hands out one shared immutable table per distinct
 // configuration — shared across rounds, probe worker threads, and
 // campaign resumes. Computation goes through a one-shot
-// bgp::RoutingEngine; the delta-aware entry point `routes_delta` keys on
-// the *post-delta* fingerprint, so a table reached by delta and the same
-// configuration routed directly unify on one cache entry. Every table
-// computed stays retained for the cache's lifetime.
+// bgp::RoutingEngine. A configuration reached by a delta is keyed like
+// any other (analysis::Scenario::route_delta applies the delta first), so
+// it shares its entry with the same configuration routed directly. Every
+// table computed stays retained for the cache's lifetime.
 //
 // Lifetime: tables own a copy of their deployment, so callers may pass
 // short-lived Deployment values — e.g.
@@ -55,13 +55,6 @@ class RouteCache {
   /// concurrent callers of the same key compute once.
   std::shared_ptr<const RoutingTable> routes(
       const anycast::Deployment& deployment,
-      const RoutingOptions& options = {}) const;
-
-  /// The table for `base` with `delta` applied. Keys on the post-delta
-  /// deployment fingerprint, so sweeps expressed as deltas and the same
-  /// configurations routed directly share cache entries.
-  std::shared_ptr<const RoutingTable> routes_delta(
-      const anycast::Deployment& base, const anycast::ConfigDelta& delta,
       const RoutingOptions& options = {}) const;
 
   RouteCacheStats stats() const;

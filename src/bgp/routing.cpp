@@ -38,23 +38,6 @@ struct RoutingTable::ResolverSlot {
 
 namespace {
 
-/// Non-owning deployment handle for the hand-built-states constructor:
-/// the caller keeps the deployment alive.
-std::shared_ptr<const anycast::Deployment> borrow(
-    const anycast::Deployment& deployment) {
-  return {std::shared_ptr<const anycast::Deployment>{}, &deployment};
-}
-
-std::vector<std::shared_ptr<const AsRoutingState>> share_states(
-    std::vector<AsRoutingState> states) {
-  std::vector<std::shared_ptr<const AsRoutingState>> shared;
-  shared.reserve(states.size());
-  for (AsRoutingState& state : states)
-    shared.push_back(
-        std::make_shared<const AsRoutingState>(std::move(state)));
-  return shared;
-}
-
 std::shared_ptr<const std::vector<std::uint32_t>> build_pop_offsets(
     const Topology& topo) {
   auto offsets = std::make_shared<std::vector<std::uint32_t>>();
@@ -113,34 +96,21 @@ void RoutingTable::index_spray(AsId as) {
   const AsRoutingState& state = *states_[as];
   std::uint8_t flags = 0;
   if (topo_->as_at(as).multipath && state.multi_site()) {
-    if (state.candidates.size() <= kMaxTiedRoutes) {
-      const auto count = static_cast<std::uint8_t>(state.candidates.size());
-      flags = static_cast<std::uint8_t>(kSprayFlag | (count << 4));
-      if (spray_sites_.empty()) {
-        spray_sites_.assign(states_.size() * kMaxTiedRoutes,
-                            anycast::kUnknownSite);
-      }
-      SiteId* row = &spray_sites_[as * kMaxTiedRoutes];
-      for (std::uint8_t k = 0; k < count; ++k)
-        row[k] = state.candidates[k].site;
-    } else {
-      // The engine's reduce step caps candidate sets at kMaxTiedRoutes,
-      // but hand-built states can tie more sites than the fixed-width
-      // row holds (route_cache_test's 40-site deployment). A zero count
-      // marks them: the lookup chases the shared state instead, so no
-      // tied site is silently truncated away.
-      flags = kSprayFlag;
+    // The engine's reduce step caps candidate sets at kMaxTiedRoutes, so
+    // every tie set fits the fixed-width row.
+    assert(state.candidates.size() <= kMaxTiedRoutes);
+    const auto count = static_cast<std::uint8_t>(state.candidates.size());
+    flags = static_cast<std::uint8_t>(kSprayFlag | (count << 4));
+    if (spray_sites_.empty()) {
+      spray_sites_.assign(states_.size() * kMaxTiedRoutes,
+                          anycast::kUnknownSite);
     }
+    SiteId* row = &spray_sites_[as * kMaxTiedRoutes];
+    for (std::uint8_t k = 0; k < count; ++k)
+      row[k] = state.candidates[k].site;
   }
   as_flags_[as] = flags;
 }
-
-RoutingTable::RoutingTable(const Topology& topo,
-                           const anycast::Deployment& deployment,
-                           std::vector<AsRoutingState> states,
-                           std::uint64_t epoch_salt)
-    : RoutingTable(topo, borrow(deployment), share_states(std::move(states)),
-                   epoch_salt, nullptr, {}) {}
 
 RoutingTable::RoutingTable(
     const Topology& topo,
@@ -177,8 +147,8 @@ RoutingTable::RoutingTable(
     }
   }
   // Blocks owned by changed ASes, as merged sorted ranges into
-  // topo.blocks() — the invalidation unit for warm CatchmentResolver
-  // rebuilds.
+  // topo.blocks() — the only blocks whose site can differ from the
+  // parent's, which the playbook re-scores.
   changed_block_ranges_.reserve(changed_ases_.size());
   for (const AsId as : changed_ases_) {
     const AsNode& node = topo.as_at(as);
@@ -218,12 +188,7 @@ SiteId RoutingTable::site_for_block(const topology::BlockInfo& info) const {
         util::hash_combine(util::mix64(0x6d70617468), epoch_salt_),
         info.block.index());
     const std::uint8_t count = flags >> 4;
-    if (count != 0) [[likely]]
-      return spray_sites_[info.as_id * kMaxTiedRoutes + h % count];
-    // Wide tie set (count 0 sentinel): the fixed row can't hold it;
-    // spray over the full candidate list in the shared state.
-    const auto& candidates = states_[info.as_id]->candidates;
-    return candidates[h % candidates.size()].site;
+    return spray_sites_[info.as_id * kMaxTiedRoutes + h % count];
   }
   return pop_sites_[(*pop_offsets_)[info.as_id] + info.pop];
 }

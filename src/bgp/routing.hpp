@@ -114,13 +114,6 @@ using BlockRange = std::pair<std::uint32_t, std::uint32_t>;
 /// to re-score only the blocks a candidate configuration moved.
 class RoutingTable {
  public:
-  /// Construction from hand-built per-AS states (test fixtures). The
-  /// deployment is borrowed (caller keeps it alive); no provenance.
-  RoutingTable(const topology::Topology& topo,
-               const anycast::Deployment& deployment,
-               std::vector<AsRoutingState> states,
-               std::uint64_t epoch_salt = 0);
-
   /// Engine construction: shared per-AS states, owned deployment, and
   /// (for delta-produced tables) the parent plus the changed-AS set.
   /// Hot-potato PoP resolution is copied from the parent and recomputed

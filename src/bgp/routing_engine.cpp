@@ -338,7 +338,7 @@ class Kernel {
           options_.tiebreak_salt,
           util::hash_combine(sender_node.asn.value,
                              topo_.as_at(receiver).asn.value));
-      if (static_cast<double>(jitter >> 11) * 0x1.0p-53 < kEpochJitterRate) {
+      if (util::to_unit(jitter) < kEpochJitterRate) {
         chosen = &fl[util::mix64(jitter) % fl.size()];
       }
     }
@@ -376,7 +376,10 @@ class Kernel {
       }
       CandidateRoute cand;
       cand.site = static_cast<SiteId>(s);
-      cand.path_len = static_cast<std::uint8_t>(1 + site.prepend);
+      // Clamped like make_offer's hops: unclamped, a prepend of 255
+      // would wrap the byte to path length 0 and win everywhere.
+      cand.path_len = static_cast<std::uint8_t>(
+          1 + std::clamp(site.prepend, 0, kMaxPathLen - 1));
       cand.cls = RouteClass::kCustomer;
       cand.egress_neighbor = topology::kNoAs;  // directly attached service
       cand.egress_pop = pop;

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <mutex>
 
-#include <memory>
-
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/rng.hpp"
@@ -85,35 +83,17 @@ CampaignReport Campaign::run_reported() const {
     }
     return false;
   };
-  // Cross-round arena pool: one arena per in-flight round, checked out
-  // for the duration of a round and returned afterwards, so round N+1
-  // starts with round N's capacities instead of cold allocations. The
-  // arena is attached here — NOT in spec_for() — because it is a pure
-  // performance knob: specs stay value types, and the campaign
-  // fingerprint (and therefore journal resume) is unaffected.
-  std::mutex arena_mutex;
-  std::vector<std::unique_ptr<util::RoundArena>> arena_pool;
-  const auto acquire_arena = [&] {
-    std::lock_guard lock{arena_mutex};
-    if (arena_pool.empty()) return std::make_unique<util::RoundArena>();
-    auto arena = std::move(arena_pool.back());
-    arena_pool.pop_back();
-    return arena;
-  };
-  const auto release_arena = [&](std::unique_ptr<util::RoundArena> arena) {
-    std::lock_guard lock{arena_mutex};
-    arena_pool.push_back(std::move(arena));
-  };
-  const auto run_one = [&](std::uint32_t r) {
+  const auto run_one = [&](std::uint32_t r, util::RoundArena& arena) {
     // Wall time of the round INCLUDING its journal append, as the
     // campaign experiences it (the engine's vp_engine_round_ms excludes
     // the append; the spread between the two is the durability tax).
     obs::Span span{&round_wall};
-    auto arena = acquire_arena();
+    // The arena is attached here — NOT in spec_for() — because it is a
+    // pure performance knob: specs stay value types, and the campaign
+    // fingerprint (and therefore journal resume) is unaffected.
     RoundSpec spec = spec_for(r);
-    spec.arena = arena.get();
+    spec.arena = &arena;
     RoundResult result = engine_->run(*routes_, spec, observer_);
-    release_arena(std::move(arena));
     if (journal.is_open()) {
       std::lock_guard lock{journal_mutex};
       if (!journal.append_round(r, result)) append_ok = false;
@@ -121,25 +101,22 @@ CampaignReport Campaign::run_reported() const {
     report.results[r] = std::move(result);
   };
 
+  // The in-flight workers claim round indices from one counter, the way
+  // probe workers claim runs, and each keeps one arena for every round it
+  // claims, so round N+1 starts with round N's capacities. Cancellation is
+  // checked before each claimed round starts: rounds in flight finish and
+  // journal normally, later rounds are skipped, and the journal stays a
+  // resumable prefix of the campaign. One worker runs inline.
   const unsigned in_flight =
       std::min(util::resolve_threads(concurrency_),
                std::max<std::uint32_t>(rounds_, 1));
-  // Cancellation is checked before each round starts (including inside
-  // the pool tasks): rounds in flight finish and journal normally, rounds
-  // not yet started are simply skipped — the journal stays a resumable
-  // prefix of the campaign.
-  if (in_flight <= 1) {
-    for (std::uint32_t r = 0; r < rounds_ && !cancel_requested(); ++r)
-      if (!done[r]) run_one(r);
-  } else {
-    util::ThreadPool pool{in_flight};
-    for (std::uint32_t r = 0; r < rounds_; ++r)
-      if (!done[r])
-        pool.submit([&run_one, &cancel_requested, r] {
-          if (!cancel_requested()) run_one(r);
-        });
-    pool.wait_idle();
-  }
+  std::atomic<std::uint32_t> next_round{0};
+  util::run_shards(in_flight, [&](unsigned) {
+    util::RoundArena arena;
+    for (std::uint32_t r = next_round++; r < rounds_ && !cancel_requested();
+         r = next_round++)
+      if (!done[r]) run_one(r, arena);
+  });
   report.interrupted = cancelled.load(std::memory_order_relaxed);
   if (!append_ok) report.journal = JournalStatus::kIoError;
   return report;

@@ -19,170 +19,103 @@
 #include <vector>
 
 #include "util/atomic_file.hpp"
+#include "util/byte_codec.hpp"
 #include "util/rng.hpp"
 
 namespace vp::core {
 
 namespace {
 
+using util::ByteReader;
+using util::put_le;
+
 constexpr std::uint8_t kManifestType = 1;
 constexpr std::uint8_t kRoundType = 2;
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kFrameHeader = 8;  // payload_len:u32 + crc:u32
 
-// ---- little-endian encode helpers -------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-// Chunked appends, not per-byte push_back: a round record is ~0.4 MB of
-// these and the encode shows up in the journaling overhead bench.
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out.append(b, sizeof b);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out.append(b, sizeof b);
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f32(std::string& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
-}
-
-// ---- bounds-checked decode cursor -------------------------------------
-
-struct Cursor {
-  const unsigned char* p;
-  std::size_t left;
-  bool ok = true;
-
-  explicit Cursor(std::string_view bytes)
-      : p(reinterpret_cast<const unsigned char*>(bytes.data())),
-        left(bytes.size()) {}
-
-  bool take(std::size_t n) {
-    if (!ok || left < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    const std::uint8_t v = p[0];
-    ++p, --left;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-    p += 4, left -= 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-    p += 8, left -= 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  float f32() { return std::bit_cast<float>(u32()); }
-};
-
 // ---- RoundResult <-> bytes --------------------------------------------
 
 void encode_result(std::string& out, const RoundResult& result) {
-  put_u32(out, result.map.measurement_id);
-  put_u64(out, result.map.probes_sent);
-  put_u64(out, result.map.blocks_probed);
+  put_le(out, result.map.measurement_id);
+  put_le(out, result.map.probes_sent);
+  put_le(out, result.map.blocks_probed);
   const CleaningStats& c = result.map.cleaning;
   for (const std::uint64_t v : {c.raw_replies, c.malformed, c.wrong_id,
                                 c.unsolicited, c.duplicates, c.late, c.kept})
-    put_u64(out, v);
-  put_i64(out, result.started.usec);
-  put_i64(out, result.probing_duration.usec);
+    put_le(out, v);
+  put_le(out, result.started.usec);
+  put_le(out, result.probing_duration.usec);
   const sim::FaultStats& f = result.faults;
   for (const std::uint64_t v :
        {f.probes_lost, f.replies_generated, f.replies_lost, f.rate_limited,
         f.outage_drops, f.withdrawn, f.diverted, f.delayed, f.retries,
         f.recovered})
-    put_u64(out, v);
-  put_u32(out, static_cast<std::uint32_t>(result.raw_replies_per_site.size()));
-  for (const std::uint64_t v : result.raw_replies_per_site) put_u64(out, v);
+    put_le(out, v);
+  put_le(out, static_cast<std::uint32_t>(result.raw_replies_per_site.size()));
+  for (const std::uint64_t v : result.raw_replies_per_site) put_le(out, v);
   // Map section, then one RTT per mapped block, both in the map's
   // ascending block order. One walk over the map fills both: the RTT
   // section is staged and appended after the map section.
   const auto mapped = static_cast<std::uint32_t>(result.map.mapped_blocks());
   std::string rtts;
   rtts.reserve(4 + std::size_t{mapped} * 8);
-  put_u32(rtts, mapped);
+  put_le(rtts, mapped);
   out.reserve(out.size() + 8 + std::size_t{mapped} * 13);
-  put_u32(out, mapped);
+  put_le(out, mapped);
   for (const auto& [block, site] : result.map.entries()) {
-    put_u32(out, block.index());
-    put_u8(out, static_cast<std::uint8_t>(site));
-    put_u32(rtts, block.index());
-    put_f32(rtts, result.map.rtt_of(block));
+    put_le(out, block.index());
+    put_le(out, static_cast<std::uint8_t>(site));
+    put_le(rtts, block.index());
+    put_le(rtts, result.map.rtt_of(block));
   }
   out += rtts;
 }
 
-bool decode_result(Cursor& in, RoundResult& result) {
-  result.map.measurement_id = in.u32();
-  result.map.probes_sent = in.u64();
-  result.map.blocks_probed = in.u64();
+bool decode_result(ByteReader& in, RoundResult& result) {
+  result.map.measurement_id = in.get<std::uint32_t>();
+  result.map.probes_sent = in.get<std::uint64_t>();
+  result.map.blocks_probed = in.get<std::uint64_t>();
   CleaningStats& c = result.map.cleaning;
   for (std::uint64_t* v : {&c.raw_replies, &c.malformed, &c.wrong_id,
                            &c.unsolicited, &c.duplicates, &c.late, &c.kept})
-    *v = in.u64();
-  result.started.usec = in.i64();
-  result.probing_duration.usec = in.i64();
+    *v = in.get<std::uint64_t>();
+  result.started.usec = in.get<std::int64_t>();
+  result.probing_duration.usec = in.get<std::int64_t>();
   sim::FaultStats& f = result.faults;
   for (std::uint64_t* v :
        {&f.probes_lost, &f.replies_generated, &f.replies_lost,
         &f.rate_limited, &f.outage_drops, &f.withdrawn, &f.diverted,
         &f.delayed, &f.retries, &f.recovered})
-    *v = in.u64();
-  const std::uint32_t sites = in.u32();
-  if (!in.ok || sites > 1u << 16) return false;
+    *v = in.get<std::uint64_t>();
+  const std::uint32_t sites = in.get<std::uint32_t>();
+  if (!in.ok() || sites > 1u << 16) return false;
   result.raw_replies_per_site.resize(sites);
   for (std::uint32_t s = 0; s < sites; ++s)
-    result.raw_replies_per_site[s] = in.u64();
+    result.raw_replies_per_site[s] = in.get<std::uint64_t>();
   // A CRC only proves the bytes are the ones written. The content checks
   // below refuse what encode_result never writes — a site outside the
   // record's own site table, a block listed twice in either section, an
   // RTT for a block the map lacks, an RTT no catchment CSV can carry
   // (negative, NaN, infinite) — so a forged or miscomputed record can
   // never reach code that indexes the deployment's sites by it.
-  const std::uint32_t mapped = in.u32();
-  if (!in.ok || mapped > 1u << 24 || !in.take(std::size_t{mapped} * 5))
+  const std::uint32_t mapped = in.get<std::uint32_t>();
+  if (!in.ok() || mapped > 1u << 24 || !in.take(std::size_t{mapped} * 5))
     return false;
   std::vector<std::pair<net::Block24, std::uint8_t>> sites_in(mapped);
   for (auto& [block, site] : sites_in) {
-    block = net::Block24{in.u32()};
-    site = in.u8();
+    block = net::Block24{in.get<std::uint32_t>()};
+    site = in.get<std::uint8_t>();
     // Bytes 0x80..0xff would decode to negative site ids.
     if (site >= sites || site > std::numeric_limits<anycast::SiteId>::max())
       return false;
   }
-  const std::uint32_t rtt_count = in.u32();
-  if (!in.ok || !in.take(std::size_t{rtt_count} * 8)) return false;
+  const std::uint32_t rtt_count = in.get<std::uint32_t>();
+  if (!in.ok() || !in.take(std::size_t{rtt_count} * 8)) return false;
   std::vector<std::pair<net::Block24, float>> rtts_in(rtt_count);
   for (auto& [block, rtt] : rtts_in) {
-    block = net::Block24{in.u32()};
-    rtt = in.f32();
+    block = net::Block24{in.get<std::uint32_t>()};
+    rtt = in.get<float>();
     if (!(rtt >= 0.0f && rtt <= std::numeric_limits<float>::max()))
       return false;
   }
@@ -201,7 +134,7 @@ bool decode_result(Cursor& in, RoundResult& result) {
       return false;  // the block is listed twice
   }
   // An RTT left over names a block the map lacks, or repeats one.
-  return joined == rtt_count && in.ok && in.left == 0;
+  return joined == rtt_count && in.ok() && in.left() == 0;
 }
 
 // ---- POSIX write plumbing + the kill-point hook -----------------------
@@ -285,25 +218,26 @@ Parsed parse_journal(std::string_view data, const JournalManifest& expect) {
   bool saw_manifest = false;
   while (pos < data.size()) {
     if (data.size() - pos < kFrameHeader) break;  // torn header
-    Cursor header{data.substr(pos, kFrameHeader)};
-    const std::uint32_t len = header.u32();
-    const std::uint32_t crc = header.u32();
+    ByteReader header{data.substr(pos, kFrameHeader)};
+    const std::uint32_t len = header.get<std::uint32_t>();
+    const std::uint32_t crc = header.get<std::uint32_t>();
     if (data.size() - pos - kFrameHeader < len) break;  // torn payload
     const std::string_view payload = data.substr(pos + kFrameHeader, len);
     if (util::crc32(payload) != crc) {
       out.status = JournalStatus::kCorrupt;
       return out;
     }
-    Cursor in{payload};
-    const std::uint8_t type = in.u8();
+    ByteReader in{payload};
+    const std::uint8_t type = in.get<std::uint8_t>();
     if (!saw_manifest) {
-      if (type != kManifestType || in.u32() != kFormatVersion) {
+      if (type != kManifestType ||
+          in.get<std::uint32_t>() != kFormatVersion) {
         out.status = JournalStatus::kCorrupt;
         return out;
       }
-      const std::uint64_t fingerprint = in.u64();
-      const std::uint32_t rounds = in.u32();
-      if (!in.ok || in.left != 0) {
+      const std::uint64_t fingerprint = in.get<std::uint64_t>();
+      const std::uint32_t rounds = in.get<std::uint32_t>();
+      if (!in.ok() || in.left() != 0) {
         out.status = JournalStatus::kCorrupt;
         return out;
       }
@@ -317,9 +251,9 @@ Parsed parse_journal(std::string_view data, const JournalManifest& expect) {
         out.status = JournalStatus::kCorrupt;
         return out;
       }
-      const std::uint32_t round = in.u32();
+      const std::uint32_t round = in.get<std::uint32_t>();
       RoundResult result;
-      if (!in.ok || round >= expect.rounds || !decode_result(in, result)) {
+      if (!in.ok() || round >= expect.rounds || !decode_result(in, result)) {
         out.status = JournalStatus::kCorrupt;
         return out;
       }
@@ -352,26 +286,26 @@ const char* to_string(JournalStatus status) {
 std::string CampaignJournal::frame(std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeader + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, util::crc32(payload));
+  put_le(out, static_cast<std::uint32_t>(payload.size()));
+  put_le(out, util::crc32(payload));
   out.append(payload);
   return out;
 }
 
 std::string CampaignJournal::encode_manifest(const JournalManifest& manifest) {
   std::string payload;
-  put_u8(payload, kManifestType);
-  put_u32(payload, kFormatVersion);
-  put_u64(payload, manifest.fingerprint);
-  put_u32(payload, manifest.rounds);
+  put_le(payload, kManifestType);
+  put_le(payload, kFormatVersion);
+  put_le(payload, manifest.fingerprint);
+  put_le(payload, manifest.rounds);
   return payload;
 }
 
 std::string CampaignJournal::encode_round(std::uint32_t round,
                                           const RoundResult& result) {
   std::string payload;
-  put_u8(payload, kRoundType);
-  put_u32(payload, round);
+  put_le(payload, kRoundType);
+  put_le(payload, round);
   encode_result(payload, result);
   return payload;
 }

@@ -389,7 +389,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   em.hot_allocs.add(hot_grows);
   result.map.probes_sent = total_probes + result.faults.retries;
   result.map.blocks_probed = order.size();
-  if (observer != nullptr) observer->on_fault_stats(spec, result.faults);
 
   // Flush the workers' observability tallies. Labeled per-worker series
   // let a dashboard spot an unbalanced split; the aggregates feed the
@@ -442,8 +441,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
     }
     em.malformed.add(stats.malformed);
   }
-  if (observer != nullptr)
-    observer->on_replies_collected(spec, result.raw_replies_per_site);
 
   // --- central cleaning (paper §4) ----------------------------------------
   // Every filter is per reply and first-reply-wins keeps each block's

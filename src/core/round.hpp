@@ -108,10 +108,11 @@ struct RoundMetrics {
 ///
 /// Threading contract: within one run, on_probe_progress may be called
 /// from any probe worker but calls are serialized by the engine;
-/// on_replies_collected and on_round_complete come from the coordinating
-/// thread after the workers joined. Distinct *concurrent* rounds (a
-/// Campaign with concurrency > 1) each call the observer independently —
-/// an observer shared across rounds must synchronize its own state.
+/// on_round_complete and on_metrics come from the thread that called
+/// ProbeEngine::run, after the workers joined. Distinct *concurrent*
+/// rounds (a Campaign with concurrency > 1, each on its own claiming
+/// worker) call the observer independently — an observer shared across
+/// rounds must synchronize its own state.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
@@ -124,21 +125,10 @@ class RoundObserver {
     (void)spec, (void)sent, (void)total;
   }
 
-  /// All collectors merged: raw reply counts per site, before cleaning.
-  virtual void on_replies_collected(
-      const RoundSpec& spec, const std::vector<std::uint64_t>& per_site) {
-    (void)spec, (void)per_site;
-  }
-
-  /// Fault and retry accounting for the probe phase (all-zero when the
-  /// round ran clean). Called once per round, after the workers joined
-  /// and before on_replies_collected.
-  virtual void on_fault_stats(const RoundSpec& spec,
-                              const sim::FaultStats& faults) {
-    (void)spec, (void)faults;
-  }
-
-  /// The round is fully cleaned; `result.map.cleaning` holds the stats.
+  /// The round is fully cleaned. `result.map.cleaning` holds the
+  /// cleaning stats, `result.raw_replies_per_site` the per-site reply
+  /// counts before cleaning, and `result.faults` the fault and retry
+  /// accounting (all-zero when the round ran clean).
   virtual void on_round_complete(const RoundSpec& spec,
                                  const RoundResult& result) {
     (void)spec, (void)result;
@@ -146,8 +136,8 @@ class RoundObserver {
 
   /// Wall-clock timing/throughput for the finished round — the live
   /// one-line progress report vpctl prints. Called last, after
-  /// on_round_complete, from the coordinating thread. Values are real
-  /// time and therefore nondeterministic; results never depend on them.
+  /// on_round_complete. Values are real time and therefore
+  /// nondeterministic; results never depend on them.
   virtual void on_metrics(const RoundSpec& spec, const RoundMetrics& metrics) {
     (void)spec, (void)metrics;
   }

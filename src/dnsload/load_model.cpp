@@ -8,12 +8,6 @@
 
 namespace vp::dnsload {
 
-namespace {
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-}  // namespace
-
 double country_volume_multiplier(LoadProfile profile,
                                  std::string_view country) {
   if (profile == LoadProfile::kRootLike) {
@@ -55,7 +49,7 @@ LoadModel::LoadModel(const topology::Topology& topo,
     const bool responsive = responsiveness.ever_responds(info.block);
     const double p =
         kQueryingRateResponsive * (responsive ? 1.0 : kNonresponsiveFactor);
-    if (to_unit(h) >= p) continue;
+    if (util::to_unit(h) >= p) continue;
 
     util::Rng rng{util::hash_combine(
         util::hash_combine(config.seed, h), 0x10ad)};

@@ -7,23 +7,10 @@
 namespace vp::geo {
 
 void GeoDatabase::add(net::Block24 block, const GeoRecord& record) {
-  const std::uint32_t b = block.index();
-  if (records_.empty()) {
-    first_ = b;
-    records_.resize(1);
-    present_.resize(1, 0);
-  } else if (b < first_) {
-    records_.insert(records_.begin(), first_ - b, GeoRecord{});
-    present_.insert(present_.begin(), first_ - b, 0);
-    first_ = b;
-  } else if (b - first_ >= records_.size()) {
-    records_.resize(b - first_ + 1);
-    present_.resize(b - first_ + 1, 0);
-  }
-  const std::uint32_t slot = b - first_;
-  if (!present_[slot]) ++count_;
-  present_[slot] = 1;
-  records_[slot] = record;
+  prepare_span(block, block);
+  const bool fresh = !present_[block.index() - first_];
+  set(block, record);
+  if (fresh) ++count_;
 }
 
 std::optional<GeoRecord> GeoDatabase::lookup(net::Block24 block) const {

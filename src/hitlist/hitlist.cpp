@@ -10,10 +10,6 @@
 namespace vp::hitlist {
 
 namespace {
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 /// Entry for one block, or nullopt when the block is missing from the
 /// hitlist. A pure function of (config, block), which is what makes the
 /// parallel build order-independent.
@@ -22,10 +18,10 @@ std::optional<Entry> make_entry(const topology::BlockInfo& info,
                                 const HitlistConfig& config) {
   const std::uint64_t h = util::hash_combine(
       util::hash_combine(config.seed, 0xb10c), info.block.index());
-  if (to_unit(h) < kMissingBlockRate) return std::nullopt;
+  if (util::to_unit(h) < kMissingBlockRate) return std::nullopt;
   std::uint8_t host = responsiveness.responsive_host(info.block);
   const std::uint64_t h2 = util::hash_combine(h, 0x57a1e);
-  if (to_unit(h2) < kStaleEntryRate) {
+  if (util::to_unit(h2) < kStaleEntryRate) {
     // Stale entry: the census-era host is gone; point somewhere else.
     host = static_cast<std::uint8_t>(1 + (host + 1 + h2 % 248) % 250);
   }

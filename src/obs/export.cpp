@@ -18,18 +18,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-/// Metric names can embed label syntax (`{site="LAX"}`), so the quotes
-/// must be escaped when the name becomes a JSON string.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Splits "base{labels}" into its parts; labels come back without braces
 /// (empty when the name carries none).
 void split_labels(const std::string& name, std::string& base,
@@ -58,6 +46,16 @@ std::string series(const std::string& base, const std::string& suffix,
 }
 
 }  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
+}
 
 std::string to_json(const Snapshot& snapshot) {
   std::ostringstream out;

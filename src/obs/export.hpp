@@ -10,10 +10,16 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
 namespace vp::obs {
+
+/// `text` with its quotes and backslashes escaped for a JSON string:
+/// metric names embed label syntax (`{site="LAX"}`), and the daemon's
+/// bodies echo site codes and query text.
+std::string json_escape(std::string_view text);
 
 std::string to_json(const Snapshot& snapshot);
 std::string to_prometheus(const Snapshot& snapshot);

@@ -12,11 +12,12 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/format.hpp"
-#include "util/rng.hpp"
 
 namespace vp::service {
 
 namespace {
+
+using obs::json_escape;
 
 /// Map-age histogram bounds, in seconds: the bounded-staleness contract
 /// makes "how old was the map when queried" a first-class SLO, so the
@@ -43,16 +44,6 @@ bool env_round_matches(const char* name, std::uint32_t round) {
   const char* env = std::getenv(name);
   return env != nullptr &&
          std::strtoul(env, nullptr, 10) == static_cast<unsigned long>(round);
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -345,19 +336,13 @@ void Daemon::publish(std::uint32_t round, core::RoundResult result,
   if (report.available) {
     const double moved = report.diff.moved_fraction();
     // Alarm against the *prior* transitions' statistics, then fold the
-    // new observation into the Welford accumulator.
-    const double prior_mean = drift_mean_;
-    const double prior_std =
-        drift_n_ > 1 ? std::sqrt(drift_m2_ / (drift_n_ - 1)) : 0.0;
+    // new observation in.
     report.alarm = moved > kDriftAlarmFraction &&
-                   (drift_n_ == 0 || moved > prior_mean + 4 * prior_std);
-    drift_n_ += 1;
-    const double delta = moved - drift_mean_;
-    drift_mean_ += delta / drift_n_;
-    drift_m2_ += delta * (moved - drift_mean_);
-    report.mean_moved_fraction = drift_mean_;
-    report.stddev_moved_fraction =
-        drift_n_ > 1 ? std::sqrt(drift_m2_ / (drift_n_ - 1)) : 0.0;
+                   (drift_stats_.count() == 0 ||
+                    moved > drift_stats_.mean() + 4 * drift_stats_.stddev());
+    drift_stats_.add(moved);
+    report.mean_moved_fraction = drift_stats_.mean();
+    report.stddev_moved_fraction = drift_stats_.stddev();
     drift_ = report;
   }
   prev_good_ = map_;
@@ -532,9 +517,10 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
     const auto [end, ec] =
         std::from_chars(depth.data(), depth.data() + depth.size(), prepend);
     if (ec != std::errc{} || end != depth.data() + depth.size() ||
-        prepend < 0 || prepend > 16)
+        prepend < 0 || prepend > anycast::kMaxPrepend)
       return net::HttpResponse::bad_request(
-          "prepend depth must be an integer in [0, 16]");
+          "prepend depth must be an integer in [0, " +
+          std::to_string(anycast::kMaxPrepend) + "]");
     target.sites[static_cast<std::size_t>(*site)].prepend = prepend;
     if (comma == std::string_view::npos) break;
     rest.remove_prefix(comma + 1);
@@ -547,13 +533,9 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
   {
     std::lock_guard lock{session_mutex_};
     if (!session_) {
-      // Same routing options as Scenario::delta_session (DeltaSession is
-      // not movable, so build it in place behind the pointer).
-      bgp::RoutingOptions options;
-      options.tiebreak_salt =
-          util::hash_combine(scenario_.config().seed, analysis::kMayEpoch);
+      // DeltaSession is not movable, so it is built in place.
       session_ = std::make_unique<analysis::DeltaSession>(
-          scenario_.topo(), deployment_, options);
+          scenario_.topo(), deployment_, scenario_.routing_options());
     }
     table = session_->route_to(target);
   }

@@ -60,6 +60,7 @@
 #include "net/http_server.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/round_arena.hpp"
+#include "util/stats.hpp"
 
 namespace vp::service {
 
@@ -258,8 +259,7 @@ class Daemon {
   std::uint32_t watchdog_kills_ = 0;
   std::uint32_t rounds_resumed_ = 0;
   core::JournalStatus journal_status_ = core::JournalStatus::kDisabled;
-  // Welford accumulator over moved fractions (drift change-point).
-  double drift_n_ = 0.0, drift_mean_ = 0.0, drift_m2_ = 0.0;
+  util::OnlineStats drift_stats_;  // moved fractions (drift change-point)
 
   mutable std::mutex session_mutex_;  // guards the /load delta session
   std::unique_ptr<analysis::DeltaSession> session_;

@@ -9,10 +9,6 @@
 namespace vp::sim {
 
 namespace {
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 // Per-probe resolution counters. Hits mean the O(1) precomputed path
 // served the probe; misses mean the full hash-map walk did (flip-signature
 // mismatch). hits + misses counts every site lookup.
@@ -40,9 +36,8 @@ bool FlipModel::is_flappy(const bgp::RoutingTable& routes,
   const double rate =
       (node.load_balanced ? kFlappyRateLoadBalanced : kFlappyRateBackground) *
       node.flap_scale;
-  return to_unit(util::hash_combine(
-             util::hash_combine(config_.seed, 0xf1a9), block.index())) <
-         rate;
+  return util::to_unit(util::hash_combine(
+             util::hash_combine(config_.seed, 0xf1a9), block.index())) < rate;
 }
 
 FlipModel::FlipModel(const FlipConfig& config)
@@ -96,7 +91,7 @@ anycast::SiteId FlipModel::site_in_round(const bgp::RoutingTable& routes,
 
     const std::uint64_t th = util::hash_combine(
         transient_seed_, util::hash_combine(block.index(), round));
-    if (site >= 0 && to_unit(th) < config_.transient_rate)
+    if (site >= 0 && util::to_unit(th) < config_.transient_rate)
       site = resolver->transient_site(site, util::mix64(th));
     return site;
   }
@@ -131,7 +126,7 @@ anycast::SiteId FlipModel::site_in_round_uncached(
   // visible site of the deployment.
   const std::uint64_t th = util::hash_combine(
       transient_seed_, util::hash_combine(block.index(), round));
-  if (site >= 0 && to_unit(th) < config_.transient_rate) {
+  if (site >= 0 && util::to_unit(th) < config_.transient_rate) {
     const auto& sites = routes.deployment().sites;
     const auto visible = [&](std::size_t s) {
       return sites[s].enabled && !sites[s].hidden &&

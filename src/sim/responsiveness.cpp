@@ -4,13 +4,6 @@
 
 namespace vp::sim {
 
-namespace {
-/// Maps a 64-bit hash to a uniform double in [0,1).
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-}  // namespace
-
 ResponsivenessModel::ResponsivenessModel(const topology::Topology& topo,
                                          const ResponsivenessConfig& config)
     : topo_(&topo), config_(config) {
@@ -30,7 +23,7 @@ bool ResponsivenessModel::ever_responds(net::Block24 block) const {
   } else {
     return false;  // unallocated space never replies
   }
-  return to_unit(block_hash(block, /*stream=*/1)) < rate;
+  return util::to_unit(block_hash(block, /*stream=*/1)) < rate;
 }
 
 bool ResponsivenessModel::responds_in_round(net::Block24 block,
@@ -38,7 +31,7 @@ bool ResponsivenessModel::responds_in_round(net::Block24 block,
   if (!ever_responds(block)) return false;
   const std::uint64_t h =
       util::hash_combine(block_hash(block, /*stream=*/2), round);
-  return to_unit(h) >= kRoundDownRate;
+  return util::to_unit(h) >= kRoundDownRate;
 }
 
 ReplyBehavior ResponsivenessModel::behavior(net::Block24 block,
@@ -71,7 +64,7 @@ bool ResponsivenessModel::is_live_host(net::Block24 block,
   if (host == responsive_host(block)) return true;
   const std::uint64_t h =
       util::hash_combine(block_hash(block, /*stream=*/5), host);
-  return to_unit(h) < kSecondaryLiveRate;
+  return util::to_unit(h) < kSecondaryLiveRate;
 }
 
 }  // namespace vp::sim

@@ -22,6 +22,7 @@ using geo::PopulationCenter;
 using util::Rng;
 using util::hash_combine;
 using util::mix64;
+using util::to_unit;
 
 // Phase tags keeping the per-entity substreams independent: the draws an
 // AS makes for its PoPs can never alias the draws it makes for its edges.
@@ -37,10 +38,6 @@ constexpr std::uint64_t kGeoTag = 0x47656f52;    // "GeoR"
 constexpr double kRegionalFraction = 0.12;
 /// Chance a regional buys from a lower-id regional.
 constexpr double kSecondTierRate = 0.30;
-
-constexpr double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 /// Pairwise distances over the fixed world centers, computed once per
 /// generation. All structural decisions (nearest PoP, same-continent

@@ -1,73 +1,30 @@
 #include "topology/topo_io.hpp"
 
-#include <bit>
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "geo/world.hpp"
 #include "util/atomic_file.hpp"
+#include "util/byte_codec.hpp"
 #include "util/rng.hpp"
 
 namespace vp::topology {
 namespace {
 
 using util::hash_combine;
+using util::put_le;
 
 constexpr std::uint64_t kMagic = 0x5650544f504f3101ULL;  // "VPTOPO1\x01"
 
-// --- little primitives over a byte buffer ---------------------------------
+void put_str(std::string& out, const std::string& s) {
+  put_le(out, static_cast<std::uint16_t>(s.size()));
+  out.append(s);
+}
 
-struct Writer {
-  std::string out;
-
-  template <typename T>
-  void put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof(T));
-    out.append(bytes, sizeof(T));
-  }
-
-  void put_f64(double value) { put(std::bit_cast<std::uint64_t>(value)); }
-
-  void put_str(const std::string& s) {
-    put(static_cast<std::uint16_t>(s.size()));
-    out.append(s);
-  }
-};
-
-struct Reader {
-  const std::string& in;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T value{};
-    if (pos + sizeof(T) > in.size()) {
-      ok = false;
-      return value;
-    }
-    std::memcpy(&value, in.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return value;
-  }
-
-  double get_f64() { return std::bit_cast<double>(get<std::uint64_t>()); }
-
-  std::string get_str() {
-    const auto len = get<std::uint16_t>();
-    if (pos + len > in.size()) {
-      ok = false;
-      return {};
-    }
-    std::string s = in.substr(pos, len);
-    pos += len;
-    return s;
-  }
-};
+std::string get_str(util::ByteReader& r) {
+  return std::string{r.bytes(r.get<std::uint16_t>())};
+}
 
 }  // namespace
 
@@ -119,62 +76,62 @@ std::uint64_t structural_digest(const Topology& topo) {
 }
 
 std::string serialize_topology(const Topology& topo) {
-  Writer w;
-  w.put(kMagic);
-  w.put(structural_digest(topo));
-  w.put(static_cast<std::uint64_t>(topo.as_count()));
-  w.put(static_cast<std::uint64_t>(topo.announced_prefixes().size()));
-  w.put(static_cast<std::uint64_t>(topo.block_count()));
-  w.put(static_cast<std::uint64_t>(topo.geodb().size()));
+  std::string out;
+  put_le(out, kMagic);
+  put_le(out, structural_digest(topo));
+  put_le(out, static_cast<std::uint64_t>(topo.as_count()));
+  put_le(out, static_cast<std::uint64_t>(topo.announced_prefixes().size()));
+  put_le(out, static_cast<std::uint64_t>(topo.block_count()));
+  put_le(out, static_cast<std::uint64_t>(topo.geodb().size()));
   for (const AsNode& node : topo.ases()) {
-    w.put(node.asn.value);
-    w.put(static_cast<std::uint8_t>(node.tier));
-    w.put(static_cast<std::uint8_t>(node.load_balanced));
-    w.put(static_cast<std::uint8_t>(node.multipath));
-    w.put_str(node.name);
-    w.put_f64(node.flap_scale);
-    w.put_f64(node.icmp_response_scale);
-    w.put(static_cast<std::uint16_t>(node.pops.size()));
+    put_le(out, node.asn.value);
+    put_le(out, static_cast<std::uint8_t>(node.tier));
+    put_le(out, static_cast<std::uint8_t>(node.load_balanced));
+    put_le(out, static_cast<std::uint8_t>(node.multipath));
+    put_str(out, node.name);
+    put_le(out, node.flap_scale);
+    put_le(out, node.icmp_response_scale);
+    put_le(out, static_cast<std::uint16_t>(node.pops.size()));
     for (const Pop& pop : node.pops) {
-      w.put(pop.center_id);
-      w.put_f64(pop.location.lat);
-      w.put_f64(pop.location.lon);
+      put_le(out, pop.center_id);
+      put_le(out, pop.location.lat);
+      put_le(out, pop.location.lon);
     }
     // Links are stored for both directions and reassigned verbatim on
     // load, reproducing the exact adjacency order (and the mirrored
     // reverse bonuses) the generator produced.
-    w.put(static_cast<std::uint32_t>(node.links.size()));
+    put_le(out, static_cast<std::uint32_t>(node.links.size()));
     for (const Link& link : node.links) {
-      w.put(link.neighbor);
-      w.put(static_cast<std::uint8_t>(link.rel));
-      w.put(link.local_pop);
-      w.put(link.remote_pop);
-      w.put(link.local_pref_bonus);
-      w.put(link.reverse_local_pref_bonus);
+      put_le(out, link.neighbor);
+      put_le(out, static_cast<std::uint8_t>(link.rel));
+      put_le(out, link.local_pop);
+      put_le(out, link.remote_pop);
+      put_le(out, link.local_pref_bonus);
+      put_le(out, link.reverse_local_pref_bonus);
     }
   }
   for (const AnnouncedPrefix& p : topo.announced_prefixes()) {
-    w.put(p.prefix.base().value());
-    w.put(p.prefix.length());
-    w.put(p.origin);
+    put_le(out, p.prefix.base().value());
+    put_le(out, p.prefix.length());
+    put_le(out, p.origin);
   }
   for (const BlockInfo& b : topo.blocks()) {
-    w.put(b.block.index());
-    w.put(b.as_id);
-    w.put(b.pop);
-    w.put(b.prefix_index);
+    put_le(out, b.block.index());
+    put_le(out, b.as_id);
+    put_le(out, b.pop);
+    put_le(out, b.prefix_index);
   }
   topo.geodb().for_each([&](net::Block24 block, const geo::GeoRecord& rec) {
-    w.put(block.index());
-    w.put_f64(rec.location.lat);
-    w.put_f64(rec.location.lon);
-    w.put(rec.center_id);
-    w.put(rec.country[0]);
-    w.put(rec.country[1]);
-    w.put(static_cast<std::uint8_t>(rec.continent));
+    put_le(out, block.index());
+    put_le(out, rec.location.lat);
+    put_le(out, rec.location.lon);
+    put_le(out, rec.center_id);
+    put_le(out, rec.country[0]);
+    put_le(out, rec.country[1]);
+    put_le(out, static_cast<std::uint8_t>(rec.continent));
   });
-  w.put(util::crc32(w.out.data(), w.out.size()));
-  return std::move(w.out);
+  put_le(out, util::crc32(out));
+  return out;
 }
 
 bool save_topology(const Topology& topo, const std::string& path) {
@@ -187,15 +144,15 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     error = "truncated topology image";
     return false;
   }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  if (util::crc32(bytes.data(), bytes.size() - sizeof(stored_crc)) !=
-      stored_crc) {
+  const std::string_view body{bytes.data(),
+                              bytes.size() - sizeof(std::uint32_t)};
+  if (util::crc32(body) !=
+      util::ByteReader{std::string_view{bytes}.substr(body.size())}
+          .get<std::uint32_t>()) {
     error = "topology image CRC mismatch";
     return false;
   }
-  Reader r{bytes};
+  util::ByteReader r{body};
   if (r.get<std::uint64_t>() != kMagic) {
     error = "not a topology image (bad magic)";
     return false;
@@ -208,15 +165,19 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
 
   // The CRC and the digest only prove the bytes are self-consistent:
   // anyone can recompute both. Every index is checked against the table
-  // it points into before the build API sees it.
+  // it points into, and every block and geo record against the image's
+  // own prefixes and block list, before the build API sees it.
   const std::size_t centers = geo::world_centers().size();
-  const auto reject = [&error](const char* what) {
-    error = std::string{"topology image: "} + what + " out of range";
+  const auto refuse = [&error](const std::string& why) {
+    error = "topology image: " + why;
     return false;
+  };
+  const auto reject = [&refuse](const std::string& field) {
+    return refuse(field + " out of range");
   };
 
   Topology topo;
-  for (std::uint64_t v = 0; v < as_count && r.ok; ++v) {
+  for (std::uint64_t v = 0; v < as_count && r.ok(); ++v) {
     AsNode node;
     node.asn = AsNumber{r.get<std::uint32_t>()};
     const auto tier = r.get<std::uint8_t>();
@@ -225,21 +186,21 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     node.tier = static_cast<AsTier>(tier);
     node.load_balanced = r.get<std::uint8_t>() != 0;
     node.multipath = r.get<std::uint8_t>() != 0;
-    node.name = r.get_str();
-    node.flap_scale = r.get_f64();
-    node.icmp_response_scale = r.get_f64();
+    node.name = get_str(r);
+    node.flap_scale = r.get<double>();
+    node.icmp_response_scale = r.get<double>();
     const auto pop_count = r.get<std::uint16_t>();
-    for (std::uint16_t i = 0; i < pop_count && r.ok; ++i) {
+    for (std::uint16_t i = 0; i < pop_count && r.ok(); ++i) {
       Pop pop;
       pop.center_id = r.get<std::uint16_t>();
       if (pop.center_id >= centers) return reject("PoP center id");
-      pop.location.lat = r.get_f64();
-      pop.location.lon = r.get_f64();
+      pop.location.lat = r.get<double>();
+      pop.location.lon = r.get<double>();
       node.pops.push_back(pop);
     }
     const auto link_count = r.get<std::uint32_t>();
     std::vector<Link> links;
-    for (std::uint32_t i = 0; i < link_count && r.ok; ++i) {
+    for (std::uint32_t i = 0; i < link_count && r.ok(); ++i) {
       Link link;
       link.neighbor = r.get<AsId>();
       const auto rel = r.get<std::uint8_t>();
@@ -265,7 +226,7 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
         return reject("link PoP");
     }
   }
-  for (std::uint64_t i = 0; i < prefix_count && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < prefix_count && r.ok(); ++i) {
     const auto base = r.get<std::uint32_t>();
     const auto len = r.get<std::uint8_t>();
     const auto origin = r.get<AsId>();
@@ -273,22 +234,41 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     if (len > 24) return reject("prefix length");
     topo.announce(origin, net::Prefix{net::Ipv4Address{base}, len});
   }
-  for (std::uint64_t i = 0; i < block_count && r.ok; ++i) {
+  std::vector<BlockInfo> blocks;
+  for (std::uint64_t i = 0; i < block_count && r.ok(); ++i) {
+    BlockInfo b;
     const auto index = r.get<std::uint32_t>();
-    const auto as_id = r.get<AsId>();
-    const auto pop = r.get<std::uint16_t>();
-    const auto prefix_index = r.get<std::uint32_t>();
-    if (as_id >= topo.as_count()) return reject("block AS");
-    if (pop >= topo.as_at(as_id).pops.size()) return reject("block PoP");
-    if (prefix_index >= topo.announced_prefixes().size())
+    b.as_id = r.get<AsId>();
+    b.pop = r.get<std::uint16_t>();
+    b.prefix_index = r.get<std::uint32_t>();
+    if (!r.ok()) break;
+    if (b.as_id >= topo.as_count()) return reject("block AS");
+    if (b.pop >= topo.as_at(b.as_id).pops.size()) return reject("block PoP");
+    if (b.prefix_index >= topo.announced_prefixes().size())
       return reject("block prefix index");
-    topo.add_block(net::Block24{index}, as_id, pop, prefix_index);
+    b.block = net::Block24{index};
+    if (index > 0xffffff ||
+        !topo.announced_prefixes()[b.prefix_index].prefix.contains(
+            b.block.base_address()))
+      return refuse("block outside its prefix");
+    blocks.push_back(b);
   }
-  for (std::uint64_t i = 0; i < geo_count && r.ok; ++i) {
+  // Sorted block indices: a repeat is a block listed twice, and a geo
+  // record must name one of them (else the direct-mapped geo table would
+  // stretch to any /24 the image names).
+  std::vector<std::uint32_t> listed(blocks.size());
+  std::ranges::transform(blocks, listed.begin(),
+                         [](const BlockInfo& b) { return b.block.index(); });
+  std::ranges::sort(listed);
+  if (std::ranges::adjacent_find(listed) != listed.end())
+    return refuse("block listed twice");
+  for (const BlockInfo& b : blocks)
+    topo.add_block(b.block, b.as_id, b.pop, b.prefix_index);
+  for (std::uint64_t i = 0; i < geo_count && r.ok(); ++i) {
     const auto index = r.get<std::uint32_t>();
     geo::GeoRecord rec;
-    rec.location.lat = r.get_f64();
-    rec.location.lon = r.get_f64();
+    rec.location.lat = r.get<double>();
+    rec.location.lon = r.get<double>();
     rec.center_id = r.get<std::uint16_t>();
     if (rec.center_id >= centers) return reject("geo center id");
     rec.country[0] = r.get<char>();
@@ -298,9 +278,12 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     if (continent > static_cast<std::uint8_t>(geo::Continent::kOceania))
       return reject("geo continent byte");
     rec.continent = static_cast<geo::Continent>(continent);
+    if (!r.ok()) break;
+    if (!std::ranges::binary_search(listed, index))
+      return refuse("geo record for an unlisted block");
     topo.geodb_mutable().add(net::Block24{index}, rec);
   }
-  if (!r.ok) {
+  if (!r.ok()) {
     error = "truncated topology image";
     return false;
   }

@@ -33,8 +33,9 @@ bool save_topology(const Topology& topo, const std::string& path);
 /// Rebuilds a topology from a serialized image. Returns false on a
 /// malformed image, CRC mismatch, an index outside the table it points
 /// into (AS, PoP, prefix, population center, enum byte, or a prefix
-/// longer than /24), or digest mismatch after the rebuild (`error` gets
-/// a one-line reason).
+/// longer than /24), a block outside its prefix or listed twice, a geo
+/// record for a block the image does not list, or digest mismatch after
+/// the rebuild (`error` gets a one-line reason).
 bool deserialize_topology(const std::string& bytes, Topology& out,
                           std::string& error);
 

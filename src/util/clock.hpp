@@ -45,17 +45,4 @@ struct SimTime {
 /// Renders "HH:MM:SS" for logs and table captions.
 std::string format_hms(SimTime t);
 
-/// Monotonic virtual clock owned by a simulation run.
-class SimClock {
- public:
-  SimTime now() const noexcept { return now_; }
-  void advance(SimTime delta) noexcept { now_ += delta; }
-  void advance_to(SimTime t) noexcept {
-    if (t > now_) now_ = t;
-  }
-
- private:
-  SimTime now_{};
-};
-
 }  // namespace vp::util

@@ -37,6 +37,12 @@ constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept 
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
+/// Maps 64 random bits to a double in [0, 1) from their top 53 bits — the
+/// one hash-to-uniform draw every stateless per-entity decision uses.
+constexpr double to_unit(std::uint64_t bits) noexcept {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256++ engine. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:
@@ -66,9 +72,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1). 53 bits of mantissa entropy.
-  constexpr double uniform() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
+  constexpr double uniform() noexcept { return to_unit((*this)()); }
 
   /// Uniform double in [lo, hi).
   constexpr double uniform(double lo, double hi) noexcept {
@@ -120,29 +124,6 @@ class Rng {
     const double mag =
         std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
     return mean + stddev * mag;
-  }
-
-  /// Poisson sample (Knuth for small means, normal approximation above 64 —
-  /// adequate for binning query counts).
-  std::uint64_t poisson(double mean) noexcept {
-    if (mean <= 0) return 0;
-    if (mean > 64.0) {
-      const double v = normal(mean, std::sqrt(mean));
-      return v <= 0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
-    }
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-
-  /// Derive an independent generator for a named substream.
-  constexpr Rng fork(std::uint64_t stream) noexcept {
-    return Rng{hash_combine((*this)(), stream)};
   }
 
  private:

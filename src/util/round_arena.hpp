@@ -20,9 +20,10 @@
 // Threading: an arena may be used by AT MOST ONE round at a time. The
 // engine's workers never touch the arena directly — the coordinator
 // checks out the workspace once, workers get disjoint slices. Campaign
-// keeps a pool (one arena per in-flight round); service::Daemon keeps a
-// shared_ptr it drops if the watchdog abandons a round, so an abandoned
-// worker can never race the next attempt's arena.
+// gives each of its round-claiming workers one arena for every round it
+// claims; service::Daemon keeps a shared_ptr it drops if the watchdog
+// abandons a round, so an abandoned worker can never race the next
+// attempt's arena.
 #pragma once
 
 #include <cstdint>

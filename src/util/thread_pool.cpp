@@ -1,7 +1,10 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace vp::util {
 
@@ -11,63 +14,6 @@ unsigned resolve_threads(unsigned requested) noexcept {
     return hw == 0 ? 1 : hw;
   }
   return std::min(requested, 256u);
-}
-
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n = resolve_threads(threads);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock{mutex_};
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard lock{mutex_};
-    queue_.push_back(std::move(job));
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock{mutex_};
-  all_idle_.wait(lock, [this] { return queue_.empty() && busy_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock lock{mutex_};
-  for (;;) {
-    work_available_.wait(lock,
-                         [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stopping_ and drained
-    std::function<void()> job = std::move(queue_.front());
-    queue_.pop_front();
-    ++busy_;
-    lock.unlock();
-    try {
-      job();
-    } catch (...) {
-      lock.lock();
-      if (!first_error_) first_error_ = std::current_exception();
-      lock.unlock();
-    }
-    lock.lock();
-    --busy_;
-    if (queue_.empty() && busy_ == 0) all_idle_.notify_all();
-  }
 }
 
 void run_shards(unsigned shards, const std::function<void(unsigned)>& body) {

@@ -1,65 +1,23 @@
-// Minimal threading primitives for the parallel probe engine.
+// Fork-join threading: the one way this code base runs work in parallel.
 //
-// Two layers:
-//  * ThreadPool — a fixed set of workers draining a task queue; used when
-//    many independent jobs of uneven size share one set of threads (the
-//    campaign runner's concurrent rounds).
-//  * parallel_for / run_shards — fork-join helpers that split an index
-//    range into contiguous chunks and run them on short-lived threads;
-//    used by the probe engine, whose shards are sized up front. Spawning
-//    is a few tens of microseconds per thread, noise next to a round.
+// run_shards starts one short-lived thread per shard; parallel_for splits
+// an index range into contiguous chunks over it. Callers with uneven work
+// (the probe engine's runs, a campaign's rounds) have their shards claim
+// items from an atomic counter instead. Spawning is a few tens of
+// microseconds per thread, noise next to a round.
 //
 // Both rethrow the first exception a worker raised, after every worker
 // has finished, so partial work never escapes silently.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace vp::util {
 
 /// Resolves a user-facing thread-count knob: 0 means "one per hardware
 /// thread", anything else is taken literally (capped at 256 for sanity).
 unsigned resolve_threads(unsigned requested) noexcept;
-
-/// Fixed-size worker pool over a FIFO task queue.
-class ThreadPool {
- public:
-  /// Starts `threads` workers (0 = hardware concurrency).
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
-
-  /// Enqueues one job. Jobs may not block on other jobs in the same pool
-  /// (no nesting) — a worker waiting on the queue would deadlock.
-  void submit(std::function<void()> job);
-
-  /// Blocks until the queue is empty and every worker is idle, then
-  /// rethrows the first exception any job raised since the last wait.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable all_idle_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  std::exception_ptr first_error_;
-  unsigned busy_ = 0;
-  bool stopping_ = false;
-};
 
 /// Runs body(shard) for shard in [0, shards) on `shards` threads (the
 /// calling thread runs shard 0). Fork-join: returns once all shards are

@@ -311,6 +311,24 @@ TEST_F(GeneratedRoutingTest, CandidatesShareClassAndPreference) {
   }
 }
 
+// Unclamped, 1 + 255 wraps the origin's path-length byte to 0 and hands
+// LAX every AS it should lose. Depths clamp instead: past any path MIA
+// offers, a deeper prepend changes no route.
+TEST_F(GeneratedRoutingTest, PrependDepthPastTheByteRoutesLikeSixteen) {
+  const anycast::Deployment broot = anycast::make_broot(topo());
+  const RoutingTable deep = route(topo(), broot.with_prepend("LAX", 255));
+  const RoutingTable sixteen = route(topo(), broot.with_prepend("LAX", 16));
+  for (AsId as = 0; as < topo().as_count(); ++as) {
+    ASSERT_EQ(deep.state(as).best().site, sixteen.state(as).best().site)
+        << topo().as_at(as).name;
+    for (std::uint16_t pop = 0; pop < topo().as_at(as).pops.size(); ++pop)
+      ASSERT_EQ(deep.site_for_pop(as, pop), sixteen.site_for_pop(as, pop))
+          << topo().as_at(as).name;
+  }
+  for (const topology::BlockInfo& info : topo().blocks())
+    ASSERT_EQ(deep.site_for_block(info), sixteen.site_for_block(info));
+}
+
 TEST_F(GeneratedRoutingTest, PathLengthsAreShort) {
   // A flat Internet: nothing should be more than ~10 AS hops out.
   for (AsId as = 0; as < topo().as_count(); ++as) {

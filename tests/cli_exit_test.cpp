@@ -101,6 +101,39 @@ TEST(CliExit, MalformedNumberExits2) {
       << err;
 }
 
+// Prepend depths are whole numbers in [0, 16], and the site must exist:
+// "abc" is not depth 0, 255 and -1 must not wrap, and an unknown site
+// must not run unprepended.
+TEST(CliExit, BadPrependExits2) {
+  for (const char* bad : {"MIA=abc", "MIA=-1", "MIA=17", "FOO=2"}) {
+    EXPECT_EQ(run_vpctl(kScan + " --prepend " + bad), 2) << bad;
+  }
+  EXPECT_EQ(run_vpctl("sweep --scale 0.03 --max-prepend 17"), 2);
+}
+
+// Counts and ports must fit the field they set instead of wrapping.
+// Only inputs that stay harmless when they do wrap are run here.
+TEST(CliExit, NegativeCountExits2) {
+  std::string err;
+  EXPECT_EQ(run_capturing_stderr(VPD_PATH,
+                                 "--scale 0.02 --round-retries -1 --rounds 1 "
+                                 "--exit-after-rounds",
+                                 err),
+            2);
+  EXPECT_NE(err.find("error: --round-retries expects a number in [0, "),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(run_capturing_stderr(VPCTL_PATH,
+                                 "campaign --scale 0.03 --rounds 2 "
+                                 "--concurrency -1",
+                                 err),
+            2);
+  EXPECT_NE(err.find("error: --concurrency expects a number in [0, "),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(run_vpctl("sweep --scale 0.03 --max-prepend -1"), 2);
+}
+
 TEST(CliExit, ScanOutUnwritableExits6) {
   EXPECT_EQ(run_vpctl(kScan + " --out " + unwritable("c.csv")),
             kWriteFailedExit);

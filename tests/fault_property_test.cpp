@@ -228,29 +228,5 @@ TEST_F(FaultPropertyTest, RetriesWithoutFaultsChangeNothingButCost) {
   expect_exact_accounting(retried, "retries, no faults");
 }
 
-class FaultStatsObserver : public RoundObserver {
- public:
-  void on_fault_stats(const RoundSpec&,
-                      const sim::FaultStats& faults) override {
-    seen = faults;
-    ++calls;
-  }
-  sim::FaultStats seen;
-  int calls = 0;
-};
-
-TEST_F(FaultPropertyTest, ObserverReceivesTheRoundsFaultStats) {
-  const sim::FaultInjector injector{sim::FaultPlan::from_seed(3)};
-  FaultStatsObserver observer;
-  const RoundResult result = scenario_->engine().run(
-      *routes_, spec_with(&injector, 1, 4), &observer);
-  EXPECT_EQ(observer.calls, 1);
-  EXPECT_EQ(observer.seen.probes_lost, result.faults.probes_lost);
-  EXPECT_EQ(observer.seen.replies_generated,
-            result.faults.replies_generated);
-  EXPECT_EQ(observer.seen.retries, result.faults.retries);
-  EXPECT_EQ(observer.seen.recovered, result.faults.recovered);
-}
-
 }  // namespace
 }  // namespace vp::core

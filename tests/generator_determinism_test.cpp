@@ -393,5 +393,30 @@ TEST(GeneratorDeterminism, ForgedContinentIsRejected) {
             "topology image: geo continent byte out of range");
 }
 
+// Blocks and geo records consistent with nothing else in the image: the
+// CRC and digest are recomputed over them, so only the loader's own
+// checks stand between them and the build API.
+TEST(GeneratorDeterminism, ForgedDuplicateBlockIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.add_block(kForgedBlock, 1, 0, 0);
+            }),
+            "topology image: block listed twice");
+}
+
+TEST(GeneratorDeterminism, ForgedBlockOutsidePrefixIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              t.add_block(net::Block24{0x020000}, 1, 0, 0);  // 2.0.0.0/24
+            }),
+            "topology image: block outside its prefix");
+}
+
+TEST(GeneratorDeterminism, ForgedGeoRecordForUnlistedBlockIsRejected) {
+  EXPECT_EQ(forged_error([](Topology& t) {
+              const geo::GeoRecord rec = *t.geodb().lookup(kForgedBlock);
+              t.geodb_mutable().add(net::Block24{0x010001}, rec);  // 1.0.1.0
+            }),
+            "topology image: geo record for an unlisted block");
+}
+
 }  // namespace
 }  // namespace vp

@@ -130,15 +130,12 @@ class RecordingObserver : public RoundObserver {
     last_total = total;
     ++progress_calls;
   }
-  void on_replies_collected(
-      const RoundSpec&, const std::vector<std::uint64_t>& per_site) override {
-    collected = per_site;
-  }
   void on_round_complete(const RoundSpec& spec,
                          const RoundResult& result) override {
     ++complete_calls;
     completed_round = spec.round;
     kept = result.map.cleaning.kept;
+    collected = result.raw_replies_per_site;
   }
   void on_metrics(const RoundSpec&, const RoundMetrics& m) override {
     metrics = m;

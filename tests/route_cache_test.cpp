@@ -235,10 +235,10 @@ TEST_F(CampaignEquivalence, ConcurrentRoundsShareCacheAndResolvers) {
 
 // ---- >=32 sites: wide-deployment regression -----------------------------
 
-/// Builds a 1-AS topology plus a 40-site deployment, with the AS's
-/// routing state hand-built so its tied candidates span all 40 sites.
-/// Before the std::bitset fix, distinct_sites shifted `1u << site` (UB
-/// past 31) and the transient picker truncated the visible list at 32.
+/// Builds a 1-AS topology plus a 40-site deployment whose sites all home
+/// at that AS, routed through the engine. Before the std::bitset fix,
+/// distinct_sites shifted `1u << site` (UB past 31) and the transient
+/// picker truncated the visible list at 32.
 struct WideDeployment {
   topology::Topology topo;
   anycast::Deployment deployment;
@@ -276,34 +276,35 @@ struct WideDeployment {
     }
   }
 
-  /// Routing state whose tied candidates cover sites [0, site_count).
-  bgp::RoutingTable routes(int site_count) const {
-    std::vector<bgp::AsRoutingState> states(topo.as_count());
-    for (int s = 0; s < site_count; ++s) {
-      bgp::CandidateRoute cand;
-      cand.site = static_cast<anycast::SiteId>(s);
-      cand.path_len = 2;
-      cand.cls = bgp::RouteClass::kCustomer;
-      cand.egress_pop = 0;
-      cand.tiebreak = static_cast<std::uint64_t>(s);
-      states[as].candidates.push_back(cand);
-    }
-    return bgp::RoutingTable{topo, deployment, std::move(states)};
+  /// Routes with every site in [first, last] prepended once; the AS then
+  /// ties the unprepended sites.
+  std::shared_ptr<const bgp::RoutingTable> routes_prepending(int first,
+                                                             int last) const {
+    anycast::Deployment prepended = deployment;
+    for (int s = first; s <= last; ++s)
+      prepended.sites[static_cast<std::size_t>(s)].prepend = 1;
+    return bgp::RoutingEngine{topo, prepended}.full();
   }
 };
 
 TEST(WideDeploymentTest, DistinctSitesCountsPast32) {
   const WideDeployment wide;
-  const auto routes = wide.routes(WideDeployment::kSites);
-  EXPECT_EQ(routes.distinct_sites(wide.as),
-            static_cast<std::size_t>(WideDeployment::kSites));
+  // Sites 0-31 prepended: the AS ties the eight sites 32-39 only.
+  const auto routes = wide.routes_prepending(0, 31);
+  for (const bgp::CandidateRoute& route : routes->state(wide.as).candidates)
+    EXPECT_GE(route.site, 32);
+  EXPECT_EQ(routes->distinct_sites(wide.as), 8u);
 }
 
 TEST(WideDeploymentTest, TransientPickerReachesAll40Sites) {
   const WideDeployment wide;
-  // One candidate only: blocks resolve stably to site 0, so every
-  // transient event (rate 1.0) must pick among the other 39 sites.
-  const auto routes = wide.routes(1);
+  // Sites 1-39 prepended: site 0 is the AS's one best route, blocks
+  // resolve stably to it, and every transient event (rate 1.0) must pick
+  // among the other 39 sites.
+  const auto routes_ptr = wide.routes_prepending(1, WideDeployment::kSites - 1);
+  const bgp::RoutingTable& routes = *routes_ptr;
+  ASSERT_EQ(routes.state(wide.as).candidates.size(), 1u);
+  ASSERT_EQ(routes.state(wide.as).best().site, 0);
   sim::FlipConfig config;
   config.transient_rate = 1.0;
   const sim::FlipModel flips{config};

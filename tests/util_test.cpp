@@ -5,8 +5,10 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "util/byte_codec.hpp"
 #include "util/clock.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -94,26 +96,13 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
 }
 
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  Rng rng{21};
-  double small_sum = 0.0, large_sum = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    small_sum += static_cast<double>(rng.poisson(3.0));
-    large_sum += static_cast<double>(rng.poisson(200.0));
-  }
-  EXPECT_NEAR(small_sum / 20000.0, 3.0, 0.1);
-  EXPECT_NEAR(large_sum / 20000.0, 200.0, 1.0);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a{42};
-  Rng forked = a.fork(1);
-  Rng b{42};
-  // The fork must not replay the parent's stream.
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (forked() == b()) ++equal;
-  EXPECT_LT(equal, 2);
+TEST(Rng, ToUnitTakesTheTop53Bits) {
+  EXPECT_EQ(to_unit(0), 0.0);
+  EXPECT_EQ(to_unit(std::uint64_t{1} << 11), 0x1.0p-53);
+  EXPECT_LT(to_unit(~std::uint64_t{0}), 1.0);
+  Rng a{5};
+  Rng b{5};
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.uniform(), to_unit(b()));
 }
 
 TEST(Hashing, MixAndCombineAreStable) {
@@ -230,51 +219,52 @@ TEST(Clock, SimTimeArithmetic) {
   EXPECT_DOUBLE_EQ(SimTime::from_hours(2).hours(), 2.0);
 }
 
-TEST(Clock, AdvanceIsMonotonic) {
-  SimClock clock;
-  clock.advance(SimTime::from_seconds(5));
-  EXPECT_DOUBLE_EQ(clock.now().seconds(), 5.0);
-  clock.advance_to(SimTime::from_seconds(3));  // must not go backwards
-  EXPECT_DOUBLE_EQ(clock.now().seconds(), 5.0);
-  clock.advance_to(SimTime::from_seconds(9));
-  EXPECT_DOUBLE_EQ(clock.now().seconds(), 9.0);
-}
-
 TEST(Clock, FormatHms) {
   EXPECT_EQ(format_hms(SimTime::from_hours(1) + SimTime::from_minutes(2) +
                        SimTime::from_seconds(3)),
             "01:02:03");
 }
 
-// --- thread_pool -----------------------------------------------------------
+// --- byte codec -----------------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
+TEST(ByteCodec, RoundTripsLittleEndian) {
+  std::string out;
+  put_le(out, std::uint8_t{0xab});
+  put_le(out, std::uint16_t{0x1234});
+  put_le(out, std::uint32_t{0xdeadbeef});
+  put_le(out, std::int64_t{-2});
+  put_le(out, 1.5f);
+  put_le(out, -0.25);
+  ASSERT_EQ(out.size(), 1u + 2 + 4 + 8 + 4 + 8);
+  EXPECT_EQ(out.substr(1, 6), std::string("\x34\x12\xef\xbe\xad\xde", 6));
+  ByteReader in{out};
+  EXPECT_EQ(in.get<std::uint8_t>(), 0xab);
+  EXPECT_EQ(in.get<std::uint16_t>(), 0x1234);
+  EXPECT_EQ(in.get<std::uint32_t>(), 0xdeadbeefu);
+  EXPECT_EQ(in.get<std::int64_t>(), -2);
+  EXPECT_EQ(in.get<float>(), 1.5f);
+  EXPECT_EQ(in.get<double>(), -0.25);
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.left(), 0u);
 }
 
-TEST(ThreadPool, WaitIdleRethrowsFirstError) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error("job failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool stays usable after an error.
-  std::atomic<bool> ran{false};
-  pool.submit([&ran] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
+TEST(ByteCodec, ShortReadsLatchAndReturnZero) {
+  const std::string bytes{"\x01\x02\x03", 3};
+  ByteReader in{bytes};
+  EXPECT_TRUE(in.take(3));
+  EXPECT_FALSE(in.take(4));  // refused before anything is read
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(in.get<std::uint8_t>(), 0);
+  ByteReader again{bytes};
+  EXPECT_EQ(again.bytes(2), "\x01\x02");
+  EXPECT_EQ(again.get<std::uint16_t>(), 0);
+  EXPECT_FALSE(again.ok());
+  EXPECT_EQ(again.bytes(1), "");
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool{1};
-  pool.wait_idle();  // nothing queued: must not hang
-}
+// --- fork-join threads ---------------------------------------------------
 
-TEST(ThreadPool, ResolveThreadsKnob) {
+TEST(Threads, ResolveThreadsKnob) {
   EXPECT_GE(resolve_threads(0), 1u);  // 0 = hardware concurrency, at least 1
   EXPECT_EQ(resolve_threads(3), 3u);
   EXPECT_EQ(resolve_threads(100000), 256u);  // capped
