@@ -15,6 +15,11 @@
 // words. Any drift is a bug in the probe path, not a reason to rewrite
 // them. VP_UPDATE_GOLDEN=1 rewrites the files (only for a deliberate
 // change of the simulated Internet, explained in its commit).
+//
+// ProbePathPins holds two literal CRC-32 pins on a scale-0.05 world: the
+// ground-truth site of every block in rounds 0-7 under two flip models
+// sharing one set of routing tables, and every forward-loss draw of a
+// seeded fault plan. Never edit those literals to make a change pass.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -217,6 +222,74 @@ TEST_F(ProbeGoldenTest, RoundMatrix) {
     }
   }
   expect_golden("round_matrix_v1.txt", digest.str());
+}
+
+/// A ~6k-block world: small enough to walk every block in every round.
+const analysis::Scenario& small_scenario() {
+  static const analysis::Scenario scenario{[] {
+    analysis::ScenarioConfig config;
+    config.scale = 0.05;
+    return config;
+  }()};
+  return scenario;
+}
+
+// The ground truth replies are routed by: site_in_round over every block
+// x rounds 0-7 on both deployments, under the scenario's flip model and
+// under a second one (another seed, a high transient rate) reading the
+// same routing tables.
+TEST(ProbePathPins, GroundTruthSites) {
+  const analysis::Scenario& s = small_scenario();
+  const sim::FlipModel other{sim::FlipConfig{99, 0.2}};
+  std::ostringstream digest;
+  for (const sim::FlipModel* flips : {&s.internet().flips(), &other}) {
+    const std::string model = flips == &other ? "seed99" : "scenario";
+    std::uint64_t flappy = 0, transient = 0;
+    for (const bool tangled : {false, true}) {
+      const auto routes = s.route(tangled ? s.tangled() : s.broot());
+      std::uint32_t crc = 0;
+      for (const topology::BlockInfo& info : s.topo().blocks()) {
+        const bool is_flappy = flips->is_flappy(*routes, info.block);
+        flappy += is_flappy ? 1 : 0;
+        for (std::uint32_t round = 0; round < 8; ++round) {
+          const anycast::SiteId site =
+              flips->site_in_round(*routes, info.block, round);
+          crc = crc_value(site, crc);
+          if (!is_flappy && site != routes->site_for_block(info)) ++transient;
+        }
+      }
+      digest << (tangled ? "tangled " : "broot ") << model << " " << hex(crc)
+             << "\n";
+    }
+    EXPECT_GT(flappy, 0u) << model;
+    EXPECT_GT(transient, 0u) << model;
+  }
+  EXPECT_EQ(digest.str(),
+            "broot scenario 20bb6a75\n"
+            "tangled scenario 12e76730\n"
+            "broot seed99 f63f2f92\n"
+            "tangled seed99 dc7cb101\n");
+}
+
+// Forward-path loss: drops_probe over every hitlist target x attempts
+// {0, 1, 2} x rounds {0, 1} of one seeded plan.
+TEST(ProbePathPins, ProbeLossDraws) {
+  const analysis::Scenario& s = small_scenario();
+  const sim::FaultInjector faults{sim::FaultPlan::from_seed(31)};
+  std::uint32_t crc = 0;
+  std::uint64_t dropped = 0;
+  for (std::uint32_t round = 0; round < 2; ++round) {
+    for (std::uint32_t attempt = 0; attempt < 3; ++attempt) {
+      for (const hitlist::Entry& entry : s.hitlist().entries()) {
+        const std::uint8_t drop =
+            faults.drops_probe(entry.target, round, attempt) ? 1 : 0;
+        crc = crc_value(drop, crc);
+        dropped += drop;
+      }
+    }
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(hex(crc), "1a77dc1d");
 }
 
 }  // namespace
