@@ -11,7 +11,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env(0.5)};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.5)};
   bench::banner("Ablation", "value of the data-cleaning pipeline (§4)",
                 scenario);
 

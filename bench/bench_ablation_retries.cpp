@@ -13,7 +13,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env(0.5)};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.5)};
   bench::banner("Ablation", "retries and backoff on the one-probe hitlist",
                 scenario);
 

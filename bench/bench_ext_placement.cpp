@@ -34,7 +34,7 @@ topology::AsNumber upstream_near(const topology::Topology& topo,
 }  // namespace
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env(0.5)};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.5)};
   bench::banner("Extension (§7)",
                 "RTT-driven site placement for B-Root, validated", scenario);
 

@@ -11,7 +11,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Figure 2", "geographic coverage of B-Root: Atlas vs Verfploeter",
                 scenario);
 

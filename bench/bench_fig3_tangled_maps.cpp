@@ -9,7 +9,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Figure 3", "Tangled catchments: Atlas vs Verfploeter",
                 scenario);
 

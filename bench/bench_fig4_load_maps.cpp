@@ -10,7 +10,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Figure 4", "geographic load: B-Root (by site) and .nl",
                 scenario);
 

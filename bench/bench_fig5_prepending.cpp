@@ -8,7 +8,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Figure 5", "prepending sweep: fraction of catchment to LAX",
                 scenario);
 

@@ -9,7 +9,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Figure 6",
                 "predicted hourly load per site under prepending", scenario);
 

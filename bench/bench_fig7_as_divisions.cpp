@@ -10,7 +10,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Figure 7", "announced prefixes vs sites seen per AS",
                 scenario);
 

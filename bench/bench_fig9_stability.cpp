@@ -10,7 +10,7 @@ using namespace vp;
 int main() {
   // The 96-round campaign is the most expensive bench; default to a
   // half-size Internet so the full sweep stays under a minute.
-  analysis::Scenario scenario{bench::config_from_env(0.5)};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.5)};
   bench::banner("Figure 9", "Tangled catchment stability over 24h (96 rounds)",
                 scenario);
 

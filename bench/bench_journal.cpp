@@ -39,7 +39,7 @@ long file_size(const char* path) {
 }  // namespace
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env(0.4)};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.4)};
   bench::banner("Journal", "crash-safe journaling overhead per round",
                 scenario);
 

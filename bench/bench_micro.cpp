@@ -92,7 +92,7 @@ const bgp::RoutingTable& broot_routes() {
 void BM_GroundTruthSiteLookup(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const bgp::RoutingTable& routes = broot_routes();
-  scenario.internet().warm(routes);  // build outside the timed loop
+  (void)routes.catchment_resolver();  // build outside the timed loop
   const auto blocks = sample_blocks(scenario, 3);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -118,12 +118,11 @@ BENCHMARK(BM_GroundTruthSiteUncached);
 void BM_SiteForBlock(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const bgp::RoutingTable& routes = broot_routes();
-  scenario.internet().warm(routes);
-  const bgp::CatchmentResolver* resolver = routes.catchment_resolver();
+  const bgp::CatchmentResolver& resolver = routes.catchment_resolver();
   const auto blocks = sample_blocks(scenario, 5);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(resolver->stable_site(blocks[i++ & 1023]));
+    benchmark::DoNotOptimize(resolver.stable_site(blocks[i++ & 1023]));
   }
 }
 BENCHMARK(BM_SiteForBlock);
@@ -144,13 +143,12 @@ BENCHMARK(BM_SiteForBlockUncached);
 void BM_ProbeRoundTrip(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const bgp::RoutingTable& routes = broot_routes();
-  scenario.internet().warm(routes);
+  (void)routes.catchment_resolver();
   const auto& hitlist = scenario.hitlist();
   std::vector<std::uint8_t> probe;
   std::vector<sim::DeliveryView> deliveries;
   std::vector<std::uint8_t> reply;
   sim::DataplaneTally tally;
-  sim::ResolveTally resolve;
   std::size_t i = 0;
   std::uint64_t replies = 0;
   for (auto _ : state) {
@@ -162,14 +160,13 @@ void BM_ProbeRoundTrip(benchmark::State& state) {
                                  entry.target, 1,
                                  static_cast<std::uint16_t>(i), payload);
     scenario.internet().probe_into(routes, probe, {}, 0, deliveries, reply,
-                                   tally, &resolve);
+                                   tally);
     replies += deliveries.size();
     benchmark::DoNotOptimize(deliveries.data());
     benchmark::DoNotOptimize(reply.data());
     benchmark::ClobberMemory();
   }
   sim::InternetSim::flush(tally);
-  sim::FlipModel::flush(resolve);
   state.counters["replies_per_probe"] =
       benchmark::Counter(static_cast<double>(replies),
                          benchmark::Counter::kAvgIterations);

@@ -17,7 +17,6 @@
 #include "bgp/catchment_resolver.hpp"
 #include "bgp/route_cache.hpp"
 #include "bgp/routing_engine.hpp"
-#include "sim/flips.hpp"
 #include "util/rng.hpp"
 
 using namespace vp;
@@ -88,14 +87,8 @@ void BM_ResolverBuild(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto routes_ptr = scenario.route(scenario.broot());
   const bgp::RoutingTable& routes = *routes_ptr;
-  const sim::FlipModel flips;
-  const std::uint64_t signature = flips.flap_signature();
   for (auto _ : state) {
-    bgp::CatchmentResolver resolver{
-        routes, signature,
-        [&](const net::Block24& block) {
-          return flips.is_flappy(routes, block);
-        }};
+    const bgp::CatchmentResolver resolver{routes};
     benchmark::DoNotOptimize(resolver.block_span());
   }
   state.counters["blocks"] =

@@ -8,7 +8,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Table 4", "coverage of B-Root: Atlas vs Verfploeter",
                 scenario);
 

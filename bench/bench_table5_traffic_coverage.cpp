@@ -8,7 +8,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Table 5", "coverage of Verfploeter from B-Root traffic",
                 scenario);
 

@@ -10,7 +10,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env()};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env()};
   bench::banner("Table 6", "%LAX by measurement method and date", scenario);
 
   // Two routing epochs: 2017-04-21 and 2017-05-15 (§5.5: routing shifted

@@ -8,7 +8,7 @@
 using namespace vp;
 
 int main() {
-  analysis::Scenario scenario{bench::config_from_env(0.5)};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.5)};
   bench::banner("Table 7", "top ASes involved in site flips (24h campaign)",
                 scenario);
 

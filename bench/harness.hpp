@@ -6,7 +6,8 @@
 // differ (our substrate is a simulator, DESIGN.md §2); what must hold is
 // the *shape* — who wins, by roughly what factor, where crossovers fall.
 //
-// Environment knobs: VP_SCALE (default 1.0 = ~120k blocks), VP_SEED.
+// Environment knobs (analysis::ScenarioConfig::from_env): VP_SCALE
+// (default 1.0 = ~120k blocks, or the bench's own default), VP_SEED.
 #pragma once
 
 #include <cstdio>
@@ -42,12 +43,6 @@ class RoundTally : public core::RoundObserver {
   std::uint64_t probes_sent = 0;
   core::CleaningStats cleaning;
 };
-
-inline analysis::ScenarioConfig config_from_env(double default_scale = 1.0) {
-  analysis::ScenarioConfig config = analysis::ScenarioConfig::from_env();
-  if (std::getenv("VP_SCALE") == nullptr) config.scale = default_scale;
-  return config;
-}
 
 inline void banner(const char* artifact, const char* title,
                    const analysis::Scenario& scenario) {

@@ -4,8 +4,6 @@
 // journal refusal messages and the --metrics-out flush).
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <initializer_list>
@@ -14,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "analysis/scenario.hpp"
 #include "core/journal.hpp"
@@ -22,6 +19,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_injector.hpp"
+#include "util/parse.hpp"
 
 namespace vp::cli {
 
@@ -54,28 +52,6 @@ struct BadNumber {
   }
 };
 
-/// The whole of `text` as a number: nullopt for "two", "4x", "", an
-/// out-of-range value, NaN or an infinity. Unsigned types refuse "-1".
-template <typename T>
-std::optional<T> parse_number(std::string_view text) {
-  const char* end = text.data() + text.size();
-  T value{};
-  const auto [last, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || last != end || !std::isfinite(value))
-    return std::nullopt;
-  return value;
-}
-
-/// `text` as a count, depth or port: a whole number in [0, max].
-template <std::integral T>
-std::optional<T> parse_count(std::string_view text,
-                             T max = std::numeric_limits<T>::max()) {
-  using Unsigned = std::make_unsigned_t<T>;
-  const auto value = parse_number<Unsigned>(text);
-  if (!value || *value > static_cast<Unsigned>(max)) return std::nullopt;
-  return static_cast<T>(*value);
-}
-
 /// The BadNumber for a count option whose value is not in [0, max].
 template <std::integral T>
 BadNumber bad_count(const std::string& key, T max) {
@@ -98,26 +74,26 @@ struct Args {
     return get_number(key, fallback);
   }
 
-  /// The number `key` holds (see parse_number), or `fallback` when it is
-  /// absent. Throws BadNumber for anything else.
+  /// The number `key` holds (see util::parse_number), or `fallback` when
+  /// it is absent. Throws BadNumber for anything else.
   template <typename T>
   T get_number(const std::string& key, T fallback) const {
     const auto it = options.find(key);
     if (it == options.end()) return fallback;
-    const auto value = parse_number<T>(it->second);
+    const auto value = util::parse_number<T>(it->second);
     if (!value) throw BadNumber{key, ""};
     return *value;
   }
 
-  /// The count `key` holds (see parse_count), or `fallback` when it is
-  /// absent. Counts and ports fit the field they set, so "-1", or 70000
-  /// for a port, throws BadNumber instead of wrapping.
+  /// The count `key` holds (see util::parse_count), or `fallback` when
+  /// it is absent. Counts and ports fit the field they set, so "-1", or
+  /// 70000 for a port, throws BadNumber instead of wrapping.
   template <std::integral T>
   T get_count(const std::string& key, T fallback,
               T max = std::numeric_limits<T>::max()) const {
     const auto it = options.find(key);
     if (it == options.end()) return fallback;
-    const auto value = parse_count<T>(it->second, max);
+    const auto value = util::parse_count<T>(it->second, max);
     if (!value) throw bad_count(key, max);
     return *value;
   }

@@ -295,7 +295,7 @@ int cmd_scan(const Args& args) {
                    code.c_str());
       return usage();
     }
-    const auto depth = cli::parse_count(std::string_view{spec}.substr(eq + 1),
+    const auto depth = util::parse_count(std::string_view{spec}.substr(eq + 1),
                                         anycast::kMaxPrepend);
     if (!depth) throw cli::bad_count("prepend", anycast::kMaxPrepend);
     deployment = deployment.with_prepend(code, *depth);

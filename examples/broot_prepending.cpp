@@ -18,9 +18,7 @@
 using namespace vp;
 
 int main() {
-  analysis::ScenarioConfig config = analysis::ScenarioConfig::from_env();
-  if (std::getenv("VP_SCALE") == nullptr) config.scale = 0.4;
-  analysis::Scenario scenario{config};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.4)};
   std::printf("B-Root prepending study on a %zu-block Internet\n\n",
               scenario.topo().block_count());
 

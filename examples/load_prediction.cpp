@@ -15,9 +15,7 @@
 using namespace vp;
 
 int main() {
-  analysis::ScenarioConfig config = analysis::ScenarioConfig::from_env();
-  if (std::getenv("VP_SCALE") == nullptr) config.scale = 0.4;
-  analysis::Scenario scenario{config};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.4)};
 
   // Historical logs from the unicast era (paper: DITL 2017-04-12).
   const auto history = scenario.broot_load(0x20170412);

@@ -8,7 +8,6 @@
 // Run:  ./quickstart            (small Internet, < a few seconds)
 //       VP_SCALE=2 ./quickstart (twice the default size)
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/scenario.hpp"
 #include "util/format.hpp"
@@ -16,9 +15,9 @@
 using namespace vp;
 
 int main() {
-  analysis::ScenarioConfig config = analysis::ScenarioConfig::from_env();
-  if (std::getenv("VP_SCALE") == nullptr)
-    config.scale = 0.25;  // quickstart stays snappy
+  // Quickstart stays snappy: scale 0.25 unless VP_SCALE says otherwise.
+  const analysis::ScenarioConfig config =
+      analysis::ScenarioConfig::from_env(0.25);
   std::printf("building a simulated Internet (scale %.2f)...\n",
               config.scale);
   analysis::Scenario scenario{config};

@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
   const double hours = argc > 1 ? std::atof(argv[1]) : 6.0;
   const auto rounds = static_cast<std::uint32_t>(hours * 4);  // 15-min grid
 
-  analysis::ScenarioConfig config = analysis::ScenarioConfig::from_env();
-  if (std::getenv("VP_SCALE") == nullptr) config.scale = 0.4;
-  analysis::Scenario scenario{config};
+  analysis::Scenario scenario{analysis::ScenarioConfig::from_env(0.4)};
   std::printf("Tangled stability: %u rounds over %.1f hours, %zu blocks\n\n",
               rounds, hours, scenario.topo().block_count());
 

@@ -1,24 +1,50 @@
 #include "analysis/scenario.hpp"
 
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "topology/scale_generator.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace vp::analysis {
 
-ScenarioConfig ScenarioConfig::from_env() {
+namespace {
+
+/// The value of environment variable `name`; nullopt when it is unset or
+/// empty.
+std::optional<std::string_view> env_value(const char* name) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  return value;
+}
+
+[[noreturn]] void bad_env(const char* name, const char* expects) {
+  throw std::invalid_argument(std::string{name} + " expects " + expects);
+}
+
+}  // namespace
+
+ScenarioConfig ScenarioConfig::from_env(double default_scale) {
   ScenarioConfig config;
-  if (const char* scale = std::getenv("VP_SCALE")) {
-    const double parsed = std::atof(scale);
-    if (parsed > 0) config.scale = parsed;
+  config.scale = default_scale;
+  if (const auto text = env_value("VP_SCALE")) {
+    const auto scale = util::parse_number<double>(*text);
+    if (!scale || !(*scale > 0)) bad_env("VP_SCALE", "a finite number > 0");
+    config.scale = *scale;
   }
-  if (const char* seed = std::getenv("VP_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
+  if (const auto text = env_value("VP_SEED")) {
+    const auto seed = util::parse_number<long>(*text);
+    if (!seed) bad_env("VP_SEED", "a whole number");
+    config.seed = static_cast<std::uint64_t>(*seed);  // as --seed
   }
-  if (const char* ases = std::getenv("VP_GEN_ASES")) {
-    config.generated_ases = static_cast<std::uint32_t>(
-        std::strtoull(ases, nullptr, 10));
+  if (const auto text = env_value("VP_GEN_ASES")) {
+    const auto ases = util::parse_count<std::uint32_t>(*text);
+    if (!ases) bad_env("VP_GEN_ASES", "a number in [0, 4294967295]");
+    config.generated_ases = *ases;
   }
   return config;
 }

@@ -38,9 +38,13 @@ struct ScenarioConfig {
   /// B-Root/Tangled deployment slots are filled by generated 2- and
   /// 9-site deployments hosted at the synthetic transit core.
   std::uint32_t generated_ases = 0;
-  /// Reads VP_SCALE, VP_SEED and VP_GEN_ASES from the environment (bench
-  /// knobs).
-  static ScenarioConfig from_env();
+  /// The bench knobs in the environment: VP_SCALE (default
+  /// `default_scale`), VP_SEED and VP_GEN_ASES; an empty value means
+  /// unset. Each value parses whole, like the CLI's options: VP_SCALE is
+  /// a finite number > 0, VP_SEED parses like `--seed`, VP_GEN_ASES fits
+  /// a uint32_t. Throws std::invalid_argument naming the variable for
+  /// anything else, before any generation starts.
+  static ScenarioConfig from_env(double default_scale = 1.0);
 };
 
 /// Routing-epoch salts for the paper's two measurement dates.

@@ -8,10 +8,7 @@
 
 namespace vp::bgp {
 
-CatchmentResolver::CatchmentResolver(const RoutingTable& routes,
-                                     std::uint64_t flip_signature,
-                                     const FlappyPredicate& is_flappy)
-    : flip_signature_(flip_signature) {
+CatchmentResolver::CatchmentResolver(const RoutingTable& routes) {
   auto& registry = obs::metrics();
   obs::Span span{&registry.histogram("vp_bgp_resolver_build_ms",
                                      obs::latency_buckets_ms())};
@@ -29,12 +26,13 @@ CatchmentResolver::CatchmentResolver(const RoutingTable& routes,
     }
     first_ = lo;
     sites_.assign(hi - lo + 1, anycast::kUnknownSite);
-    flappy_bits_.assign((sites_.size() + 63) / 64, 0);
+    tied_bits_.assign((sites_.size() + 63) / 64, 0);
     for (const topology::BlockInfo& info : blocks) {
       const std::uint32_t off = info.block.index() - first_;
       sites_[off] = routes.site_for_block(info);
-      if (is_flappy(info.block))
-        flappy_bits_[off >> 6] |= std::uint64_t{1} << (off & 63);
+      const AsRoutingState& state = routes.state(info.as_id);
+      if (state.reachable() && state.multi_site())
+        tied_bits_[off >> 6] |= std::uint64_t{1} << (off & 63);
     }
   }
 
@@ -52,7 +50,7 @@ CatchmentResolver::CatchmentResolver(const RoutingTable& routes,
 
 std::size_t CatchmentResolver::bytes() const {
   return sizeof(*this) + sites_.capacity() * sizeof(anycast::SiteId) +
-         flappy_bits_.capacity() * sizeof(std::uint64_t) +
+         tied_bits_.capacity() * sizeof(std::uint64_t) +
          visible_.capacity() * sizeof(anycast::SiteId) +
          visible_pos_.capacity() * sizeof(std::uint16_t);
 }

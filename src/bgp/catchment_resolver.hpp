@@ -1,5 +1,5 @@
 // Precomputed catchment resolution: one flat block -> site table per
-// routing table.
+// routing table, built from that table alone.
 //
 // The paper's core economy is that catchments are a near-static function
 // of BGP state (§5.5 finds week-scale stability), so resolving a block's
@@ -14,20 +14,21 @@
 //    range — the *stable* answer for every block, folding hot-potato PoP
 //    choice and the stable multipath split, so the hot path is a single
 //    O(1) array read;
-//  * a bitset of *flappy* blocks (the per-round re-roll population of
-//    §6.3) — only this minority still pays hash math per probe;
+//  * one bit per block: its AS is reachable and ties routes to more than
+//    one site. Only these blocks can be flappy (the per-round re-roll
+//    population of §6.3), so every other block skips the flip model's
+//    flappy rule with one bit test;
 //  * the deployment's visible-site list, so the transient-flip picker is
 //    O(1) instead of rebuilding the list per event.
 //
-// Invariant: the resolver is a pure materialization — resolution through
-// it answers exactly as FlipModel::site_in_round_uncached does, for every
-// block and round (tests/route_cache_test.cpp). Flappy membership depends
-// on the flip model's configuration, so each resolver records the
-// `flip_signature` it was built under and is bypassed on mismatch.
+// It is flip-free: a pure function of the routing table, which builds it
+// on first use (RoutingTable::catchment_resolver). The flip model applies
+// its own flappy rule and transient events on top (sim/flips.hpp), and
+// the two together answer exactly as FlipModel::site_in_round_uncached
+// does, for every block and round (tests/route_cache_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -40,17 +41,9 @@ class RoutingTable;
 
 class CatchmentResolver {
  public:
-  /// Consulted once per allocated block at build time; must be the flip
-  /// model's exact flappy decision so cached and uncached paths agree.
-  using FlappyPredicate = std::function<bool(const net::Block24&)>;
-
   static constexpr std::size_t kNotVisible = ~std::size_t{0};
 
-  CatchmentResolver(const RoutingTable& routes, std::uint64_t flip_signature,
-                    const FlappyPredicate& is_flappy);
-
-  /// Signature of the flip configuration folded into the flappy bitset.
-  std::uint64_t flip_signature() const { return flip_signature_; }
+  explicit CatchmentResolver(const RoutingTable& routes);
 
   /// O(1): stable (hot-potato + stable-multipath) site for a block;
   /// kUnknownSite for unallocated blocks and unreachable ASes.
@@ -60,11 +53,12 @@ class CatchmentResolver {
     return sites_[off];
   }
 
-  /// O(1): whether the block belongs to the flappy population.
-  bool flappy(net::Block24 block) const {
+  /// O(1): whether the block's AS is reachable and ties routes to more
+  /// than one site (AsRoutingState::reachable() && multi_site()).
+  bool tied(net::Block24 block) const {
     const std::uint32_t off = block.index() - first_;
     if (off >= sites_.size()) return false;
-    return (flappy_bits_[off >> 6] >> (off & 63)) & 1u;
+    return (tied_bits_[off >> 6] >> (off & 63)) & 1u;
   }
 
   /// Visible (enabled, non-hidden) sites in site-id order — the
@@ -99,9 +93,8 @@ class CatchmentResolver {
 
  private:
   std::uint32_t first_ = 0;  // lowest allocated /24 index
-  std::uint64_t flip_signature_ = 0;
   std::vector<anycast::SiteId> sites_;       // direct-mapped by index-first_
-  std::vector<std::uint64_t> flappy_bits_;   // same indexing, 64 per word
+  std::vector<std::uint64_t> tied_bits_;     // same indexing, 64 per word
   std::vector<anycast::SiteId> visible_;     // enabled && !hidden, in order
   std::vector<std::uint16_t> visible_pos_;   // site id -> pos, 0xffff absent
 };

@@ -209,16 +209,13 @@ std::size_t RoutingTable::distinct_sites(AsId as) const {
   return seen.count();
 }
 
-const CatchmentResolver* RoutingTable::catchment_resolver() const {
-  return resolver_slot_->published.load(std::memory_order_acquire);
-}
-
-const CatchmentResolver& RoutingTable::build_catchment_resolver(
-    const std::function<std::unique_ptr<const CatchmentResolver>()>& build)
-    const {
+const CatchmentResolver& RoutingTable::catchment_resolver() const {
   ResolverSlot& slot = *resolver_slot_;
+  if (const CatchmentResolver* resolver =
+          slot.published.load(std::memory_order_acquire))
+    return *resolver;
   std::call_once(slot.once, [&] {
-    slot.resolver = build();
+    slot.resolver = std::make_unique<const CatchmentResolver>(*this);
     slot.published.store(slot.resolver.get(), std::memory_order_release);
   });
   return *slot.resolver;
@@ -237,7 +234,8 @@ std::size_t RoutingTable::memory_bytes() const {
     bytes += sizeof(AsRoutingState) +
              state->candidates.capacity() * sizeof(CandidateRoute);
   }
-  if (const CatchmentResolver* resolver = catchment_resolver())
+  if (const CatchmentResolver* resolver =
+          resolver_slot_->published.load(std::memory_order_acquire))
     bytes += resolver->bytes();
   return bytes;
 }

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -70,16 +69,15 @@ struct CandidateRoute {
   bool operator==(const CandidateRoute&) const = default;
 };
 
-/// Routing state of one AS: all equal-best candidates plus the canonical
-/// (advertised) choice among them. Candidates are kept in canonical
-/// order (ascending tiebreak), so the same inputs yield the same bytes
-/// whether the state was computed from scratch or by delta propagation.
+/// Routing state of one AS: all equal-best candidates. Candidates are
+/// kept in canonical order (ascending tiebreak), so the same inputs yield
+/// the same bytes whether the state was computed from scratch or by delta
+/// propagation, and the first one is the canonical (advertised) choice.
 struct AsRoutingState {
   std::vector<CandidateRoute> candidates;
-  std::uint32_t canonical = 0;  // index into candidates
 
   bool reachable() const { return !candidates.empty(); }
-  const CandidateRoute& best() const { return candidates[canonical]; }
+  const CandidateRoute& best() const { return candidates.front(); }
   /// True when the tied candidates span more than one site (the raw
   /// material for both hot-potato divisions and route flapping).
   bool multi_site() const;
@@ -171,19 +169,12 @@ class RoutingTable {
     return changed_block_ranges_;
   }
 
-  /// This table's catchment resolver (block -> site table + flappy
-  /// bitset, see bgp/catchment_resolver.hpp) once one has been built,
-  /// else nullptr. One acquire load: the probe path asks on every probe.
-  const CatchmentResolver* catchment_resolver() const;
-
-  /// Builds the resolver via `build` on the first call (concurrent
-  /// callers wait on a once-flag; later calls return at once), publishes
-  /// it for catchment_resolver(), and returns it. The installed resolver
-  /// may carry another flip signature than the caller's; callers then
-  /// resolve without it (answers are identical either way).
-  const CatchmentResolver& build_catchment_resolver(
-      const std::function<std::unique_ptr<const CatchmentResolver>()>& build)
-      const;
+  /// This table's catchment resolver (block -> site table, tied-AS bits
+  /// and visible sites, see bgp/catchment_resolver.hpp), built from this
+  /// table on the first call: concurrent first callers wait on a
+  /// once-flag, and every later call is one acquire load, which is what
+  /// the probe path pays per probe.
+  const CatchmentResolver& catchment_resolver() const;
 
   /// Approximate heap footprint (route-cache accounting). Structurally
   /// shared states are counted in full for every table holding them.

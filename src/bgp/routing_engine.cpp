@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -482,52 +484,42 @@ struct RoutingEngine::Impl : Kernel {
   /// from what was last published; returns those ASes, sorted. States
   /// that did not change keep their exact object (structural sharing).
   std::vector<AsId> publish(const Topology& topo) {
-    std::vector<AsId> changed;
-    const bool first = published.empty();
-    if (first) {
-      // Arena publish: the first full() materializes every AS's state, so
-      // put them in one contiguous vector and hand out aliasing
-      // shared_ptrs into it. At 500k ASes this replaces 500k control
-      // blocks + allocations with one, keeps the states cache-adjacent
-      // for the table's resolve pass, and preserves pointer identity for
-      // the structural-sharing contract (delta publishes still replace
-      // individual entries with their own allocations).
-      published.resize(topo.as_count());
-      auto arena =
-          std::make_shared<std::vector<AsRoutingState>>(topo.as_count());
-      changed.reserve(topo.as_count());
-      for (AsId v = 0; v < topo.as_count(); ++v) {
-        AsRoutingState& state = (*arena)[v];
-        state.candidates = final_list(v);
-        state.canonical = 0;  // canonical order: lowest tiebreak first
-        published[v] = std::shared_ptr<const AsRoutingState>(arena, &state);
-        changed.push_back(v);
-      }
-      return changed;
+    if (!published.empty()) {
+      std::vector<AsId> all(topo.as_count());
+      std::iota(all.begin(), all.end(), AsId{0});
+      return publish_ases(all);
     }
+    // Arena publish: the first full() materializes every AS's state, so
+    // put them in one contiguous vector and hand out aliasing shared_ptrs
+    // into it. At 500k ASes this replaces 500k control blocks +
+    // allocations with one, keeps the states cache-adjacent for the
+    // table's resolve pass, and preserves pointer identity for the
+    // structural-sharing contract (later publishes still replace
+    // individual entries with their own allocations).
+    std::vector<AsId> changed;
+    published.resize(topo.as_count());
+    auto arena =
+        std::make_shared<std::vector<AsRoutingState>>(topo.as_count());
+    changed.reserve(topo.as_count());
     for (AsId v = 0; v < topo.as_count(); ++v) {
-      const std::vector<CandidateRoute>& fl = final_list(v);
-      if (published[v] != nullptr && published[v]->candidates == fl)
-        continue;
-      auto state = std::make_shared<AsRoutingState>();
-      state->candidates = fl;
-      state->canonical = 0;  // canonical order puts the lowest tiebreak first
-      published[v] = std::move(state);
+      AsRoutingState& state = (*arena)[v];
+      state.candidates = final_list(v);
+      published[v] = std::shared_ptr<const AsRoutingState>(arena, &state);
       changed.push_back(v);
     }
     return changed;
   }
 
-  /// Delta fast path: only ASes the propagation visited can differ, so
-  /// the publish scan is restricted to them (`touched` sorted).
-  std::vector<AsId> publish_touched(const std::vector<AsId>& touched) {
+  /// The same over the ASes in `ases` (sorted) only — the delta fast
+  /// path passes the ones the propagation visited, since no other AS can
+  /// differ.
+  std::vector<AsId> publish_ases(std::span<const AsId> ases) {
     std::vector<AsId> changed;
-    for (const AsId v : touched) {
+    for (const AsId v : ases) {
       const std::vector<CandidateRoute>& fl = final_list(v);
       if (published[v] != nullptr && published[v]->candidates == fl) continue;
       auto state = std::make_shared<AsRoutingState>();
       state->candidates = fl;
-      state->canonical = 0;
       published[v] = std::move(state);
       changed.push_back(v);
     }
@@ -604,7 +596,7 @@ ApplyResult RoutingEngine::apply(const anycast::ConfigDelta& delta) {
     impl_->run_delta(seeds);
     const std::vector<AsId> touched = impl_->touched_keys();
     result.recomputed_ases = touched.size();
-    result.changed_ases = impl_->publish_touched(touched);
+    result.changed_ases = impl_->publish_ases(touched);
     result.table = impl_->make_table(*topo_, options_, impl_->current,
                                      result.changed_ases);
   }

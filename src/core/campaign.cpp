@@ -45,7 +45,8 @@ CampaignReport Campaign::run_reported() const {
   CampaignJournal journal;
   std::vector<bool> done(rounds_, false);
   if (!journal_path_.empty()) {
-    const JournalManifest manifest{fingerprint(), rounds_};
+    const JournalManifest manifest{fingerprint(), rounds_,
+                                   routes_->deployment().sites.size()};
     auto opened = journal.open(journal_path_, manifest, resume_);
     report.journal = opened.status;
     report.truncated_bytes = opened.truncated_bytes;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -72,7 +71,8 @@ void encode_result(std::string& out, const RoundResult& result) {
   out += rtts;
 }
 
-bool decode_result(ByteReader& in, RoundResult& result) {
+bool decode_result(ByteReader& in, std::size_t site_count,
+                   RoundResult& result) {
   result.map.measurement_id = in.get<std::uint32_t>();
   result.map.probes_sent = in.get<std::uint64_t>();
   result.map.blocks_probed = in.get<std::uint64_t>();
@@ -88,17 +88,18 @@ bool decode_result(ByteReader& in, RoundResult& result) {
         &f.rate_limited, &f.outage_drops, &f.withdrawn, &f.diverted,
         &f.delayed, &f.retries, &f.recovered})
     *v = in.get<std::uint64_t>();
+  // A CRC only proves the bytes are the ones written. The content checks
+  // refuse what encode_result never writes — a site table of another
+  // size than the deployment's, a site outside it, a block listed twice
+  // in either section, an RTT for a block the map lacks, an RTT no
+  // catchment CSV can carry (negative, NaN, infinite) — so a forged or
+  // miscomputed record can never reach code that indexes the
+  // deployment's sites by it.
   const std::uint32_t sites = in.get<std::uint32_t>();
-  if (!in.ok() || sites > 1u << 16) return false;
+  if (!in.ok() || sites != site_count) return false;
   result.raw_replies_per_site.resize(sites);
   for (std::uint32_t s = 0; s < sites; ++s)
     result.raw_replies_per_site[s] = in.get<std::uint64_t>();
-  // A CRC only proves the bytes are the ones written. The content checks
-  // below refuse what encode_result never writes — a site outside the
-  // record's own site table, a block listed twice in either section, an
-  // RTT for a block the map lacks, an RTT no catchment CSV can carry
-  // (negative, NaN, infinite) — so a forged or miscomputed record can
-  // never reach code that indexes the deployment's sites by it.
   const std::uint32_t mapped = in.get<std::uint32_t>();
   if (!in.ok() || mapped > 1u << 24 || !in.take(std::size_t{mapped} * 5))
     return false;
@@ -137,20 +138,7 @@ bool decode_result(ByteReader& in, RoundResult& result) {
   return joined == rtt_count && in.ok() && in.left() == 0;
 }
 
-// ---- POSIX write plumbing + the kill-point hook -----------------------
-
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+// ---- the kill-point hooks ----------------------------------------------
 
 /// Test-only crash hook: VP_JOURNAL_CRASH_AT=k makes the k-th frame write
 /// of this process (1-based, the manifest counts) die mid-write with exit
@@ -192,13 +180,14 @@ bool write_frame(int fd, std::string_view frame) {
       std::size_t cut = frame.size();
       if (crash_k % 3 == 1) cut = 0;
       if (crash_k % 3 == 2) cut = frame.size() / 2;
-      write_all(fd, frame.data(), cut);
+      util::write_all(fd, frame.data(), cut);
       ::fsync(fd);
       ::_exit(86);
     }
     if (fail_k > 0 && n >= fail_k) return false;
   }
-  return write_all(fd, frame.data(), frame.size()) && ::fsync(fd) == 0;
+  return util::write_all(fd, frame.data(), frame.size()) &&
+         ::fsync(fd) == 0;
 }
 
 // ---- journal parsing ---------------------------------------------------
@@ -253,7 +242,8 @@ Parsed parse_journal(std::string_view data, const JournalManifest& expect) {
       }
       const std::uint32_t round = in.get<std::uint32_t>();
       RoundResult result;
-      if (!in.ok() || round >= expect.rounds || !decode_result(in, result)) {
+      if (!in.ok() || round >= expect.rounds ||
+          !decode_result(in, expect.site_count, result)) {
         out.status = JournalStatus::kCorrupt;
         return out;
       }

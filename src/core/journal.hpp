@@ -29,10 +29,10 @@
 //   - a complete frame whose CRC fails (bit rot, manual edit) refuses the
 //     whole journal: silently resuming past corruption could split one
 //     campaign's artifacts across two realities. So does a CRC-valid
-//     round whose content encode_round never writes: a site id outside
-//     the record's own site count, a block listed twice in the map or the
-//     RTT section, an RTT for an unmapped block, or a negative, NaN or
-//     infinite RTT;
+//     round whose content encode_round never writes: a site table whose
+//     size is not the deployment's site count, a site id outside it, a
+//     block listed twice in the map or the RTT section, an RTT for an
+//     unmapped block, or a negative, NaN or infinite RTT;
 //   - a manifest fingerprint mismatch refuses resume: the journal belongs
 //     to a different campaign.
 //
@@ -53,6 +53,12 @@ namespace vp::core {
 struct JournalManifest {
   std::uint64_t fingerprint = 0;
   std::uint32_t rounds = 0;
+  /// The deployment's site count. Resume refuses a round record whose
+  /// site table has any other size (the engine always writes one tally
+  /// per deployment site), so no record names a site the deployment
+  /// lacks. Kept in memory only: the fingerprint already covers the
+  /// deployment.
+  std::size_t site_count = 0;
 };
 
 /// Outcome of opening a journal (and, by extension, of a journaled

@@ -33,8 +33,6 @@ constexpr std::size_t kRunEntries = 4096;
 /// workers run; the coordinator reads it after they join. Lives in the
 /// round arena so round N+1 starts with round N's capacities.
 struct WorkerWs {
-  std::vector<net::Ipv4Address> run_targets;  // batched drop draws input
-  std::vector<std::uint8_t> drops;            // batched drop draws output
   std::vector<std::uint8_t> probe_bytes;
   std::vector<std::uint8_t> reply_bytes;
   std::vector<sim::DeliveryView> deliveries;
@@ -61,7 +59,6 @@ struct EngineWorkspace {
   std::vector<std::uint32_t> inverse;  // entry index -> probe position
   std::vector<ReplyRows> runs;         // one per run of kRunEntries
   std::vector<WorkerWs> workers;
-  std::vector<std::uint32_t> addr_by_block;  // block off -> probed address
   std::vector<std::uint32_t> page_bounds;  // worker -> first /8 it cleans
   std::vector<std::uint64_t> winners;      // block off -> first reply
   std::vector<float> rtts;                 // block off -> kept RTT slots
@@ -132,6 +129,12 @@ ProbeEngine::ProbeEngine(const sim::InternetSim& internet,
   }
   block_lo_ = lo;
   block_span_ = static_cast<std::size_t>(hi - lo) + 1;
+  // Every entry is probed every round, so the probed-address table
+  // depends on the hitlist alone. The zero sentinel is unambiguous:
+  // probed addresses have a nonzero host byte, so their value is never 0.
+  addr_by_block_.assign(block_span_, 0);
+  for (const hitlist::Entry& entry : hitlist.entries())
+    addr_by_block_[entry.block.index() - lo] = entry.target.value();
 }
 
 RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
@@ -145,10 +148,10 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   EngineMetrics& em = EngineMetrics::get();
   obs::Span round_span{&em.round_ms};
 
-  // Materialize the block->site catchment table once, serially, before
-  // the workers fan out — otherwise every worker's first probe piles up
-  // on the resolver's call_once.
-  internet_->warm(routes);
+  // Ask the table for its catchment resolver once, serially, before the
+  // workers fan out — otherwise every worker's first probe piles up on
+  // the resolver's build.
+  (void)routes.catchment_resolver();
 
   // Cross-round scratch: a caller-provided arena (Campaign, the daemon,
   // the benches) makes round N+1 reuse round N's capacities; without one
@@ -192,16 +195,10 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
     ++hot_grows;
   }
 
-  // The direct-mapped probed-address table and the cleaner's per-block
-  // tables hold one slot per /24 of the hitlist's block span. The address
-  // table is filled race-free by the walk: each hitlist entry (and thus
-  // each block slot) belongs to exactly one run. The zero sentinel is
-  // unambiguous — probed addresses have a nonzero host byte, so their
-  // value is never 0.
+  // The cleaner's per-block tables hold one slot per /24 of the
+  // hitlist's block span, like the probed-address table.
   const std::uint32_t block_lo = block_lo_;
   const std::size_t block_span = block_span_;
-  ws.addr_by_block.reserve(block_span);
-  ws.addr_by_block.assign(block_span, 0);
 
   // --- probe phase (claimed runs, block order) ----------------------------
   const util::SimTime gap =
@@ -238,12 +235,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
     // Capacity growths inside this worker are tracked against the
     // steady-state promise (vp_engine_hot_allocs_total): round 3+ of an
     // arena-backed campaign must report zero.
-    const auto grow = [&worker](auto& vec, std::size_t n) {
-      if (vec.capacity() < n) {
-        vec.reserve(n);
-        ++worker.hot_grows;
-      }
-    };
     worker.faults = {};
     worker.obs_probes = worker.obs_replied = worker.obs_unanswered = 0;
     worker.malformed = 0;
@@ -253,7 +244,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
 
     std::uint64_t since_report = 0;
     sim::DataplaneTally dataplane;
-    sim::ResolveTally resolve_tally;
     for (std::size_t r; (r = next_run.fetch_add(1, std::memory_order_relaxed)) <
                         run_count;) {
       ReplyRows& rows = ws.runs[r];
@@ -261,24 +251,10 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       rows.restart();
       const std::size_t e_begin = r * kRunEntries;
       const std::size_t e_end = std::min(e_begin + kRunEntries, entries.size());
-      if (injector != nullptr) {
-        // Batch the first-attempt forward-loss draws for the whole run:
-        // the seed/salt/round combine hoists out of the loop, the bits
-        // are identical to per-probe drops_probe calls.
-        grow(worker.run_targets, e_end - e_begin);
-        grow(worker.drops, e_end - e_begin);
-        worker.run_targets.clear();
-        for (std::size_t e = e_begin; e < e_end; ++e)
-          worker.run_targets.push_back(entries[e].target);
-        injector->drops_probe_batch(worker.run_targets, spec.round, 0,
-                                    worker.drops);
-      }
-
       for (std::size_t e = e_begin; e < e_end; ++e) {
         const hitlist::Entry& entry = entries[e];
         const net::Ipv4Address target = entry.target;
         const std::uint64_t probe_index = ws.inverse[e];
-        ws.addr_by_block[entry.block.index() - block_lo] = target.value();
         util::SimTime attempt_tx =
             spec.start +
             util::SimTime{gap.usec * static_cast<std::int64_t>(probe_index)};
@@ -290,10 +266,8 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
           bool answered_in_time = false;
           const bool dropped =
               injector != nullptr &&
-              (attempt == 0 ? worker.drops[e - e_begin] != 0
-                            : injector->drops_probe(
-                                  target, spec.round,
-                                  static_cast<std::uint32_t>(attempt)));
+              injector->drops_probe(target, spec.round,
+                                    static_cast<std::uint32_t>(attempt));
           if (dropped) {
             ++worker.faults.probes_lost;
           } else {
@@ -307,8 +281,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
                 static_cast<std::uint16_t>(probe_index & 0xffff), payload);
             internet_->probe_into(routes, worker.probe_bytes, attempt_tx,
                                   spec.round, worker.deliveries,
-                                  worker.reply_bytes, dataplane,
-                                  &resolve_tally);
+                                  worker.reply_bytes, dataplane);
             if (injector != nullptr) {
               injector->apply_reply_faults(
                   worker.deliveries, entry.block, spec.round,
@@ -360,10 +333,9 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
         }
       }
       if (rows.capacity() != rows_cap) ++worker.hot_grows;
-      // One flush of the run's dataplane/resolution tallies — the only
-      // time this worker touches the shared obs layer per run.
+      // One flush of the run's dataplane tallies — the only time this
+      // worker touches the shared obs layer per run.
       sim::InternetSim::flush(dataplane);
-      sim::FlipModel::flush(resolve_tally);
     }
   });
   const double probe_phase_ms = probe_span.stop();
@@ -455,7 +427,7 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       (spec.start + util::SimTime::from_minutes(kLateCutoffMinutes)).usec;
   filter.block_lo = block_lo;
   filter.block_span = block_span;
-  filter.addr_by_block = ws.addr_by_block;
+  filter.addr_by_block = addr_by_block_;
   ws.page_bounds.reserve(worker_count + 1);
   ws.page_bounds.assign(worker_count + 1, 0);
   ws.page_bounds[worker_count] = 1u << 8;

@@ -70,6 +70,9 @@ class ProbeEngine {
   /// the range the engine's per-block tables cover.
   std::uint32_t block_lo_ = 0;
   std::size_t block_span_ = 0;
+  /// Block offset -> the address its entry probes (0 for blocks outside
+  /// the hitlist): the cleaner's unsolicited-reply check.
+  std::vector<std::uint32_t> addr_by_block_;
 };
 
 }  // namespace vp::core

@@ -34,19 +34,13 @@ Hitlist Hitlist::build(const topology::Topology& topo,
                        const HitlistConfig& config, unsigned threads) {
   Hitlist out;
   const std::span<const topology::BlockInfo> blocks = topo.blocks();
-  const unsigned n = util::resolve_threads(threads);
-  if (n <= 1 || blocks.size() < 4096) {
-    out.entries_.reserve(blocks.size());
-    for (const topology::BlockInfo& info : blocks) {
-      if (const auto entry = make_entry(info, responsiveness, config))
-        out.entries_.push_back(*entry);
-    }
-    return out;
-  }
-  // Parallel build: each worker fills a private vector over a contiguous
-  // block range; splicing the parts in range order reproduces the
-  // sequential result exactly (per-block decisions are stateless hashes,
-  // and the responsiveness model is documented const + pure).
+  // Each shard fills a private vector over a contiguous block range;
+  // splicing the parts in range order gives the same list for any shard
+  // count (per-block decisions are stateless hashes, and the
+  // responsiveness model is documented const + pure). One shard runs
+  // inline, and small lists are not worth a thread.
+  const unsigned n =
+      blocks.size() < 4096 ? 1 : util::resolve_threads(threads);
   std::vector<std::vector<Entry>> parts(n);
   util::run_shards(n, [&](unsigned shard) {
     const std::size_t lo = blocks.size() * shard / n;
@@ -60,9 +54,11 @@ Hitlist Hitlist::build(const topology::Topology& topo,
   });
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
+  out.entries_ = std::move(parts[0]);
   out.entries_.reserve(total);
-  for (auto& part : parts)
-    out.entries_.insert(out.entries_.end(), part.begin(), part.end());
+  for (unsigned shard = 1; shard < n; ++shard)
+    out.entries_.insert(out.entries_.end(), parts[shard].begin(),
+                        parts[shard].end());
   return out;
 }
 

@@ -1,6 +1,5 @@
 #include "service/daemon.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
@@ -12,6 +11,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace vp::service {
 
@@ -124,7 +124,8 @@ bool Daemon::run_rounds() {
   if (!config_.journal_path.empty()) {
     const core::JournalManifest manifest{
         campaign_.fingerprint(),
-        config_.rounds > 0 ? config_.rounds : kMaxRounds};
+        config_.rounds > 0 ? config_.rounds : kMaxRounds,
+        deployment_.sites.size()};
     auto opened =
         journal_.open(config_.journal_path, manifest, config_.resume);
     {
@@ -512,16 +513,13 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
           "unknown site '" + std::string{pair.substr(0, eq)} + "'");
     }
     // The whole token is the depth, so "abc", "" and "2x" are errors.
-    const std::string_view depth = pair.substr(eq + 1);
-    int prepend = -1;
-    const auto [end, ec] =
-        std::from_chars(depth.data(), depth.data() + depth.size(), prepend);
-    if (ec != std::errc{} || end != depth.data() + depth.size() ||
-        prepend < 0 || prepend > anycast::kMaxPrepend)
+    const auto prepend =
+        util::parse_count(pair.substr(eq + 1), anycast::kMaxPrepend);
+    if (!prepend)
       return net::HttpResponse::bad_request(
           "prepend depth must be an integer in [0, " +
           std::to_string(anycast::kMaxPrepend) + "]");
-    target.sites[static_cast<std::size_t>(*site)].prepend = prepend;
+    target.sites[static_cast<std::size_t>(*site)].prepend = *prepend;
     if (comma == std::string_view::npos) break;
     rest.remove_prefix(comma + 1);
   }

@@ -1,7 +1,5 @@
 #include "sim/fault_injector.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -45,31 +43,17 @@ FaultPlan FaultPlan::from_seed(std::uint64_t seed) {
   return plan;
 }
 
+FaultInjector::FaultInjector(const FaultPlan& plan)
+    : plan_(plan),
+      probe_loss_seed_(util::hash_combine(plan.seed, kProbeLossSalt)) {}
+
 bool FaultInjector::drops_probe(net::Ipv4Address target, std::uint32_t round,
                                 std::uint32_t attempt) const {
   const std::uint64_t key = util::hash_combine(
-      util::hash_combine(plan_.seed, kProbeLossSalt),
-      util::hash_combine(target.value(),
-                         (std::uint64_t{round} << 32) | attempt));
+      probe_loss_seed_, util::hash_combine(target.value(),
+                                           (std::uint64_t{round} << 32) |
+                                               attempt));
   return roll(key, plan_.probe_loss_rate);
-}
-
-void FaultInjector::drops_probe_batch(
-    std::span<const net::Ipv4Address> targets, std::uint32_t round,
-    std::uint32_t attempt, std::vector<std::uint8_t>& out) const {
-  out.resize(targets.size());
-  if (plan_.probe_loss_rate <= 0.0) {
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
-    return;
-  }
-  const std::uint64_t base =
-      util::hash_combine(plan_.seed, kProbeLossSalt);
-  const std::uint64_t ra = (std::uint64_t{round} << 32) | attempt;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const std::uint64_t key = util::hash_combine(
-        base, util::hash_combine(targets[i].value(), ra));
-    out[i] = roll(key, plan_.probe_loss_rate) ? 1 : 0;
-  }
 }
 
 ChurnEvent FaultInjector::churn(net::Block24 block,

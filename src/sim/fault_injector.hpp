@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "anycast/deployment.hpp"
@@ -123,21 +122,13 @@ struct ChurnEvent {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultPlan& plan = {}) : plan_(plan) {}
+  explicit FaultInjector(const FaultPlan& plan = {});
 
   const FaultPlan& plan() const { return plan_; }
 
   /// Forward-path loss for one probe attempt at `target`.
   bool drops_probe(net::Ipv4Address target, std::uint32_t round,
                    std::uint32_t attempt) const;
-
-  /// Batched drops_probe over a whole run of first-attempt targets:
-  /// `out` is resized to targets.size() with out[i] nonzero iff
-  /// drops_probe(targets[i], round, attempt) — the seed/salt/round
-  /// combine is hoisted out of the loop, the draws are bit-identical.
-  void drops_probe_batch(std::span<const net::Ipv4Address> targets,
-                         std::uint32_t round, std::uint32_t attempt,
-                         std::vector<std::uint8_t>& out) const;
 
   /// The block's mid-round BGP event for this round, if any.
   ChurnEvent churn(net::Block24 block, std::uint32_t round) const;
@@ -166,6 +157,8 @@ class FaultInjector {
 
  private:
   FaultPlan plan_;
+  /// The (seed, stream) prefix of every probe-loss draw.
+  std::uint64_t probe_loss_seed_;
 };
 
 /// Flushes one round's fault accounting into per-fault-kind registry

@@ -59,8 +59,7 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
                              util::SimTime tx_time, std::uint32_t round,
                              std::vector<DeliveryView>& out,
                              std::vector<std::uint8_t>& reply_scratch,
-                             DataplaneTally& tally,
-                             ResolveTally* resolve_tally) const {
+                             DataplaneTally& tally) const {
   out.clear();
   reply_scratch.clear();
   ++tally.probes;
@@ -121,8 +120,7 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
 
   // Catchment: the site whose collector will receive this reply.
   ++tally.site_lookups;
-  const anycast::SiteId site =
-      flips_.site_in_round(routes, block, round, resolve_tally);
+  const anycast::SiteId site = flips_.site_in_round(routes, block, round);
   if (site < 0) return;
 
   net::build_echo_reply_into(reply_scratch, *ip, *icmp, reply_source);

@@ -15,11 +15,11 @@
 // probe engine (core/probe_engine.hpp) depends on this: concurrent
 // probe_into() calls against the same InternetSim and RoutingTable must be
 // data-race-free and give identical answers in any interleaving. The one
-// piece of shared mutable state is the routing table's catchment
-// resolver: built once under a once-flag and published once through an
-// atomic pointer, which each probe reads with one acquire load. Do not
-// add other mutable caches here without a lock and a determinism
-// argument.
+// piece of shared mutable state is the routing table's own catchment
+// resolver, a pure function of the table: built once under the table's
+// once-flag and published once through an atomic pointer, which each
+// probe reads with one acquire load. Do not add other mutable caches here
+// without a lock and a determinism argument.
 #pragma once
 
 #include <cstdint>
@@ -86,28 +86,21 @@ class InternetSim {
     return flips_.site_in_round(routes, block, round);
   }
 
-  /// Builds `routes`' catchment resolver up front so the first probe of a
-  /// round doesn't pay the one-time block->site materialization. Safe to
-  /// call concurrently and repeatedly. The probe engine calls this once
-  /// before fanning out.
-  void warm(const bgp::RoutingTable& routes) const { flips_.warm(routes); }
-
   /// Injects one probe packet at `tx_time` during `round`, using `routes`
   /// as the current BGP state. Every reply delivery it causes lands in
   /// `out` (cleared first; empty for unresponsive/unallocated targets or
   /// malformed packets) as a view over `reply_scratch`, which holds the
-  /// reply bytes built once per attempt. Counts accumulate in `tally` and,
-  /// when non-null, `resolve_tally`, for the caller to flush.
+  /// reply bytes built once per attempt. Counts accumulate in `tally`,
+  /// for the caller to flush.
   void probe_into(const bgp::RoutingTable& routes,
                   std::span<const std::uint8_t> packet_bytes,
                   util::SimTime tx_time, std::uint32_t round,
                   std::vector<DeliveryView>& out,
                   std::vector<std::uint8_t>& reply_scratch,
-                  DataplaneTally& tally,
-                  ResolveTally* resolve_tally = nullptr) const;
+                  DataplaneTally& tally) const;
 
-  /// Flushes a DataplaneTally (and nothing else) to the vp_sim_* striped
-  /// counters, zeroing it. ResolveTally flushes via FlipModel::flush.
+  /// Flushes a DataplaneTally to the vp_sim_* striped counters, zeroing
+  /// it.
   static void flush(DataplaneTally& tally);
 
  private:

@@ -32,20 +32,6 @@ const std::array<std::array<std::uint32_t, 256>, 8>& crc32_tables() {
   return tables;
 }
 
-/// write() the whole buffer, riding out short writes and EINTR.
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// fsync the directory containing `path` so a completed rename survives
 /// power loss. Best effort: some filesystems refuse O_RDONLY on dirs.
 void fsync_parent_dir(const std::string& path) {
@@ -60,6 +46,19 @@ void fsync_parent_dir(const std::string& path) {
 }
 
 }  // namespace
+
+bool write_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto& t = crc32_tables();

@@ -25,6 +25,10 @@ inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   return crc32(bytes.data(), bytes.size(), seed);
 }
 
+/// write()s the whole buffer to `fd`, riding out short writes and EINTR.
+/// False on any other write error.
+bool write_all(int fd, const char* data, std::size_t size);
+
 /// Atomically replaces `path` with `contents`: writes `path.tmp.<pid>`,
 /// fsyncs it, rename()s it over `path`, then fsyncs the directory so the
 /// rename itself is durable. A crash at any point leaves either the old

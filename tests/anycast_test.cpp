@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+
 #include "analysis/scenario.hpp"
 #include "anycast/deployment.hpp"
 #include "topology/generator.hpp"
@@ -75,13 +81,47 @@ TEST(Deployment, WithPrependIsNonDestructive) {
 TEST(Scenario, EnvOverridesAreParsed) {
   setenv("VP_SCALE", "0.5", 1);
   setenv("VP_SEED", "123", 1);
+  setenv("VP_GEN_ASES", "4294967295", 1);
   const auto config = analysis::ScenarioConfig::from_env();
   EXPECT_DOUBLE_EQ(config.scale, 0.5);
   EXPECT_EQ(config.seed, 123u);
-  setenv("VP_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(analysis::ScenarioConfig::from_env().scale, 1.0);
+  EXPECT_EQ(config.generated_ases, 4294967295u);
+  // An unset or empty VP_SCALE keeps the caller's default.
+  unsetenv("VP_SCALE");
+  EXPECT_DOUBLE_EQ(analysis::ScenarioConfig::from_env(0.4).scale, 0.4);
+  setenv("VP_SCALE", "", 1);
+  EXPECT_DOUBLE_EQ(analysis::ScenarioConfig::from_env(0.4).scale, 0.4);
+  setenv("VP_GEN_ASES", "", 1);
+  EXPECT_EQ(analysis::ScenarioConfig::from_env().generated_ases, 0u);
+  // VP_SEED parses like --seed: a signed long, kept as its bit pattern.
+  setenv("VP_SEED", "-1", 1);
+  EXPECT_EQ(analysis::ScenarioConfig::from_env().seed, ~std::uint64_t{0});
   unsetenv("VP_SCALE");
   unsetenv("VP_SEED");
+  unsetenv("VP_GEN_ASES");
+}
+
+// Each knob parses whole or throws naming its variable; nothing here
+// builds a Scenario from a rejected value.
+TEST(Scenario, MalformedEnvKnobsThrow) {
+  const struct {
+    const char* name;
+    const char* value;
+  } cases[] = {{"VP_GEN_ASES", "-1"},   {"VP_GEN_ASES", "5000000000"},
+               {"VP_GEN_ASES", "abc"},  {"VP_SEED", "12x"},
+               {"VP_SCALE", "abc"},     {"VP_SCALE", "-2"},
+               {"VP_SCALE", "0"},       {"VP_SCALE", "inf"}};
+  for (const auto& c : cases) {
+    setenv(c.name, c.value, 1);
+    try {
+      (void)analysis::ScenarioConfig::from_env();
+      ADD_FAILURE() << c.name << "=" << c.value << " did not throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find(c.name), std::string::npos)
+          << error.what();
+    }
+    unsetenv(c.name);
+  }
 }
 
 TEST(Scenario, BuildsAllComponentsCoherently) {

@@ -4,7 +4,8 @@
 // time — this forks the real binary and checks the distinct write-failed
 // exit code (6) for --out and --metrics-out, and that successful runs
 // actually leave the artifact behind. A numeric option that is not a
-// number exits 2 in both vpctl and vpd.
+// number exits 2 in both vpctl and vpd, and a journal record naming a
+// site the deployment lacks exits 5.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -20,6 +21,9 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "core/journal.hpp"
+#include "util/byte_codec.hpp"
 
 namespace {
 
@@ -309,6 +313,34 @@ TEST(CliExit, MetricsFailureDoesNotMaskJournalRefusal) {
                       journal + " --resume --metrics-out " +
                       unwritable("m.json")),
             4);
+}
+
+TEST(CliExit, ForeignSiteTableInJournalExits5WithoutCsv) {
+  // B-Root has two sites. A CRC-valid round record whose site table has
+  // three and maps a block to site 2 is refused on resume (exit 5)
+  // before anything renders the block's site.
+  const std::string journal = test_dir() + "/foreign_sites.bin";
+  const std::string csv = test_dir() + "/foreign_sites.csv";
+  const std::string common = "campaign --scale 0.03 --rounds 2 --seed 5 ";
+  ASSERT_EQ(run_vpctl(common + "--journal " + journal), 0);
+  const std::string written = read_file(journal);
+  // Keep the manifest frame: an 8-byte header (payload length, CRC) and
+  // its payload.
+  const std::size_t manifest_frame =
+      8 + vp::util::ByteReader{written}.get<std::uint32_t>();
+  vp::core::RoundResult forged;
+  forged.raw_replies_per_site = {1, 1, 1};
+  forged.map.set(vp::net::Block24{0x0a0b0c}, 2, 10.0f);
+  std::ofstream{journal, std::ios::binary | std::ios::trunc}
+      << written.substr(0, manifest_frame)
+      << vp::core::CampaignJournal::frame(
+             vp::core::CampaignJournal::encode_round(0, forged));
+  std::remove(csv.c_str());
+  EXPECT_EQ(run_vpctl(common + "--journal " + journal + " --resume --out " +
+                      csv),
+            5);
+  EXPECT_FALSE(file_exists(csv));
+  std::remove(journal.c_str());
 }
 
 }  // namespace

@@ -68,7 +68,8 @@ void expect_equal(const RoundResult& a, const RoundResult& b) {
   EXPECT_EQ(a.faults.retries, b.faults.retries);
 }
 
-const JournalManifest kManifest{0xfeedbeefcafe1234ull, 6};
+// Two sites, as every synthetic and pinned round carries.
+const JournalManifest kManifest{0xfeedbeefcafe1234ull, 6, 2};
 
 std::string journal_with_rounds(const std::string& path,
                                 std::uint32_t count) {
@@ -279,15 +280,16 @@ TEST(Journal, RoundIdBeyondManifestIsCorrupt) {
 /// Resumes a journal holding the manifest plus one CRC-valid frame per
 /// payload, and reports how the open ended.
 JournalStatus resume_with(const char* tag,
-                          const std::vector<std::string>& payloads) {
+                          const std::vector<std::string>& payloads,
+                          const JournalManifest& manifest = kManifest) {
   const std::string path = temp_path(tag);
   std::string data =
-      CampaignJournal::frame(CampaignJournal::encode_manifest(kManifest));
+      CampaignJournal::frame(CampaignJournal::encode_manifest(manifest));
   for (const std::string& payload : payloads)
     data += CampaignJournal::frame(payload);
   write_file(path, data);
   CampaignJournal journal;
-  const JournalStatus status = journal.open(path, kManifest, true).status;
+  const JournalStatus status = journal.open(path, manifest, true).status;
   journal.close();
   std::remove(path.c_str());
   return status;
@@ -330,9 +332,9 @@ TEST(Journal, CrcValidRecordWithInvalidContentIsCorrupt) {
   const std::string ok = round_with(0, 9.5f);
   ASSERT_EQ(resume_with("content_ok", {ok}), JournalStatus::kResumed);
 
-  // A site id at or past the record's own site count — including the
-  // bytes 0x80..0xff that used to decode to negative ids. The map refuses
-  // kUnknownSite (0xff), so that byte is forged over A's site.
+  // A site id at or past the site count — including the bytes 0x80..0xff
+  // that used to decode to negative ids. The map refuses kUnknownSite
+  // (0xff), so that byte is forged over A's site.
   for (const int site : {2, 9, 127, -128}) {
     EXPECT_EQ(resume_with("content_site",
                           {round_with(static_cast<anycast::SiteId>(site),
@@ -344,14 +346,29 @@ TEST(Journal, CrcValidRecordWithInvalidContentIsCorrupt) {
   unknown_site[unknown_site.find(le_bytes(a)) + 4] = '\xff';
   EXPECT_EQ(resume_with("content_site_ff", {unknown_site}),
             JournalStatus::kCorrupt);
-  // A negative id stays refused when the record claims enough sites for
+  // A negative id stays refused when the deployment has enough sites for
   // its byte (0x80 = 128 < 200) to pass the count check.
   RoundResult wide;
   wide.raw_replies_per_site.assign(200, 1);
   wide.map.set(a, -128);
+  JournalManifest wide_manifest = kManifest;
+  wide_manifest.site_count = 200;
   EXPECT_EQ(resume_with("content_site_wide",
-                        {CampaignJournal::encode_round(0, wide)}),
+                        {CampaignJournal::encode_round(0, wide)},
+                        wide_manifest),
             JournalStatus::kCorrupt);
+
+  // A site table of any other size than the deployment's, even one whose
+  // ids all fit it: the engine writes one tally per deployment site.
+  for (const std::size_t sites : {std::size_t{1}, std::size_t{3}}) {
+    RoundResult other;
+    other.raw_replies_per_site.assign(sites, 1);
+    other.map.set(a, 0, 9.5f);
+    EXPECT_EQ(resume_with("content_site_table",
+                          {CampaignJournal::encode_round(0, other)}),
+              JournalStatus::kCorrupt)
+        << sites << " sites";
+  }
 
   // A block listed twice in the map section, then in the RTT section.
   // The controls show the forged frames themselves decode: B retargeted
@@ -468,6 +485,34 @@ TEST_F(JournaledCampaignTest, ConcurrentResumeMatchesSequential) {
   EXPECT_EQ(concurrent.journal, JournalStatus::kResumed);
   for (std::size_t r = 0; r < fresh.results.size(); ++r)
     expect_equal(concurrent.results[r], fresh.results[r]);
+  std::remove(path.c_str());
+}
+
+TEST_F(JournaledCampaignTest, RecordNamingASiteTheDeploymentLacksIsCorrupt) {
+  // B-Root has two sites. A CRC-valid record whose site table has three
+  // and maps a block to site 2 must be refused before anything indexes
+  // the deployment's sites by it; the control with B-Root's own two-site
+  // table and site 1 resumes.
+  const std::string path = temp_path("campaign");
+  ASSERT_EQ(scenario_->broot().sites.size(), 2u);
+  const net::Block24 block = scenario_->hitlist().entries()[0].block;
+  const auto resume_over = [&](std::size_t sites, anycast::SiteId site) {
+    RoundResult record;
+    record.raw_replies_per_site.assign(sites, 1);
+    record.map.set(block, site, 10.0f);
+    const Campaign campaign = make_campaign();
+    write_file(path, CampaignJournal::frame(CampaignJournal::encode_manifest(
+                         JournalManifest{campaign.fingerprint(), 4})) +
+                         CampaignJournal::frame(
+                             CampaignJournal::encode_round(0, record)));
+    return make_campaign().resume().run_reported();
+  };
+  const CampaignReport forged = resume_over(3, 2);
+  EXPECT_EQ(forged.journal, JournalStatus::kCorrupt);
+  EXPECT_TRUE(forged.results.empty());
+  const CampaignReport control = resume_over(2, 1);
+  EXPECT_EQ(control.journal, JournalStatus::kResumed);
+  EXPECT_EQ(control.rounds_loaded, 1u);
   std::remove(path.c_str());
 }
 

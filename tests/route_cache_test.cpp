@@ -45,18 +45,21 @@ TEST_P(ResolutionEquivalence, EveryBlockEveryRound) {
     const sim::FlipModel& flips = scenario.internet().flips();
 
     // Build the resolver, then compare its answers with the reference.
-    flips.warm(routes);
-    const bgp::CatchmentResolver* resolver = routes.catchment_resolver();
-    ASSERT_NE(resolver, nullptr);
-    ASSERT_NE(flips.resolver_for(routes), nullptr);
+    const bgp::CatchmentResolver& resolver = routes.catchment_resolver();
+    EXPECT_EQ(&routes.catchment_resolver(), &resolver);  // built once
 
     for (const topology::BlockInfo& info : scenario.topo().blocks()) {
       // The stable table must fold exactly what site_for_block computes.
-      EXPECT_EQ(resolver->stable_site(info.block),
+      EXPECT_EQ(resolver.stable_site(info.block),
                 routes.site_for_block(info.block));
-      // And flappy membership must be the flip model's exact decision.
-      EXPECT_EQ(resolver->flappy(info.block),
-                flips.is_flappy(routes, info.block));
+      // The tied bit marks exactly the blocks whose AS is reachable and
+      // ties routes to more than one site: every flappy block among them.
+      const bgp::AsRoutingState& state = routes.state(info.as_id);
+      EXPECT_EQ(resolver.tied(info.block),
+                state.reachable() && state.multi_site());
+      if (flips.is_flappy(routes, info.block)) {
+        EXPECT_TRUE(resolver.tied(info.block));
+      }
       for (const std::uint32_t round : {0u, 1u, 3u, 7u}) {
         const auto cached = flips.site_in_round(routes, info.block, round);
         const auto uncached =

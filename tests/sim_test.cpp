@@ -67,13 +67,12 @@ class SimTest : public ::testing::Test {
     std::vector<DeliveryView> deliveries;
     std::vector<std::uint8_t> reply;
     DataplaneTally tally;
-    ResolveTally resolve;
   };
 
   static Probed probe(std::span<const std::uint8_t> packet) {
     Probed p;
     internet().probe_into(routes(), packet, {}, 0, p.deliveries, p.reply,
-                          p.tally, &p.resolve);
+                          p.tally);
     return p;
   }
 
@@ -201,7 +200,6 @@ TEST_F(SimTest, ProbeToResponsiveHostYieldsReplyAtCatchmentSite) {
   EXPECT_EQ(parsed->ip.destination, routes().deployment().measurement_address);
   EXPECT_GT(p.deliveries[0].arrival.usec, 0);
   expect_tally(p.tally, 1, 0, 0, 1, 1);
-  EXPECT_EQ(p.resolve.hits + p.resolve.misses, 1u);
 }
 
 TEST_F(SimTest, ProbeToDeadHostYieldsNothing) {
