@@ -12,6 +12,8 @@
 
 #include "analysis/scenario.hpp"
 #include "core/dataset_io.hpp"
+#include "export_pin_round.hpp"
+#include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
 namespace vp::core {
@@ -119,6 +121,45 @@ TEST(DatasetIo, CatchmentCsvIsSortedAndStable) {
   const std::string text = a.str();
   EXPECT_LT(text.find("1.2.3.0/24"), text.find("1.2.4.0/24"));
   EXPECT_LT(text.find("1.2.4.0/24"), text.find("10.11.12.0/24"));
+}
+
+std::string streamed_csv(const RoundResult& round,
+                         const anycast::Deployment& deployment) {
+  std::ostringstream out;
+  write_catchment_csv(out, round, deployment);
+  return out.str();
+}
+
+// Size and CRC-32 of both catchment writers over the hand-made round of
+// export_pin_round.hpp. Never edit these literals to make a change pass:
+// a diff here is an export bug.
+TEST(DatasetIo, CatchmentCsvBytesArePinned) {
+  const auto deployment = export_pin::nine_site_deployment();
+  const RoundResult round = export_pin::pinned_export_round(true);
+  ASSERT_GE(round.map.mapped_blocks(), 5'000u);
+  const std::string csv = catchment_csv(round, deployment);
+  EXPECT_EQ(streamed_csv(round, deployment), csv);
+  EXPECT_GT(csv.size(), std::size_t{64} << 10);
+  EXPECT_EQ(csv.size(), 159'775u);
+  EXPECT_EQ(util::crc32(csv), 0x486b7eb0u);
+  // The edge rows, spelled out.
+  EXPECT_EQ(csv.rfind("block,site,rtt_ms\n0.0.0.0/24,", 0), 0u);
+  for (const char* row :
+       {"\n10.0.0.0/24,ENS,1.00\n", "\n10.255.255.0/24,CPH-DK,0.00\n",
+        "\n127.0.1.0/24,HND,340282346638528859811704183484516925440.00\n",
+        "\n127.0.2.0/24,MIA,90071990534144.00\n",
+        "\n127.0.3.0/24,IAD,-0.00\n", "\n127.0.4.0/24,GRU,-1.50\n",
+        "\n127.0.5.0/24,CPH-DK,nan\n", "\n127.0.6.0/24,SYD,inf\n",
+        "\n127.0.7.0/24,CDG,-inf\n", "\n255.0.0.0/24,CPH-DK,9.99\n"})
+    EXPECT_NE(csv.find(row), std::string::npos) << row;
+  EXPECT_TRUE(csv.ends_with("\n255.255.255.0/24,LHR,250.50\n"));
+}
+
+TEST(DatasetIo, EmptyMapCsvIsTheHeader) {
+  const auto deployment = export_pin::nine_site_deployment();
+  const RoundResult empty;
+  EXPECT_EQ(catchment_csv(empty, deployment), "block,site,rtt_ms\n");
+  EXPECT_EQ(streamed_csv(empty, deployment), "block,site,rtt_ms\n");
 }
 
 TEST(DatasetIo, CatchmentRejectsMalformedInput) {

@@ -15,6 +15,7 @@
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
+#include "export_pin_round.hpp"
 #include "util/atomic_file.hpp"
 
 namespace vp::core {
@@ -400,6 +401,46 @@ TEST(Journal, CrcValidRecordWithInvalidContentIsCorrupt) {
   }
 }
 
+// Size and CRC-32 of encode_round over the hand-made round of
+// export_pin_round.hpp (four /8 pages, nine sites) and over an empty
+// map; append_round must write exactly frame(encode_round), and the
+// record must resume to the same round. Never edit these literals to
+// make a change pass.
+TEST(Journal, PageWalkEncodingIsPinned) {
+  const RoundResult round = export_pin::pinned_export_round(false);
+  const std::string payload = CampaignJournal::encode_round(5, round);
+  EXPECT_EQ(payload.size(), 78'339u);
+  EXPECT_EQ(util::crc32(payload), 0x6172ad6cu);
+
+  const std::string path = temp_path("pagewalk");
+  const JournalManifest manifest{0x51a7e5, 6, 9};
+  {
+    CampaignJournal journal;
+    ASSERT_EQ(journal.open(path, manifest, false).status,
+              JournalStatus::kFresh);
+    ASSERT_TRUE(journal.append_round(5, round));
+  }
+  EXPECT_EQ(read_file(path),
+            CampaignJournal::frame(CampaignJournal::encode_manifest(manifest)) +
+                CampaignJournal::frame(payload));
+  CampaignJournal journal;
+  const auto opened = journal.open(path, manifest, true);
+  ASSERT_EQ(opened.status, JournalStatus::kResumed);
+  ASSERT_EQ(opened.completed.count(5), 1u);
+  expect_equal(opened.completed.at(5), round);
+  journal.close();
+  std::remove(path.c_str());
+}
+
+TEST(Journal, EmptyMapEncodingIsPinned) {
+  RoundResult empty;
+  empty.raw_replies_per_site = {0, 0};
+  const std::string payload = CampaignJournal::encode_round(1, empty);
+  EXPECT_EQ(payload.size(), 205u);
+  EXPECT_EQ(util::crc32(payload), 0xc5f57e85u);
+  EXPECT_EQ(resume_with("emptymap", {payload}), JournalStatus::kResumed);
+}
+
 TEST(Journal, WithoutResumeOverwrites) {
   const std::string path = temp_path("overwrite");
   journal_with_rounds(path, 3);
@@ -514,6 +555,18 @@ TEST_F(JournaledCampaignTest, RecordNamingASiteTheDeploymentLacksIsCorrupt) {
   EXPECT_EQ(control.journal, JournalStatus::kResumed);
   EXPECT_EQ(control.rounds_loaded, 1u);
   std::remove(path.c_str());
+}
+
+// encode_round of one measured B-Root round of this fixture's scenario.
+// Never edit these literals to make a change pass.
+TEST_F(JournaledCampaignTest, MeasuredRoundEncodingIsPinned) {
+  ProbeConfig probe;
+  probe.measurement_id = 300;
+  const RoundResult round = scenario_->engine().run(*routes_, {probe, 0});
+  ASSERT_GT(round.map.mapped_blocks(), 1'000u);
+  const std::string payload = CampaignJournal::encode_round(0, round);
+  EXPECT_EQ(payload.size(), 27'362u);
+  EXPECT_EQ(util::crc32(payload), 0xf91838b2u);
 }
 
 TEST_F(JournaledCampaignTest, PreSetCancelFlagRunsNothing) {
