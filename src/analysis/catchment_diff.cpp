@@ -15,29 +15,53 @@ CatchmentDiff diff_catchments(const topology::Topology& topo,
   std::map<std::pair<anycast::SiteId, anycast::SiteId>, SitePairFlow> flows;
   std::unordered_map<std::uint32_t, std::uint64_t> moved_by_asn;
 
-  for (const auto& [block, before_site] : before.entries()) {
-    const anycast::SiteId after_site = after.site_of(block);
-    if (after_site == anycast::kUnknownSite) {
-      ++diff.vanished_blocks;
-      continue;
-    }
-    if (after_site == before_site) {
-      ++diff.stable_blocks;
-      continue;
-    }
+  const auto moved = [&](net::Block24 block, anycast::SiteId from,
+                         anycast::SiteId to) {
     ++diff.moved_blocks;
     const double queries = load.daily_queries(block);
     diff.moved_queries += queries;
-    auto& flow = flows[{before_site, after_site}];
-    flow.from = before_site;
-    flow.to = after_site;
+    auto& flow = flows[{from, to}];
+    flow.from = from;
+    flow.to = to;
     ++flow.blocks;
     flow.daily_queries += queries;
     if (const auto* info = topo.block_info(block))
       ++moved_by_asn[topo.as_at(info->as_id).asn.value];
-  }
-  for (const auto& [block, site] : after.entries()) {
-    if (!before.contains(block)) ++diff.appeared_blocks;
+  };
+  // Both maps' pages side by side in ascending page order, and each
+  // shared page slot by slot, so moves (and moved_queries' sum) come in
+  // ascending block order. A page only one map holds is all vanished or
+  // all appeared blocks.
+  using Page = core::CatchmentMap::PageView;
+  auto before_pages = before.pages();
+  auto after_pages = after.pages();
+  auto b = before_pages.begin();
+  auto a = after_pages.begin();
+  while (b != before_pages.end() || a != after_pages.end()) {
+    if (a == after_pages.end() ||
+        (b != before_pages.end() && (*b).page < (*a).page)) {
+      diff.vanished_blocks += (*b++).mapped;
+      continue;
+    }
+    if (b == before_pages.end() || (*a).page < (*b).page) {
+      diff.appeared_blocks += (*a++).mapped;
+      continue;
+    }
+    const Page from = *b++;
+    const Page to = *a++;
+    for (std::uint32_t slot = 0; slot < core::CatchmentMap::kSlots; ++slot) {
+      const anycast::SiteId before_site = from.site[slot];
+      const anycast::SiteId after_site = to.site[slot];
+      if (before_site == after_site) {
+        diff.stable_blocks += before_site != anycast::kUnknownSite;
+      } else if (before_site == anycast::kUnknownSite) {
+        ++diff.appeared_blocks;
+      } else if (after_site == anycast::kUnknownSite) {
+        ++diff.vanished_blocks;
+      } else {
+        moved(from.block(slot), before_site, after_site);
+      }
+    }
   }
 
   diff.flows.reserve(flows.size());

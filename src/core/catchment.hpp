@@ -75,20 +75,47 @@ class CatchmentMap {
   /// Bytes held by the allocated pages (320 KB per /8 touched).
   std::size_t bytes() const;
 
-  /// Every mapped (block, site) in ascending block order.
-  auto entries() const {
+  /// Slots per page: a page covers one /8, indexed by a block's low 16
+  /// bits.
+  static constexpr std::uint32_t kSlotBits = 16;
+  static constexpr std::uint32_t kSlots = 1u << kSlotBits;
+
+  /// One allocated page: the /8 it covers and its site and RTT columns.
+  struct PageView {
+    std::uint32_t page;  // the first octet of its blocks
+    std::uint32_t mapped;
+    const anycast::SiteId* site;  // kSlots entries, kUnknownSite = unmapped
+    const float* rtt;             // kSlots entries, 0 where unmapped
+
+    net::Block24 block(std::uint32_t slot) const {
+      return net::Block24{page << kSlotBits | slot};
+    }
+  };
+
+  /// The allocated pages in ascending order, so a walk over each page's
+  /// slots visits every mapped block in ascending block order. The export
+  /// writers, the journal encoder and the drift diff read the columns
+  /// straight from here.
+  auto pages() const {
     return std::views::iota(std::uint32_t{0}, kPages) |
            std::views::filter(
                [this](std::uint32_t p) { return pages_[p] != nullptr; }) |
            std::views::transform([this](std::uint32_t p) {
-             const Page* page = pages_[p].get();
+             const Page& page = *pages_[p];
+             return PageView{p, page.mapped, page.site.data(),
+                             page.rtt.data()};
+           });
+  }
+
+  /// Every mapped (block, site) in ascending block order.
+  auto entries() const {
+    return pages() | std::views::transform([](const PageView& page) {
              return std::views::iota(std::uint32_t{0}, kSlots) |
                     std::views::filter([page](std::uint32_t s) {
-                      return page->site[s] != anycast::kUnknownSite;
+                      return page.site[s] != anycast::kUnknownSite;
                     }) |
-                    std::views::transform([page, p](std::uint32_t s) {
-                      return Entry{net::Block24{p << kSlotBits | s},
-                                   page->site[s]};
+                    std::views::transform([page](std::uint32_t s) {
+                      return Entry{page.block(s), page.site[s]};
                     });
            }) |
            std::views::join;
@@ -110,8 +137,6 @@ class CatchmentMap {
   std::uint32_t measurement_id = 0;
 
  private:
-  static constexpr std::uint32_t kSlotBits = 16;
-  static constexpr std::uint32_t kSlots = 1u << kSlotBits;
   static constexpr std::uint32_t kSlotMask = kSlots - 1;
   static constexpr std::uint32_t kPages = 1u << (24 - kSlotBits);
 

@@ -1,13 +1,17 @@
 #include "core/dataset_io.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -44,23 +48,20 @@ std::optional<double> parse_double(std::string_view text) {
 }
 
 // --- buffered serialization ------------------------------------------------
-// The writers below build the whole CSV in one string with
-// std::to_chars and hand it to the stream in a single write. The old
-// per-row path (snprintf into a stack buffer + five operator<< calls per
-// row) spent most of write time inside ostream's sentry/locale machinery
-// — at 6.4M rows that dominated `vpctl gen --probe --out`. Byte
+// The writers never go through ostream formatting: the old per-row path
+// (snprintf into a stack buffer + five operator<< calls per row) spent
+// most of its time inside ostream's sentry/locale machinery. Byte
 // fidelity: to_chars(fixed, p) and to_chars(general, p) are specified to
 // format exactly as printf "%.pf" / "%.pg", so output is identical to
-// the legacy writer (the dataset_io tests byte-compare both paths). The
-// catchment rows go further: octets come from a table and an ordinary
-// RTT is printed from integer cents (append_rtt), the same text as
-// to_chars without its general-purpose conversion.
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, static_cast<std::size_t>(end - buf));
-}
+// the legacy writer (the dataset_io tests byte-compare both paths).
+//
+// The catchment rows go further. One row writer walks the map's pages
+// and stores each row with raw pointer writes into a 64 KB chunk (octets
+// from a table, ",CODE," from a per-call table, an ordinary RTT from
+// integer cents), handing every full chunk to a sink in file order: the
+// stream writer writes it, catchment_csv appends it to a string reserved
+// up front. No row goes through std::string's checked appends, and no
+// writer holds the whole file twice.
 
 /// The decimal text of every octet value, so a block prefix costs three
 /// table copies instead of three integer conversions.
@@ -80,21 +81,95 @@ constexpr std::array<OctetText, 256> kOctetText = [] {
   return table;
 }();
 
-void append_octet(std::string& out, std::uint32_t octet) {
+/// Stores an octet's digits at `p`. Writes three bytes whatever the
+/// length (the caller leaves room) and returns the end of the digits.
+char* put_octet(char* p, std::uint32_t octet) {
   const OctetText& text = kOctetText[octet & 0xff];
-  out.append(text.digits, text.size);
+  std::memcpy(p, text.digits, 3);
+  return p + text.size;
 }
 
-/// "a.b.c.0/24" — what block.prefix().to_string() produces, without the
-/// temporary strings.
-void append_block(std::string& out, net::Block24 block) {
-  const std::uint32_t index = block.index();
-  append_octet(out, index >> 16);
-  out.push_back('.');
-  append_octet(out, index >> 8);
-  out.push_back('.');
-  append_octet(out, index);
-  out.append(".0/24");
+/// "a.b.c.0/24" — what block.prefix().to_string() produces. At most
+/// 16 bytes.
+char* put_block(char* p, std::uint32_t index) {
+  p = put_octet(p, index >> 16);
+  *p++ = '.';
+  p = put_octet(p, index >> 8);
+  *p++ = '.';
+  p = put_octet(p, index);
+  std::memcpy(p, ".0/24", 5);
+  return p + 5;
+}
+
+/// Longest text put_rtt stores: "-" and FLT_MAX's 39 integer digits
+/// and ".00" need 43 bytes.
+constexpr std::size_t kMaxRttText = 48;
+
+/// printf "%.2f" of the widened float, at most kMaxRttText bytes.
+char* put_rtt(char* p, float rtt_ms) {
+  const double v = rtt_ms;
+  // Values from 2^53 / 100 up (the reader admits RTTs up to FLT_MAX,
+  // whose cents would overflow a uint64), negative values (-0.0
+  // included), NaN and infinities keep to_chars.
+  constexpr double kIntegerLimit = 0x1p53 / 100;
+  if (std::signbit(v) || !(v < kIntegerLimit))
+    return std::to_chars(p, p + kMaxRttText, v, std::chars_format::fixed, 2)
+        .ptr;
+  // A float times 100 is exact in a double (24 significand bits times
+  // 100 need at most 31), so rounding it to an integer with nearbyint,
+  // ties to even as to_chars rounds an exact tie, gives the very cents
+  // to_chars(v, fixed, 2) prints.
+  const auto cents = static_cast<std::uint64_t>(std::nearbyint(v * 100.0));
+  p = std::to_chars(p, p + kMaxRttText, cents / 100).ptr;
+  const auto fraction = static_cast<unsigned>(cents % 100);
+  p[0] = '.';
+  p[1] = static_cast<char>('0' + fraction / 10);
+  p[2] = static_cast<char>('0' + fraction % 10);
+  return p + 3;
+}
+
+constexpr std::string_view kCatchmentHeader = "block,site,rtt_ms\n";
+
+/// Renders the catchment CSV of `map` in file order, handing it to
+/// `sink(const char*, std::size_t)` one full 64 KB chunk at a time (the
+/// last chunk partial). Sites index `deployment.sites`.
+template <typename Sink>
+void render_catchment_csv(const CatchmentMap& map,
+                          const anycast::Deployment& deployment, Sink&& sink) {
+  // ",CODE," per site, so a row stores its site with one copy.
+  std::vector<std::string> site_text;
+  site_text.reserve(deployment.sites.size());
+  std::size_t longest = 0;
+  for (const anycast::AnycastSite& site : deployment.sites) {
+    site_text.push_back("," + site.code + ",");
+    longest = std::max(longest, site_text.back().size());
+  }
+  // A row is a block, its site text, an RTT and a newline; a chunk is
+  // flushed once fewer bytes than the longest row remain.
+  const std::size_t max_row = 16 + longest + kMaxRttText + 1;
+  constexpr std::size_t kChunk = std::size_t{64} << 10;
+  const std::size_t capacity = std::max(kChunk, max_row);
+  const auto chunk = std::make_unique_for_overwrite<char[]>(capacity);
+  char* const flush_at = chunk.get() + (capacity - max_row);
+  char* p = chunk.get();
+  std::memcpy(p, kCatchmentHeader.data(), kCatchmentHeader.size());
+  p += kCatchmentHeader.size();
+  for (const CatchmentMap::PageView& page : map.pages()) {
+    for (std::uint32_t slot = 0; slot < CatchmentMap::kSlots; ++slot) {
+      const anycast::SiteId site = page.site[slot];
+      if (site == anycast::kUnknownSite) continue;
+      if (p > flush_at) {
+        sink(chunk.get(), static_cast<std::size_t>(p - chunk.get()));
+        p = chunk.get();
+      }
+      p = put_block(p, page.block(slot).index());
+      const std::string& text = site_text[static_cast<std::size_t>(site)];
+      std::memcpy(p, text.data(), text.size());
+      p = put_rtt(p + text.size(), page.rtt[slot]);
+      *p++ = '\n';
+    }
+  }
+  sink(chunk.get(), static_cast<std::size_t>(p - chunk.get()));
 }
 
 /// printf "%.<precision>f".
@@ -118,7 +193,8 @@ void build_load_csv(std::string& out,
   out += "block,daily_queries,good_fraction\n";
   out.reserve(out.size() + blocks.size() * 40);
   for (const dnsload::BlockLoad& bl : blocks) {
-    append_block(out, bl.block);
+    char block[16];
+    out.append(block, put_block(block, bl.block.index()));
     out.push_back(',');
     append_general(out, bl.daily_queries, 6);
     out.push_back(',');
@@ -130,49 +206,29 @@ void build_load_csv(std::string& out,
 }  // namespace
 
 void append_rtt(std::string& out, float rtt_ms) {
-  const double v = rtt_ms;
-  // Values from 2^53 / 100 up (the reader admits RTTs up to FLT_MAX,
-  // whose cents would overflow a uint64), negative values (-0.0
-  // included), NaN and infinities keep to_chars.
-  constexpr double kIntegerLimit = 0x1p53 / 100;
-  if (std::signbit(v) || !(v < kIntegerLimit)) {
-    append_fixed(out, v, 2);
-    return;
-  }
-  // A float times 100 is exact in a double (24 significand bits times
-  // 100 need at most 31), so rounding it to an integer with nearbyint,
-  // ties to even as to_chars rounds an exact tie, gives the very cents
-  // to_chars(v, fixed, 2) prints.
-  const auto cents = static_cast<std::uint64_t>(std::nearbyint(v * 100.0));
-  append_uint(out, cents / 100);
-  const auto fraction = static_cast<unsigned>(cents % 100);
-  const char tail[3] = {'.', static_cast<char>('0' + fraction / 10),
-                        static_cast<char>('0' + fraction % 10)};
-  out.append(tail, sizeof tail);
+  char text[kMaxRttText];
+  out.append(text, put_rtt(text, rtt_ms));
 }
 
 std::string catchment_csv(const RoundResult& round,
                           const anycast::Deployment& deployment) {
-  std::string out = "block,site,rtt_ms\n";
+  std::string out;
   // ~27 bytes/row ("255.255.255.0/24,XXX,12.34\n"); headroom avoids the
-  // doubling regrows on the big half of the fill. The map iterates in
-  // ascending block order, which is the file's row order.
-  out.reserve(out.size() + round.map.mapped_blocks() * 28);
-  for (const auto& [block, site] : round.map.entries()) {
-    append_block(out, block);
-    out.push_back(',');
-    out += deployment.sites[static_cast<std::size_t>(site)].code;
-    out.push_back(',');
-    append_rtt(out, round.map.rtt_of(block));
-    out.push_back('\n');
-  }
+  // doubling regrows on the big half of the fill.
+  out.reserve(kCatchmentHeader.size() + round.map.mapped_blocks() * 28);
+  render_catchment_csv(round.map, deployment,
+                       [&out](const char* chunk, std::size_t size) {
+                         out.append(chunk, size);
+                       });
   return out;
 }
 
 void write_catchment_csv(std::ostream& out, const RoundResult& round,
                          const anycast::Deployment& deployment) {
-  const std::string csv = catchment_csv(round, deployment);
-  out.write(csv.data(), static_cast<std::streamsize>(csv.size()));
+  render_catchment_csv(round.map, deployment,
+                       [&out](const char* chunk, std::size_t size) {
+                         out.write(chunk, static_cast<std::streamsize>(size));
+                       });
 }
 
 std::optional<RoundResult> read_catchment_csv(

@@ -24,12 +24,14 @@ namespace vp::core {
 std::string catchment_csv(const RoundResult& round,
                           const anycast::Deployment& deployment);
 
-/// Writes catchment_csv(round, deployment) to `out`.
+/// Writes catchment_csv(round, deployment) to `out` in 64 KB chunks, as
+/// the rows are rendered, without building the whole text first.
 void write_catchment_csv(std::ostream& out, const RoundResult& round,
                          const anycast::Deployment& deployment);
 
-/// Appends the rtt_ms column's text for `rtt_ms`: exactly
-/// std::to_chars(double(rtt_ms), fixed, 2), i.e. printf "%.2f".
+/// Appends the rtt_ms column's text for `rtt_ms`, from the formatter
+/// both writers run: exactly std::to_chars(double(rtt_ms), fixed, 2),
+/// i.e. printf "%.2f".
 void append_rtt(std::string& out, float rtt_ms);
 
 /// Reads a catchment CSV back. Unknown site codes, malformed rows,

@@ -35,7 +35,11 @@ constexpr std::size_t kFrameHeader = 8;  // payload_len:u32 + crc:u32
 
 // ---- RoundResult <-> bytes --------------------------------------------
 
-void encode_result(std::string& out, const RoundResult& result) {
+/// Everything a round payload holds before its two per-block sections.
+std::string round_head(std::uint32_t round, const RoundResult& result) {
+  std::string out;
+  put_le(out, kRoundType);
+  put_le(out, round);
   put_le(out, result.map.measurement_id);
   put_le(out, result.map.probes_sent);
   put_le(out, result.map.blocks_probed);
@@ -53,22 +57,50 @@ void encode_result(std::string& out, const RoundResult& result) {
     put_le(out, v);
   put_le(out, static_cast<std::uint32_t>(result.raw_replies_per_site.size()));
   for (const std::uint64_t v : result.raw_replies_per_site) put_le(out, v);
-  // Map section, then one RTT per mapped block, both in the map's
-  // ascending block order. One walk over the map fills both: the RTT
-  // section is staged and appended after the map section.
+  return out;
+}
+
+/// A round's payload behind `lead` bytes left for the caller. After the
+/// head come the map section, a count and then (block:u32, site:u8) per
+/// mapped block, and the RTT section, a count and then (block:u32,
+/// rtt:f32) per mapped block, both in ascending block order. Every size
+/// is known before the walk, so the buffer is allocated once at its
+/// final size and one walk over the map's pages stores both sections at
+/// their final offsets.
+std::string encode_round_after(std::size_t lead, std::uint32_t round,
+                               const RoundResult& result) {
+  const std::string head = round_head(round, result);
   const auto mapped = static_cast<std::uint32_t>(result.map.mapped_blocks());
-  std::string rtts;
-  rtts.reserve(4 + std::size_t{mapped} * 8);
-  put_le(rtts, mapped);
-  out.reserve(out.size() + 8 + std::size_t{mapped} * 13);
-  put_le(out, mapped);
-  for (const auto& [block, site] : result.map.entries()) {
-    put_le(out, block.index());
-    put_le(out, static_cast<std::uint8_t>(site));
-    put_le(rtts, block.index());
-    put_le(rtts, result.map.rtt_of(block));
+  constexpr std::size_t kSiteEntry = 4 + 1;
+  constexpr std::size_t kRttEntry = 4 + 4;
+  std::string out(lead + head.size() + 4 + std::size_t{mapped} * kSiteEntry +
+                      4 + std::size_t{mapped} * kRttEntry,
+                  '\0');
+  char* const payload = out.data() + lead;
+  std::memcpy(payload, head.data(), head.size());
+  char* site_at = put_le(payload + head.size(), mapped);
+  char* rtt_at = put_le(site_at + std::size_t{mapped} * kSiteEntry, mapped);
+  for (const CatchmentMap::PageView& page : result.map.pages()) {
+    for (std::uint32_t slot = 0; slot < CatchmentMap::kSlots; ++slot) {
+      const anycast::SiteId site = page.site[slot];
+      if (site == anycast::kUnknownSite) continue;
+      const std::uint32_t block = page.block(slot).index();
+      site_at = put_le(site_at, block);
+      site_at = put_le(site_at, static_cast<std::uint8_t>(site));
+      rtt_at = put_le(rtt_at, block);
+      rtt_at = put_le(rtt_at, page.rtt[slot]);
+    }
   }
-  out += rtts;
+  return out;
+}
+
+/// Fills a frame's header, its first kFrameHeader bytes, with the length
+/// and CRC-32 of the payload behind it.
+void seal_frame(std::string& frame) {
+  const std::string_view payload = std::string_view{frame}.substr(kFrameHeader);
+  char* const crc_at =
+      put_le(frame.data(), static_cast<std::uint32_t>(payload.size()));
+  put_le(crc_at, util::crc32(payload));
 }
 
 bool decode_result(ByteReader& in, std::size_t site_count,
@@ -276,9 +308,9 @@ const char* to_string(JournalStatus status) {
 std::string CampaignJournal::frame(std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeader + payload.size());
-  put_le(out, static_cast<std::uint32_t>(payload.size()));
-  put_le(out, util::crc32(payload));
+  out.resize(kFrameHeader);
   out.append(payload);
+  seal_frame(out);
   return out;
 }
 
@@ -293,11 +325,7 @@ std::string CampaignJournal::encode_manifest(const JournalManifest& manifest) {
 
 std::string CampaignJournal::encode_round(std::uint32_t round,
                                           const RoundResult& result) {
-  std::string payload;
-  put_le(payload, kRoundType);
-  put_le(payload, round);
-  encode_result(payload, result);
-  return payload;
+  return encode_round_after(0, round, result);
 }
 
 CampaignJournal::OpenResult CampaignJournal::open(
@@ -358,12 +386,15 @@ bool CampaignJournal::append_round(std::uint32_t round,
                                    const RoundResult& result) {
   if (fd_ < 0) return false;
   // The append span covers serialize + CRC + write + fsync — the whole
-  // durability tax bench_journal prices (EXPERIMENTS.md: < 5% of a
-  // round); the histogram makes it visible on live campaigns too.
+  // durability tax bench_journal prices against a round; the histogram
+  // makes it visible on live campaigns too. The record is encoded in
+  // place behind its frame header: one fresh exact-size buffer per
+  // append, no staging and no copy.
   auto& registry = obs::metrics();
   obs::Span span{&registry.histogram("vp_journal_append_ms",
                                      obs::latency_buckets_ms())};
-  const std::string framed = frame(encode_round(round, result));
+  std::string framed = encode_round_after(kFrameHeader, round, result);
+  seal_frame(framed);
   if (!write_frame(fd_, framed)) {
     close();  // fail fast: never append past a hole
     return false;

@@ -1,11 +1,12 @@
 // Little-endian byte codec shared by the campaign journal
 // (core/journal.cpp) and topology images (topology/topo_io.cpp).
 //
-// put_le appends one value as one chunk, never byte by byte: a round
-// record at 1.46M blocks is ~11 MB of these, encoded once per campaign
-// round. ByteReader reads the same layout back with every read bounds-
-// checked; the first short read latches ok() false and later reads
-// return zeros.
+// put_le appends one value as one chunk, never byte by byte, to a string
+// or, when the caller has sized the record up front, stores it at a raw
+// pointer: a round record at 1.46M blocks is ~11 MB of fixed-size
+// fields, encoded in place once per campaign round. ByteReader reads the
+// same layout back with every read bounds-checked; the first short read
+// latches ok() false and later reads return zeros.
 #pragma once
 
 #include <algorithm>
@@ -18,14 +19,23 @@
 
 namespace vp::util {
 
+/// Stores `value` at `out` in little-endian byte order; returns the byte
+/// after it. The caller owns sizeof(T) bytes at `out`.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+char* put_le(char* out, T value) {
+  std::memcpy(out, &value, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big)
+    std::reverse(out, out + sizeof(T));
+  return out + sizeof(T);
+}
+
 /// Appends `value` to `out` in little-endian byte order.
 template <typename T>
   requires std::is_arithmetic_v<T>
 void put_le(std::string& out, T value) {
   char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  if constexpr (std::endian::native == std::endian::big)
-    std::reverse(bytes, bytes + sizeof(T));
+  put_le(bytes, value);
   out.append(bytes, sizeof(T));
 }
 
