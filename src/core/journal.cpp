@@ -388,8 +388,10 @@ bool CampaignJournal::append_round(std::uint32_t round,
   // The append span covers serialize + CRC + write + fsync — the whole
   // durability tax bench_journal prices against a round; the histogram
   // makes it visible on live campaigns too. The record is encoded in
-  // place behind its frame header: one fresh exact-size buffer per
-  // append, no staging and no copy.
+  // place behind its frame header, in a buffer freed on return: the
+  // daemon's journal lives as long as the process, and a buffer kept
+  // between appends would hold a record (~11.5 MB at 881k mapped
+  // blocks) for nothing.
   auto& registry = obs::metrics();
   obs::Span span{&registry.histogram("vp_journal_append_ms",
                                      obs::latency_buckets_ms())};
