@@ -223,6 +223,85 @@ TEST(GeneratorDeterminism, SerializedImageIsPinned) {
   EXPECT_EQ(topology::serialize_topology(restored), bytes);
 }
 
+// An image lists blocks in the order they were added, and nothing makes
+// that ascending: a hand-built topology whose blocks went in highest
+// first (10.0.2.0/24 left out as a hole) loads back to the same bytes and
+// answers every lookup across its span, and one past each end, the same.
+TEST(GeneratorDeterminism, DescendingBlockImageRoundTrips) {
+  const auto centers = geo::world_centers();
+  Topology topo;
+  const auto add = [&](std::uint32_t asn, topology::AsTier tier,
+                       std::uint16_t pops) {
+    topology::AsNode node;
+    node.asn = topology::AsNumber{asn};
+    node.tier = tier;
+    node.name = "AS" + std::to_string(asn);
+    for (std::uint16_t c = 0; c < pops; ++c)
+      node.pops.push_back(topology::Pop{c, centers[c].location});
+    return topo.add_as(std::move(node));
+  };
+  const topology::AsId transit = add(64520, topology::AsTier::kTransit, 1);
+  const topology::AsId stub = add(64521, topology::AsTier::kStub, 2);
+  topo.link(stub, 1, transit, 0, topology::Relationship::kProvider);
+  const std::uint32_t high =
+      topo.announce(stub, *net::Prefix::parse("10.8.0.0/23"));
+  const std::uint32_t low =
+      topo.announce(transit, *net::Prefix::parse("10.0.0.0/22"));
+  topo.add_block(net::Block24{0x0a0801}, stub, 1, high);
+  topo.add_block(net::Block24{0x0a0800}, stub, 0, high);
+  topo.add_block(net::Block24{0x0a0003}, transit, 0, low);
+  topo.add_block(net::Block24{0x0a0001}, transit, 0, low);
+  topo.add_block(net::Block24{0x0a0000}, transit, 0, low);
+  geo::GeoDatabase& db = topo.geodb_mutable();
+  db.prepare_span(net::Block24{0x0a0000}, net::Block24{0x0a0801});
+  for (const std::uint32_t b : {0x0a0801u, 0x0a0003u, 0x0a0000u}) {
+    const std::uint16_t c = b == 0x0a0801 ? 1 : 0;
+    geo::GeoRecord rec;
+    rec.location = centers[c].location;
+    rec.center_id = c;
+    rec.country[0] = centers[c].country[0];
+    rec.country[1] = centers[c].country[1];
+    rec.continent = centers[c].continent;
+    db.set(net::Block24{b}, rec);
+  }
+  db.recount();
+  topo.seal();
+
+  const std::string bytes = topology::serialize_topology(topo);
+  Topology restored;
+  std::string error;
+  ASSERT_TRUE(topology::deserialize_topology(bytes, restored, error)) << error;
+  EXPECT_EQ(topology::serialize_topology(restored), bytes);
+  ASSERT_EQ(restored.block_count(), 5u);
+  EXPECT_EQ(restored.geodb().size(), 3u);
+  for (std::uint32_t b = 0x09ffff; b <= 0x0a0802; ++b) {
+    const net::Block24 block{b};
+    const topology::BlockInfo* want = topo.block_info(block);
+    const topology::BlockInfo* got = restored.block_info(block);
+    ASSERT_EQ(got == nullptr, want == nullptr) << std::hex << b;
+    if (want != nullptr) {
+      EXPECT_EQ(got->block, want->block);
+      EXPECT_EQ(got->as_id, want->as_id);
+      EXPECT_EQ(got->pop, want->pop);
+      EXPECT_EQ(got->prefix_index, want->prefix_index);
+    }
+    const auto want_geo = topo.geodb().lookup(block);
+    const auto got_geo = restored.geodb().lookup(block);
+    ASSERT_EQ(got_geo.has_value(), want_geo.has_value()) << std::hex << b;
+    if (want_geo) {
+      EXPECT_EQ(got_geo->center_id, want_geo->center_id);
+      EXPECT_EQ(got_geo->location.lat, want_geo->location.lat);
+      EXPECT_EQ(got_geo->location.lon, want_geo->location.lon);
+      EXPECT_EQ(std::string{got_geo->country}, std::string{want_geo->country});
+      EXPECT_EQ(got_geo->continent, want_geo->continent);
+    }
+  }
+  for (const std::uint32_t b : {0x0a0801u, 0x0a0800u, 0x0a0003u, 0x0a0001u,
+                                0x0a0000u})
+    EXPECT_NE(restored.block_info(net::Block24{b}), nullptr) << std::hex << b;
+  EXPECT_EQ(restored.block_info(net::Block24{0x0a0002}), nullptr);
+}
+
 // Corruption anywhere in the image must be rejected, not deserialized.
 TEST(GeneratorDeterminism, CorruptImageIsRejected) {
   const Topology topo = generate_scale_topology(small_config(5));

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <queue>
+#include <random>
 #include <unordered_set>
 #include <vector>
 
+#include "geo/world.hpp"
 #include "topology/generator.hpp"
 #include "topology/topology.hpp"
 
@@ -242,6 +244,59 @@ TEST(TopologyGenerator, ScaleControlsSize) {
   const Topology small = generate_topology(small_config);
   const Topology large = generate_topology(large_config);
   EXPECT_GT(large.block_count(), small.block_count() * 2);
+}
+
+// The block index must not depend on the order blocks arrive in: loaded
+// images list them in whatever order their writer chose. Two ASes over
+// 10.0.0.0/24-10.0.63.0/24 with a hole at 10.0.20.0/24; each AS's blocks
+// are added together (its block range is contiguous), lowest last.
+TEST(TopologyBlockIndex, AnyInsertionOrderResolvesAfterSeal) {
+  constexpr std::uint32_t kLo = 0x0a0000, kHi = 0x0a003f, kHole = 0x0a0014;
+  constexpr std::uint32_t kSplit = 0x0a0020;  // first block of the lower AS's
+  for (const bool shuffled : {false, true}) {
+    Topology topo;
+    const auto add = [&](std::uint32_t asn) {
+      AsNode node;
+      node.asn = AsNumber{asn};
+      node.pops.push_back(Pop{0, geo::world_centers()[0].location});
+      return topo.add_as(std::move(node));
+    };
+    const AsId upper = add(64500), lower = add(64501);
+    const std::uint32_t upper_prefix =
+        topo.announce(upper, *net::Prefix::parse("10.0.32.0/19"));
+    const std::uint32_t lower_prefix =
+        topo.announce(lower, *net::Prefix::parse("10.0.0.0/19"));
+    std::mt19937 rng{shuffled ? 17u : 0u};
+    const auto add_blocks = [&](AsId as, std::uint32_t prefix,
+                                std::uint32_t first, std::uint32_t last) {
+      std::vector<std::uint32_t> order;
+      for (std::uint32_t b = last + 1; b-- > first;)
+        if (b != kHole) order.push_back(b);  // descending
+      if (shuffled) std::shuffle(order.begin(), order.end(), rng);
+      for (const std::uint32_t b : order)
+        topo.add_block(net::Block24{b}, as, 0, prefix);
+    };
+    add_blocks(upper, upper_prefix, kSplit, kHi);
+    add_blocks(lower, lower_prefix, kLo, kSplit - 1);
+    topo.seal();
+
+    ASSERT_EQ(topo.block_count(), kHi - kLo);  // 64 blocks, one hole
+    for (std::uint32_t b = kLo; b <= kHi; ++b) {
+      const BlockInfo* info = topo.block_info(net::Block24{b});
+      if (b == kHole) {
+        EXPECT_EQ(info, nullptr) << "hole resolved, shuffled=" << shuffled;
+        continue;
+      }
+      ASSERT_NE(info, nullptr) << std::hex << b << " shuffled=" << shuffled;
+      EXPECT_EQ(info->block.index(), b);
+      EXPECT_EQ(info->as_id, b < kSplit ? lower : upper);
+      EXPECT_EQ(info->prefix_index, b < kSplit ? lower_prefix : upper_prefix);
+    }
+    EXPECT_EQ(topo.block_info(net::Block24{kLo - 1}), nullptr);
+    EXPECT_EQ(topo.block_info(net::Block24{kHi + 1}), nullptr);
+    EXPECT_EQ(topo.block_info(net::Block24{0}), nullptr);
+    EXPECT_EQ(topo.block_info(net::Block24{0xffffff}), nullptr);
+  }
 }
 
 TEST(TopologyGenerator, CenterByNameAbortsOnlyOnUnknown) {
