@@ -89,7 +89,7 @@ void BM_ResolverBuild(benchmark::State& state) {
   const bgp::RoutingTable& routes = *routes_ptr;
   for (auto _ : state) {
     const bgp::CatchmentResolver resolver{routes};
-    benchmark::DoNotOptimize(resolver.block_span());
+    benchmark::DoNotOptimize(resolver.bytes());
   }
   state.counters["blocks"] =
       static_cast<double>(scenario.topo().block_count());

@@ -1,7 +1,5 @@
 #include "bgp/catchment_resolver.hpp"
 
-#include <algorithm>
-
 #include "bgp/routing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -13,27 +11,19 @@ CatchmentResolver::CatchmentResolver(const RoutingTable& routes) {
   obs::Span span{&registry.histogram("vp_bgp_resolver_build_ms",
                                      obs::latency_buckets_ms())};
 
+  // The generators hand out near-contiguous /24 runs, so a direct-mapped
+  // table over the topology's indexed span costs ~1 byte per allocated
+  // block and turns resolution into one bounds check + one load.
   const topology::Topology& topo = routes.topology();
-  const auto blocks = topo.blocks();
-  if (!blocks.empty()) {
-    // The generator hands out near-contiguous /24 runs, so a
-    // direct-mapped table over [min, max] costs ~1 byte per allocated
-    // block and turns resolution into one bounds check + one load.
-    std::uint32_t lo = 0xffffffff, hi = 0;
-    for (const topology::BlockInfo& info : blocks) {
-      lo = std::min(lo, info.block.index());
-      hi = std::max(hi, info.block.index());
-    }
-    first_ = lo;
-    sites_.assign(hi - lo + 1, anycast::kUnknownSite);
-    tied_bits_.assign((sites_.size() + 63) / 64, 0);
-    for (const topology::BlockInfo& info : blocks) {
-      const std::uint32_t off = info.block.index() - first_;
-      sites_[off] = routes.site_for_block(info);
-      const AsRoutingState& state = routes.state(info.as_id);
-      if (state.reachable() && state.multi_site())
-        tied_bits_[off >> 6] |= std::uint64_t{1} << (off & 63);
-    }
+  first_ = topo.block_first();
+  sites_.assign(topo.block_span(), anycast::kUnknownSite);
+  tied_bits_.assign((sites_.size() + 63) / 64, 0);
+  for (const topology::BlockInfo& info : topo.blocks()) {
+    const std::uint32_t off = info.block.index() - first_;
+    sites_[off] = routes.site_for_block(info);
+    const AsRoutingState& state = routes.state(info.as_id);
+    if (state.reachable() && state.multi_site())
+      tied_bits_[off >> 6] |= std::uint64_t{1} << (off & 63);
   }
 
   const auto& sites = routes.deployment().sites;

@@ -10,8 +10,8 @@
 // (vp_bgp_block_site_lookups_total) precisely to size this table.
 //
 // The resolver materializes, at routing-table granularity:
-//  * a direct-mapped std::vector<SiteId> over the allocated /24 index
-//    range — the *stable* answer for every block, folding hot-potato PoP
+//  * a direct-mapped std::vector<SiteId> over the topology's indexed /24
+//    span (Topology::block_span) — the *stable* answer for every block, folding hot-potato PoP
 //    choice and the stable multipath split, so the hot path is a single
 //    O(1) array read;
 //  * one bit per block: its AS is reachable and ties routes to more than
@@ -87,12 +87,11 @@ class CatchmentResolver {
     return visible_[k];
   }
 
-  std::size_t block_span() const { return sites_.size(); }
   /// Bytes materialized (table + bitset + site lists).
   std::size_t bytes() const;
 
  private:
-  std::uint32_t first_ = 0;  // lowest allocated /24 index
+  std::uint32_t first_ = 0;  // Topology::block_first()
   std::vector<anycast::SiteId> sites_;       // direct-mapped by index-first_
   std::vector<std::uint64_t> tied_bits_;     // same indexing, 64 per word
   std::vector<anycast::SiteId> visible_;     // enabled && !hidden, in order

@@ -6,13 +6,6 @@
 
 namespace vp::geo {
 
-void GeoDatabase::add(net::Block24 block, const GeoRecord& record) {
-  prepare_span(block, block);
-  const bool fresh = !present_[block.index() - first_];
-  set(block, record);
-  if (fresh) ++count_;
-}
-
 std::optional<GeoRecord> GeoDatabase::lookup(net::Block24 block) const {
   const std::uint32_t off = block.index() - first_;  // wraps below first_
   if (off >= records_.size() || !present_[off]) return std::nullopt;
@@ -20,25 +13,11 @@ std::optional<GeoRecord> GeoDatabase::lookup(net::Block24 block) const {
 }
 
 void GeoDatabase::prepare_span(net::Block24 lo, net::Block24 hi) {
-  // Bulk build only makes sense on an empty database; keep any existing
-  // records by widening instead of clobbering.
-  const std::uint32_t lo_i = lo.index();
-  const std::uint32_t hi_i = hi.index();
-  if (records_.empty()) {
-    first_ = lo_i;
-    records_.resize(hi_i - lo_i + 1);
-    present_.resize(hi_i - lo_i + 1, 0);
-    return;
-  }
-  if (lo_i < first_) {
-    records_.insert(records_.begin(), first_ - lo_i, GeoRecord{});
-    present_.insert(present_.begin(), first_ - lo_i, 0);
-    first_ = lo_i;
-  }
-  if (hi_i - first_ >= records_.size()) {
-    records_.resize(hi_i - first_ + 1);
-    present_.resize(hi_i - first_ + 1, 0);
-  }
+  first_ = lo.index();
+  const std::size_t slots = hi.index() - first_ + 1;
+  records_.assign(slots, GeoRecord{});
+  present_.assign(slots, 0);
+  count_ = 0;
 }
 
 void GeoDatabase::set(net::Block24 block, const GeoRecord& record) {

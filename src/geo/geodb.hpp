@@ -32,19 +32,19 @@ struct GeoRecord {
 /// smaller and faster than the hash map it replaces — and the slices are
 /// disjoint per writer, which is what lets the scale generator fill the
 /// database from parallel shard workers.
+///
+/// Every builder fills it the same way: prepare_span() once, set() each
+/// record, then recount().
 class GeoDatabase {
  public:
-  /// Registers the location of a block. Blocks never registered are
-  /// "un-geolocatable" — lookups return nullopt. Grows the span as needed.
-  void add(net::Block24 block, const GeoRecord& record);
-
+  /// The block's record; nullopt for a block never set ("un-geolocatable").
   std::optional<GeoRecord> lookup(net::Block24 block) const;
 
   std::size_t size() const { return count_; }
 
-  // --- bulk build (scale generator) ---------------------------------------
-  /// Pre-sizes the store to cover [lo, hi] inclusive. After this, set() may
-  /// be called concurrently for distinct blocks inside the span.
+  /// Sizes the store to cover [lo, hi] inclusive (lo <= hi) and drops any
+  /// record already in it. After this, set() may be called concurrently
+  /// for distinct blocks inside the span.
   void prepare_span(net::Block24 lo, net::Block24 hi);
 
   /// Writes one record inside the prepared span. Thread-safe for distinct
@@ -52,7 +52,7 @@ class GeoDatabase {
   /// once all writers are done.
   void set(net::Block24 block, const GeoRecord& record);
 
-  /// Recomputes size() after a bulk fill via set().
+  /// Counts the records set, for size().
   void recount();
 
   /// Approximate heap footprint.

@@ -545,7 +545,6 @@ Topology ScaleGenerator::generate() const {
     }
   });
   topo.geodb_mutable().recount();
-  topo.finish_bulk_blocks();
   topo.seal();
   return topo;
 }

@@ -255,7 +255,9 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
   }
   // Sorted block indices: a repeat is a block listed twice, and a geo
   // record must name one of them (else the direct-mapped geo table would
-  // stretch to any /24 the image names).
+  // stretch to any /24 the image names). The first and last bound the
+  // span both direct-mapped tables are sized to, once, so neither grows
+  // with the order the image lists its blocks and records in.
   std::vector<std::uint32_t> listed(blocks.size());
   std::ranges::transform(blocks, listed.begin(),
                          [](const BlockInfo& b) { return b.block.index(); });
@@ -264,6 +266,10 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     return refuse("block listed twice");
   for (const BlockInfo& b : blocks)
     topo.add_block(b.block, b.as_id, b.pop, b.prefix_index);
+  geo::GeoDatabase& geodb = topo.geodb_mutable();
+  if (!listed.empty())
+    geodb.prepare_span(net::Block24{listed.front()},
+                       net::Block24{listed.back()});
   for (std::uint64_t i = 0; i < geo_count && r.ok(); ++i) {
     const auto index = r.get<std::uint32_t>();
     geo::GeoRecord rec;
@@ -281,8 +287,9 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     if (!r.ok()) break;
     if (!std::ranges::binary_search(listed, index))
       return refuse("geo record for an unlisted block");
-    topo.geodb_mutable().add(net::Block24{index}, rec);
+    geodb.set(net::Block24{index}, rec);
   }
+  geodb.recount();
   if (!r.ok()) {
     error = "truncated topology image";
     return false;

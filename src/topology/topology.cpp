@@ -35,20 +35,6 @@ const BlockInfo* Topology::block_info(net::Block24 block) const {
   return slot == kNoBlockSlot ? nullptr : &blocks_[slot];
 }
 
-void Topology::index_block(net::Block24 block, std::uint32_t index) {
-  const std::uint32_t b = block.index();
-  if (block_slots_.empty()) {
-    block_first_ = b;
-    block_slots_.assign(1, kNoBlockSlot);
-  } else if (b < block_first_) {
-    block_slots_.insert(block_slots_.begin(), block_first_ - b, kNoBlockSlot);
-    block_first_ = b;
-  } else if (b - block_first_ >= block_slots_.size()) {
-    block_slots_.resize(b - block_first_ + 1, kNoBlockSlot);
-  }
-  block_slots_[b - block_first_] = index;
-}
-
 AsId Topology::add_as(AsNode node) {
   const auto id = static_cast<AsId>(ases_.size());
   by_asn_.emplace(node.asn.value, id);
@@ -110,7 +96,6 @@ void Topology::add_block(net::Block24 block, AsId as_id, std::uint16_t pop,
                          std::uint32_t prefix_index) {
   const auto index = static_cast<std::uint32_t>(blocks_.size());
   blocks_.push_back(BlockInfo{block, as_id, pop, prefix_index});
-  index_block(block, index);
   AsNode& node = ases_[as_id];
   if (node.block_count == 0) node.first_block = index;
   ++node.block_count;
@@ -118,21 +103,6 @@ void Topology::add_block(net::Block24 block, AsId as_id, std::uint16_t pop,
 
 void Topology::begin_bulk_blocks(std::size_t total) {
   blocks_.assign(total, BlockInfo{});
-  block_slots_.clear();
-  block_first_ = 0;
-}
-
-void Topology::finish_bulk_blocks() {
-  if (blocks_.empty()) return;
-  std::uint32_t lo = 0xffffffff, hi = 0;
-  for (const BlockInfo& info : blocks_) {
-    lo = std::min(lo, info.block.index());
-    hi = std::max(hi, info.block.index());
-  }
-  block_first_ = lo;
-  block_slots_.assign(hi - lo + 1, kNoBlockSlot);
-  for (std::uint32_t i = 0; i < blocks_.size(); ++i)
-    block_slots_[blocks_[i].block.index() - lo] = i;
 }
 
 std::size_t Topology::memory_bytes() const {
@@ -151,7 +121,19 @@ std::size_t Topology::memory_bytes() const {
 }
 
 void Topology::seal() {
-  // Generation appends prefixes and blocks per-AS contiguously, so the
+  // One pass finds the span, one fills its slots: linear in the blocks
+  // whatever their order (a loaded image lists them as its writer chose).
+  std::uint32_t lo = 0xffffffff, hi = 0;
+  for (const BlockInfo& info : blocks_) {
+    lo = std::min(lo, info.block.index());
+    hi = std::max(hi, info.block.index());
+  }
+  block_first_ = blocks_.empty() ? 0 : lo;
+  block_slots_.assign(blocks_.empty() ? 0 : hi - lo + 1, kNoBlockSlot);
+  for (std::uint32_t i = 0; i < blocks_.size(); ++i)
+    block_slots_[blocks_[i].block.index() - block_first_] = i;
+
+  // Every builder adds an AS's prefixes and blocks together, so the
   // first/count ranges recorded by announce()/add_block() are already
   // consistent; just sanity-check in debug builds.
 #ifndef NDEBUG

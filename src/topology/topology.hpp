@@ -28,7 +28,13 @@ class Topology {
   std::size_t block_count() const { return blocks_.size(); }
 
   /// Ownership record for a block; nullptr if the block is unallocated.
+  /// Valid once seal() has indexed the blocks.
   const BlockInfo* block_info(net::Block24 block) const;
+
+  /// The /24 span seal() indexed, lowest block to highest: blocks
+  /// [block_first(), block_first() + block_span()). Empty without blocks.
+  std::uint32_t block_first() const { return block_first_; }
+  std::size_t block_span() const { return block_slots_.size(); }
 
   const geo::GeoDatabase& geodb() const { return geodb_; }
 
@@ -49,7 +55,8 @@ class Topology {
   /// distributing blocks across the AS's PoPs. Returns the prefix index.
   std::uint32_t announce(AsId as_id, net::Prefix prefix);
 
-  /// Adds one /24 under an announced prefix, homed at `pop`.
+  /// Appends one /24 under an announced prefix, homed at `pop`, and
+  /// extends its AS's block range (an AS's blocks are added together).
   void add_block(net::Block24 block, AsId as_id, std::uint16_t pop,
                  std::uint32_t prefix_index);
 
@@ -58,8 +65,7 @@ class Topology {
   // --- bulk block build (scale generator) ----------------------------------
   /// Pre-sizes blocks_ so set_block() may fill disjoint slices from
   /// parallel workers. Per-AS first_block/block_count must be assigned by
-  /// the caller (via as_mutable); finish_bulk_blocks() rebuilds the
-  /// block -> slot index afterwards.
+  /// the caller (via as_mutable).
   void begin_bulk_blocks(std::size_t total);
 
   /// Writes one pre-assigned block slot. Thread-safe for distinct indexes.
@@ -67,10 +73,8 @@ class Topology {
     blocks_[index] = info;
   }
 
-  /// Rebuilds the direct-mapped block index after a bulk fill.
-  void finish_bulk_blocks();
-
-  /// Finalizes derived indexes after generation.
+  /// Builds the block -> slot index in one pass over the blocks, in
+  /// whatever order they were added. Every builder ends with it.
   void seal();
 
   /// Approximate heap footprint of the topology (adjacency, prefixes,
@@ -79,16 +83,14 @@ class Topology {
   std::size_t memory_bytes() const;
 
  private:
-  void index_block(net::Block24 block, std::uint32_t index);
-
   static constexpr std::uint32_t kNoBlockSlot = 0xffffffff;
 
   std::vector<AsNode> ases_;
   std::vector<AnnouncedPrefix> prefixes_;
   std::vector<BlockInfo> blocks_;
   std::unordered_map<std::uint32_t, AsId> by_asn_;
-  // Direct-mapped block -> blocks_ slot over the allocated /24 span
-  // (dense in practice; kNoBlockSlot marks holes). Replaces a hash map
+  // Direct-mapped block -> blocks_ slot over the allocated /24 span, built
+  // by seal() (dense in practice; kNoBlockSlot marks holes). Replaces a hash map
   // that dominated both lookup latency and memory at 6.4M blocks.
   std::uint32_t block_first_ = 0;
   std::vector<std::uint32_t> block_slots_;

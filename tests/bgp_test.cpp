@@ -83,6 +83,7 @@ struct MiniInternet {
     const std::uint32_t p = topo.announce(d, *net::Prefix::parse("9.9.0.0/23"));
     topo.add_block(net::Block24{0x090900}, d, 0, p);
     topo.add_block(net::Block24{0x090901}, d, 1, p);
+    topo.seal();
 
     deployment.name = "mini";
     deployment.service_prefix = *net::Prefix::parse("192.0.2.0/24");

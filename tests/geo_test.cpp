@@ -89,12 +89,36 @@ TEST(GeoDatabase, LookupHitAndMiss) {
   rec.location = {52.0, 5.0};
   rec.country[0] = 'N';
   rec.country[1] = 'L';
-  db.add(net::Block24{100}, rec);
+  db.prepare_span(net::Block24{100}, net::Block24{101});
+  db.set(net::Block24{100}, rec);
+  db.recount();
   const auto hit = db.lookup(net::Block24{100});
   ASSERT_TRUE(hit);
   EXPECT_DOUBLE_EQ(hit->location.lat, 52.0);
-  EXPECT_FALSE(db.lookup(net::Block24{101}));
+  EXPECT_FALSE(db.lookup(net::Block24{101}));  // in the span, never set
+  EXPECT_FALSE(db.lookup(net::Block24{99}));   // below the span
+  EXPECT_FALSE(db.lookup(net::Block24{102}));  // above it
   EXPECT_EQ(db.size(), 1u);
+}
+
+TEST(GeoDatabase, PrepareSpanDropsEarlierRecords) {
+  GeoDatabase db;
+  GeoRecord rec;
+  rec.location = {52.0, 5.0};
+  db.prepare_span(net::Block24{100}, net::Block24{100});
+  db.set(net::Block24{100}, rec);
+  db.recount();
+  ASSERT_EQ(db.size(), 1u);
+  db.prepare_span(net::Block24{50}, net::Block24{200});
+  EXPECT_FALSE(db.lookup(net::Block24{100}));
+  EXPECT_EQ(db.size(), 0u);
+  rec.location = {-33.9, 151.2};
+  db.set(net::Block24{50}, rec);
+  db.set(net::Block24{200}, rec);
+  db.recount();
+  EXPECT_EQ(db.size(), 2u);
+  ASSERT_TRUE(db.lookup(net::Block24{200}));
+  EXPECT_DOUBLE_EQ(db.lookup(net::Block24{50})->location.lat, -33.9);
 }
 
 // --- binning ---------------------------------------------------------------------
