@@ -1,12 +1,14 @@
 // Paper-scale smoke test (ctest label: scale): generate a 500k-AS / 2M
-// block Internet, route a generated anycast deployment over it, and
-// build the hitlist — end to end, in one process. This is the memory
+// block Internet, round-trip it through a topology image, route a
+// generated anycast deployment over it, and build the hitlist — end to
+// end, in one process. This is the memory
 // acceptance test for the SoA routing table and arena RIB allocation:
 // before those, RoutingEngine::full() at this size did not fit the CI
 // container.
 #include <gtest/gtest.h>
 
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "anycast/deployment.hpp"
@@ -14,6 +16,7 @@
 #include "hitlist/hitlist.hpp"
 #include "sim/internet.hpp"
 #include "topology/scale_generator.hpp"
+#include "topology/topo_io.hpp"
 
 namespace vp {
 namespace {
@@ -45,6 +48,19 @@ TEST(ScaleSmoke, HalfMillionAsInternetEndToEnd) {
     }
   }
   EXPECT_EQ(reached, topo.as_count());
+
+  // The paper-scale image round-trips: the loader rebuilds the same
+  // structure, and writing it out again gives the same bytes.
+  {
+    const std::string bytes = topology::serialize_topology(topo);
+    topology::Topology restored;
+    std::string error;
+    ASSERT_TRUE(topology::deserialize_topology(bytes, restored, error))
+        << error;
+    EXPECT_EQ(topology::structural_digest(restored),
+              topology::structural_digest(topo));
+    EXPECT_TRUE(topology::serialize_topology(restored) == bytes);
+  }
 
   const auto deployment = anycast::make_generated(topo, 9, config.seed);
   ASSERT_EQ(deployment.sites.size(), 9u);
