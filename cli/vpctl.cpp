@@ -457,13 +457,13 @@ int cmd_campaign(const Args& args) {
     // All rounds in one file: the crash harness byte-compares this
     // against an uninterrupted run, so it must cover every round, in
     // order, and be written atomically.
-    std::ostringstream all;
+    std::string all;
     for (std::uint32_t r = 0; r < rounds; ++r) {
-      all << "# round " << r << '\n';
-      core::write_catchment_csv(all, results[r], deployment);
+      all += "# round " + std::to_string(r) + '\n';
+      all += core::catchment_csv(results[r], deployment);
     }
     const std::string path = args.get("out", "campaign.csv");
-    if (!util::atomic_write_file(path, all.str())) {
+    if (!util::atomic_write_file(path, all)) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return kExitWriteFailed;
     }
