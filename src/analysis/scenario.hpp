@@ -134,9 +134,6 @@ class Scenario {
   DeltaSession delta_session(const anycast::Deployment& base,
                              std::uint64_t epoch_salt = kMayEpoch) const;
 
-  /// The scenario's memoized routing front-end (hit/miss stats).
-  const bgp::RouteCache& route_cache() const { return *route_cache_; }
-
   /// B-Root-like load for a "date" (seed); .nl-like load for Figure 4b.
   dnsload::LoadModel broot_load(std::uint64_t date_seed) const;
   dnsload::LoadModel nl_load() const;

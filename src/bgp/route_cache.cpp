@@ -38,23 +38,15 @@ std::shared_ptr<const RoutingTable> RouteCache::routes(
   // exactly what campaign rounds resuming in parallel want.
   std::lock_guard lock{mutex_};
   if (const auto it = entries_.find(key); it != entries_.end()) {
-    ++hits_;
     cm.hits.add();
     return it->second;
   }
-  ++misses_;
   cm.misses.add();
   // A one-shot engine session: the produced table owns its deployment
   // copy and shares no state with any other table.
   auto table = RoutingEngine{*topo_, deployment, options}.full();
-  bytes_ += table->memory_bytes();
   entries_.emplace(key, table);
   return table;
-}
-
-RouteCacheStats RouteCache::stats() const {
-  std::lock_guard lock{mutex_};
-  return RouteCacheStats{hits_, misses_, entries_.size(), bytes_};
 }
 
 }  // namespace vp::bgp

@@ -36,13 +36,6 @@
 
 namespace vp::bgp {
 
-struct RouteCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
-  std::size_t bytes = 0;  // approximate retained table memory
-};
-
 class RouteCache {
  public:
   explicit RouteCache(const topology::Topology& topo) : topo_(&topo) {}
@@ -56,8 +49,6 @@ class RouteCache {
   std::shared_ptr<const RoutingTable> routes(
       const anycast::Deployment& deployment,
       const RoutingOptions& options = {}) const;
-
-  RouteCacheStats stats() const;
 
  private:
   struct Key {
@@ -73,9 +64,6 @@ class RouteCache {
   mutable std::mutex mutex_;
   mutable std::unordered_map<Key, std::shared_ptr<const RoutingTable>, KeyHash>
       entries_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  mutable std::size_t bytes_ = 0;
 };
 
 }  // namespace vp::bgp

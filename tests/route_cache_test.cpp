@@ -22,6 +22,7 @@
 #include "bgp/routing_engine.hpp"
 #include "core/dataset_io.hpp"
 #include "core/probe_engine.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/rng.hpp"
 
@@ -95,7 +96,12 @@ class RouteCacheTest : public ::testing::Test {
 analysis::Scenario* RouteCacheTest::scenario_ = nullptr;
 
 TEST_F(RouteCacheTest, RepeatedSweepsHitTheCache) {
-  const auto before = scenario().route_cache().stats();
+  const obs::Counter& hits =
+      obs::metrics().counter("vp_bgp_route_cache_hits_total");
+  const obs::Counter& misses =
+      obs::metrics().counter("vp_bgp_route_cache_misses_total");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
   const auto first = scenario().route(scenario().broot());
   const auto again = scenario().route(scenario().broot());
   EXPECT_EQ(first.get(), again.get())
@@ -103,10 +109,8 @@ TEST_F(RouteCacheTest, RepeatedSweepsHitTheCache) {
   const auto other_epoch =
       scenario().route(scenario().broot(), analysis::kAprilEpoch);
   EXPECT_NE(first.get(), other_epoch.get());
-  const auto after = scenario().route_cache().stats();
-  EXPECT_GE(after.hits, before.hits + 1);
-  EXPECT_GE(after.misses, before.misses + 1);
-  EXPECT_GT(after.bytes, 0u);
+  EXPECT_GE(hits.value(), hits_before + 1);
+  EXPECT_GE(misses.value(), misses_before + 1);
 }
 
 TEST_F(RouteCacheTest, TablesOutliveTemporaryDeployments) {
