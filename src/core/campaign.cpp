@@ -35,6 +35,11 @@ std::uint64_t Campaign::fingerprint() const {
   return f;
 }
 
+JournalManifest Campaign::manifest() const {
+  return JournalManifest{fingerprint(), rounds_,
+                         routes_->deployment().sites.size()};
+}
+
 std::vector<RoundResult> Campaign::run() const {
   return run_reported().results;
 }
@@ -45,9 +50,7 @@ CampaignReport Campaign::run_reported() const {
   CampaignJournal journal;
   std::vector<bool> done(rounds_, false);
   if (!journal_path_.empty()) {
-    const JournalManifest manifest{fingerprint(), rounds_,
-                                   routes_->deployment().sites.size()};
-    auto opened = journal.open(journal_path_, manifest, resume_);
+    auto opened = journal.open(journal_path_, manifest(), resume_);
     report.journal = opened.status;
     report.truncated_bytes = opened.truncated_bytes;
     if (!report.ok()) {

@@ -127,6 +127,10 @@ class Campaign {
   /// journal manifest stores it; resume refuses on mismatch.
   std::uint64_t fingerprint() const;
 
+  /// The journal manifest of this campaign: its fingerprint, round count
+  /// and the deployment's site count.
+  JournalManifest manifest() const;
+
   /// Runs all rounds; out[r] is round r's result whatever the
   /// completion order. Ignores any journal refusal (use run_reported()
   /// when journaling).

@@ -90,11 +90,10 @@ Daemon::Daemon(const analysis::Scenario& scenario,
       load_(scenario.broot_load(analysis::kMayEpoch)) {
   // The campaign object is the daemon's spec/fingerprint policy — one
   // source of truth shared with `vpctl campaign`, which is what makes a
-  // daemon journal and a batch journal interchangeable.
-  const std::uint32_t manifest_rounds =
-      config_.rounds > 0 ? config_.rounds : kMaxRounds;
+  // daemon journal and a batch journal interchangeable. Its round count
+  // is the loop's cap (kMaxRounds when unbounded).
   campaign_.probe(config_.probe)
-      .rounds(manifest_rounds)
+      .rounds(config_.rounds > 0 ? config_.rounds : kMaxRounds)
       .interval(config_.sim_interval)
       .threads(config_.threads)
       .faults(config_.faults);
@@ -120,12 +119,9 @@ bool Daemon::sleep_ms(double ms) {
 }
 
 bool Daemon::run_rounds() {
+  const core::JournalManifest manifest = campaign_.manifest();
   std::uint32_t next = 0;
   if (!config_.journal_path.empty()) {
-    const core::JournalManifest manifest{
-        campaign_.fingerprint(),
-        config_.rounds > 0 ? config_.rounds : kMaxRounds,
-        deployment_.sites.size()};
     auto opened =
         journal_.open(config_.journal_path, manifest, config_.resume);
     {
@@ -159,10 +155,8 @@ bool Daemon::run_rounds() {
     }
   }
 
-  const std::uint32_t limit =
-      config_.rounds > 0 ? config_.rounds : kMaxRounds;
   bool first = true;
-  for (std::uint32_t round = next; round < limit; ++round) {
+  for (std::uint32_t round = next; round < manifest.rounds; ++round) {
     if (!first && config_.cadence_ms > 0 && !sleep_ms(config_.cadence_ms))
       break;
     first = false;
@@ -189,7 +183,7 @@ Daemon::RoundOutcome Daemon::run_supervised(std::uint32_t round) {
         !sleep_ms(std::ldexp(config_.retry_backoff_ms, attempt - 1)))
       return RoundOutcome::kStopped;
 
-    auto result = run_attempt(round, attempt);
+    auto result = run_attempt(round);
     if (!result) {
       last_failure = DegradedReason::kWatchdogKilled;
       watchdog_total.add();
@@ -235,8 +229,7 @@ Daemon::RoundOutcome Daemon::run_supervised(std::uint32_t round) {
   return RoundOutcome::kFailed;
 }
 
-std::optional<core::RoundResult> Daemon::run_attempt(std::uint32_t round,
-                                                     int attempt) {
+std::optional<core::RoundResult> Daemon::run_attempt(std::uint32_t round) {
   core::RoundSpec spec = campaign_.spec_for(round);
   if (env_round_matches("VP_DAEMON_LOSS_ROUND", round))
     spec.faults = loss_injector();
@@ -252,7 +245,6 @@ std::optional<core::RoundResult> Daemon::run_attempt(std::uint32_t round,
       wedge_ms = ms ? std::strtod(ms, nullptr) : 60'000.0;
     }
   }
-  (void)attempt;
 
   // Cross-round arena: round N+1 reuses round N's engine workspaces. The
   // worker holds its own reference; see the member's comment for why an

@@ -222,8 +222,7 @@ class Daemon {
 
   RoundOutcome run_supervised(std::uint32_t round);
   /// One watchdogged attempt; returns the result or nullopt on timeout.
-  std::optional<core::RoundResult> run_attempt(std::uint32_t round,
-                                               int attempt);
+  std::optional<core::RoundResult> run_attempt(std::uint32_t round);
   void publish(std::uint32_t round, core::RoundResult result,
                bool from_journal);
   void enter_degraded(DegradedReason reason);
