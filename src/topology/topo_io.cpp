@@ -264,8 +264,15 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
   std::ranges::sort(listed);
   if (std::ranges::adjacent_find(listed) != listed.end())
     return refuse("block listed twice");
-  for (const BlockInfo& b : blocks)
+  for (const BlockInfo& b : blocks) {
+    // An AS's blocks are one run of the list: its first_block and
+    // block_count are read as a range (delta routing's changed blocks).
+    const AsNode& node = topo.as_at(b.as_id);
+    if (node.block_count > 0 &&
+        node.first_block + node.block_count != topo.block_count())
+      return refuse("block outside its AS's run");
     topo.add_block(b.block, b.as_id, b.pop, b.prefix_index);
+  }
   geo::GeoDatabase& geodb = topo.geodb_mutable();
   if (!listed.empty())
     geodb.prepare_span(net::Block24{listed.front()},

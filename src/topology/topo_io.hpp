@@ -33,9 +33,10 @@ bool save_topology(const Topology& topo, const std::string& path);
 /// Rebuilds a topology from a serialized image. Returns false on a
 /// malformed image, CRC mismatch, an index outside the table it points
 /// into (AS, PoP, prefix, population center, enum byte, or a prefix
-/// longer than /24), a block outside its prefix or listed twice, a geo
-/// record for a block the image does not list, or digest mismatch after
-/// the rebuild (`error` gets a one-line reason).
+/// longer than /24), a block outside its prefix, listed twice or apart
+/// from the rest of its AS's blocks, a geo record for a block the image
+/// does not list, or digest mismatch after the rebuild (`error` gets a
+/// one-line reason). Blocks and geo records may come in any other order.
 bool deserialize_topology(const std::string& bytes, Topology& out,
                           std::string& error);
 
