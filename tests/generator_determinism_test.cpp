@@ -496,6 +496,21 @@ TEST(GeneratorDeterminism, ForgedBlockOutsidePrefixIsRejected) {
             "topology image: block outside its prefix");
 }
 
+TEST(GeneratorDeterminism, ForgedSplitAsBlockRunIsRejected) {
+  // AS 1's blocks 1.0.0.0/24 and 1.0.2.0/24 around AS 0's 1.0.1.0/24:
+  // AS 1's first_block/block_count range would cover AS 0's block and
+  // miss its own second one.
+  EXPECT_EQ(forged_error([](Topology& t) {
+              const std::uint32_t p =
+                  t.announce(0, *net::Prefix::parse("1.0.1.0/24"));
+              const std::uint32_t q =
+                  t.announce(1, *net::Prefix::parse("1.0.2.0/24"));
+              t.add_block(net::Block24{0x010001}, 0, 0, p);
+              t.add_block(net::Block24{0x010002}, 1, 0, q);
+            }),
+            "topology image: block outside its AS's run");
+}
+
 TEST(GeneratorDeterminism, ForgedGeoRecordForUnlistedBlockIsRejected) {
   EXPECT_EQ(forged_error([](Topology& t) {
               const geo::GeoRecord rec = *t.geodb().lookup(kForgedBlock);
@@ -513,10 +528,10 @@ TEST(GeneratorDeterminism, ForgedGeoRecordForUnlistedBlockIsRejected) {
 /// each record whole.
 void reverse_records(std::string& bytes, std::size_t at, std::size_t count,
                      std::size_t size) {
+  char* const first = bytes.data() + at;
   for (std::size_t i = 0, j = count - 1; i < j; ++i, --j)
-    std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(at + i * size),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(at + (i + 1) * size),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(at + j * size));
+    std::swap_ranges(first + i * size, first + (i + 1) * size,
+                     first + j * size);
 }
 
 /// Seconds deserialize_topology takes on `bytes`; `error` gets its
@@ -530,16 +545,18 @@ double timed_load(const std::string& bytes, Topology& restored,
 }
 
 // An image's block and geo sections may come in any order, and loading
-// must stay linear in their size: growing the direct-mapped indexes by
-// front inserts took 49.9 s here for the image below listed highest
-// first (0.08 s in ascending order). Both sections are reversed, record
-// by record, and the CRC recomputed. With the stored digest the loader
-// rebuilds everything, then refuses the block order; with the reversed
-// topology's digest stored instead it accepts, and answers as the
-// original does.
+// must stay linear in their size: when the direct-mapped indexes grew by
+// front inserts, the image below listed highest first took ~45 s to load
+// against well under a second in ascending order. Both sections are
+// reversed, record by record, and the CRC recomputed. With the stored
+// digest the loader rebuilds everything, then refuses the block order;
+// with the reversed topology's digest stored instead it accepts, and
+// answers as the original does.
 TEST(GeneratorDeterminism, ReversedImageLoadsInLinearTime) {
-  constexpr std::size_t kBlockRecord = 14;  // index, AS, PoP, prefix
-  constexpr std::size_t kGeoRecord = 25;    // index, lat, lon, center, cc, continent
+  // Record sizes: a block is index, AS, PoP, prefix (4+4+2+4); a geo
+  // record index, lat, lon, center, country, continent (4+8+8+2+2+1).
+  constexpr std::size_t kBlockRecord = 14;
+  constexpr std::size_t kGeoRecord = 25;
   constexpr double kBoundSeconds = 10.0;
   ScaleConfig config;
   config.as_count = 16'000;
