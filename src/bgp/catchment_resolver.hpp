@@ -11,9 +11,9 @@
 //
 // The resolver materializes, at routing-table granularity:
 //  * a direct-mapped std::vector<SiteId> over the topology's indexed /24
-//    span (Topology::block_span) — the *stable* answer for every block, folding hot-potato PoP
-//    choice and the stable multipath split, so the hot path is a single
-//    O(1) array read;
+//    span (Topology::block_span) — the *stable* answer for every block,
+//    folding hot-potato PoP choice and the stable multipath split, so the
+//    hot path is a single O(1) array read;
 //  * one bit per block: its AS is reachable and ties routes to more than
 //    one site. Only these blocks can be flappy (the per-round re-roll
 //    population of §6.3), so every other block skips the flip model's

@@ -133,7 +133,7 @@ void Topology::seal() {
   for (std::uint32_t i = 0; i < blocks_.size(); ++i)
     block_slots_[blocks_[i].block.index() - block_first_] = i;
 
-  // Every builder adds an AS's prefixes and blocks together, so the
+  // Generation appends prefixes and blocks per-AS contiguously, so the
   // first/count ranges recorded by announce()/add_block() are already
   // consistent; just sanity-check in debug builds.
 #ifndef NDEBUG

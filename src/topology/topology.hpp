@@ -90,8 +90,8 @@ class Topology {
   std::vector<BlockInfo> blocks_;
   std::unordered_map<std::uint32_t, AsId> by_asn_;
   // Direct-mapped block -> blocks_ slot over the allocated /24 span, built
-  // by seal() (dense in practice; kNoBlockSlot marks holes). Replaces a hash map
-  // that dominated both lookup latency and memory at 6.4M blocks.
+  // by seal() (dense in practice; kNoBlockSlot marks holes). Replaces a
+  // hash map that dominated both lookup latency and memory at 6.4M blocks.
   std::uint32_t block_first_ = 0;
   std::vector<std::uint32_t> block_slots_;
   geo::GeoDatabase geodb_;
