@@ -105,20 +105,28 @@ TEST(GeoDatabase, PrepareSpanDropsEarlierRecords) {
   GeoDatabase db;
   GeoRecord rec;
   rec.location = {52.0, 5.0};
-  db.prepare_span(net::Block24{100}, net::Block24{100});
+  db.prepare_span(net::Block24{100}, net::Block24{110});
   db.set(net::Block24{100}, rec);
+  db.set(net::Block24{110}, rec);
   db.recount();
-  ASSERT_EQ(db.size(), 1u);
-  db.prepare_span(net::Block24{50}, net::Block24{200});
-  EXPECT_FALSE(db.lookup(net::Block24{100}));
+  ASSERT_EQ(db.size(), 2u);
+  // A new span over the same slots and past them starts empty.
+  db.prepare_span(net::Block24{100}, net::Block24{200});
   EXPECT_EQ(db.size(), 0u);
+  EXPECT_FALSE(db.lookup(net::Block24{100}));
+  EXPECT_FALSE(db.lookup(net::Block24{110}));
   rec.location = {-33.9, 151.2};
-  db.set(net::Block24{50}, rec);
   db.set(net::Block24{200}, rec);
   db.recount();
-  EXPECT_EQ(db.size(), 2u);
+  EXPECT_EQ(db.size(), 1u);
   ASSERT_TRUE(db.lookup(net::Block24{200}));
-  EXPECT_DOUBLE_EQ(db.lookup(net::Block24{50})->location.lat, -33.9);
+  EXPECT_DOUBLE_EQ(db.lookup(net::Block24{200})->location.lat, -33.9);
+  // So does one below it.
+  db.prepare_span(net::Block24{50}, net::Block24{60});
+  db.recount();
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_FALSE(db.lookup(net::Block24{50}));
+  EXPECT_FALSE(db.lookup(net::Block24{200}));
 }
 
 // --- binning ---------------------------------------------------------------------
