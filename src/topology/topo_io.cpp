@@ -256,8 +256,8 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
   // Sorted block indices: a repeat is a block listed twice, and a geo
   // record must name one of them (else the direct-mapped geo table would
   // stretch to any /24 the image names). The first and last bound the
-  // span both direct-mapped tables are sized to, once, so neither grows
-  // with the order the image lists its blocks and records in.
+  // geo store, sized here once, as seal() sizes the block index: neither
+  // grows with the order the image lists its blocks and records in.
   std::vector<std::uint32_t> listed(blocks.size());
   std::ranges::transform(blocks, listed.begin(),
                          [](const BlockInfo& b) { return b.block.index(); });
@@ -274,7 +274,7 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
     topo.add_block(b.block, b.as_id, b.pop, b.prefix_index);
   }
   geo::GeoDatabase& geodb = topo.geodb_mutable();
-  if (!listed.empty())
+  if (geo_count > 0 && !listed.empty())
     geodb.prepare_span(net::Block24{listed.front()},
                        net::Block24{listed.back()});
   for (std::uint64_t i = 0; i < geo_count && r.ok(); ++i) {
