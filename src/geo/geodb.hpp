@@ -33,8 +33,8 @@ struct GeoRecord {
 /// disjoint per writer, which is what lets the scale generator fill the
 /// database from parallel shard workers.
 ///
-/// Every builder fills it the same way: prepare_span() once, set() each
-/// record, then recount().
+/// The generators and the image loader all fill it the same way:
+/// prepare_span() once, set() each record, then recount().
 class GeoDatabase {
  public:
   /// The block's record; nullopt for a block never set ("un-geolocatable").

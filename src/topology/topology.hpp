@@ -74,7 +74,8 @@ class Topology {
   }
 
   /// Builds the block -> slot index in one pass over the blocks, in
-  /// whatever order they were added. Every builder ends with it.
+  /// whatever order they were added. Both generators and the image
+  /// loader end with it.
   void seal();
 
   /// Approximate heap footprint of the topology (adjacency, prefixes,
