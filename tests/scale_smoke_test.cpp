@@ -1,10 +1,9 @@
 // Paper-scale smoke test (ctest label: scale): generate a 500k-AS / 2M
 // block Internet, round-trip it through a topology image, route a
 // generated anycast deployment over it, and build the hitlist — end to
-// end, in one process. This is the memory
-// acceptance test for the SoA routing table and arena RIB allocation:
-// before those, RoutingEngine::full() at this size did not fit the CI
-// container.
+// end, in one process. This is the memory acceptance test for the SoA
+// routing table and arena RIB allocation: before those,
+// RoutingEngine::full() at this size did not fit the CI container.
 #include <gtest/gtest.h>
 
 #include <queue>

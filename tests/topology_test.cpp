@@ -252,7 +252,7 @@ TEST(TopologyGenerator, ScaleControlsSize) {
 // are added together (its block range is contiguous), lowest last.
 TEST(TopologyBlockIndex, AnyInsertionOrderResolvesAfterSeal) {
   constexpr std::uint32_t kLo = 0x0a0000, kHi = 0x0a003f, kHole = 0x0a0014;
-  constexpr std::uint32_t kSplit = 0x0a0020;  // first block of the lower AS's
+  constexpr std::uint32_t kSplit = 0x0a0020;  // the upper AS's first block
   for (const bool shuffled : {false, true}) {
     Topology topo;
     const auto add = [&](std::uint32_t asn) {
@@ -280,7 +280,7 @@ TEST(TopologyBlockIndex, AnyInsertionOrderResolvesAfterSeal) {
     add_blocks(lower, lower_prefix, kLo, kSplit - 1);
     topo.seal();
 
-    ASSERT_EQ(topo.block_count(), kHi - kLo);  // 64 blocks, one hole
+    ASSERT_EQ(topo.block_count(), kHi - kLo);  // 64 slots, one hole
     for (std::uint32_t b = kLo; b <= kHi; ++b) {
       const BlockInfo* info = topo.block_info(net::Block24{b});
       if (b == kHole) {
