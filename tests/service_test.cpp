@@ -342,6 +342,36 @@ TEST_F(DaemonTest, LoadEndpointPredictsUnderPrependConfig) {
   EXPECT_EQ(daemon.handle(get("/load", "MIA=2x")).status, 400);
 }
 
+// Exact /load bodies at scale 0.03, written before the split loop and
+// the delta session's published-state comparison changed: the base
+// configuration, one demoted site, and a delta touching both sites. A
+// diff here is a routing or load-split bug; never edit these literals to
+// make a change pass.
+TEST_F(DaemonTest, LoadBodiesArePinned) {
+  service::Daemon daemon{scenario(), scenario().broot(), fast_config(1)};
+  ASSERT_TRUE(daemon.run_rounds());
+  const std::string base =
+      R"({"config":"","sites":[)"
+      R"({"site":"LAX","prepend":0,"daily_queries":1185152.8,"share":0.7456},)"
+      R"({"site":"MIA","prepend":0,"daily_queries":404327.2,"share":0.2544})"
+      R"(],"unknown_queries":0.0})";
+  EXPECT_EQ(daemon.handle(get("/load")).body_view(), base);
+  EXPECT_EQ(
+      daemon.handle(get("/load", "MIA=3")).body_view(),
+      R"({"config":"MIA=3","sites":[)"
+      R"({"site":"LAX","prepend":0,"daily_queries":1477378.3,"share":0.9295},)"
+      R"({"site":"MIA","prepend":3,"daily_queries":112101.7,"share":0.0705})"
+      R"(],"unknown_queries":0.0})");
+  EXPECT_EQ(
+      daemon.handle(get("/load", "LAX=2,MIA=1")).body_view(),
+      R"({"config":"LAX=2,MIA=1","sites":[)"
+      R"({"site":"LAX","prepend":2,"daily_queries":289782.9,"share":0.1823},)"
+      R"({"site":"MIA","prepend":1,"daily_queries":1299697.1,"share":0.8177})"
+      R"(],"unknown_queries":0.0})");
+  // Back to the base configuration through the same session.
+  EXPECT_EQ(daemon.handle(get("/load")).body_view(), base);
+}
+
 TEST_F(DaemonTest, WatchdogKillsWedgedAttemptThenRecovers) {
   // Round 1's first attempt wedges far past the watchdog deadline; the
   // supervisor must abandon it, degrade, and recover on the retry (the
