@@ -56,36 +56,38 @@ std::shared_ptr<const std::vector<std::uint32_t>> build_pop_offsets(
 
 }  // namespace
 
-/// Hot-potato: each PoP selects, among the tied candidates, the one whose
-/// egress attachment is geographically closest (§6.2 — "routing policies
-/// like hot-potato routing are a likely cause for these divisions").
+const CandidateRoute& nearest_egress(
+    const AsNode& node, std::uint16_t from_pop,
+    std::span<const CandidateRoute> candidates) {
+  const CandidateRoute* chosen = &candidates.front();
+  if (candidates.size() == 1) return *chosen;
+  const geo::LatLon from = node.pops[from_pop].location;
+  double best_distance = std::numeric_limits<double>::max();
+  for (const CandidateRoute& cand : candidates) {
+    const double d =
+        geo::distance_km(from, node.pops[cand.egress_pop].location);
+    if (d < best_distance - 1e-9 ||
+        (std::abs(d - best_distance) <= 1e-9 &&
+         cand.tiebreak < chosen->tiebreak)) {
+      best_distance = d;
+      chosen = &cand;
+    }
+  }
+  return *chosen;
+}
+
+/// Each PoP of the AS takes its hot-potato choice (§6.2 — "routing
+/// policies like hot-potato routing are a likely cause for these
+/// divisions").
 void RoutingTable::resolve_pop_sites(AsId as) {
   const AsRoutingState& state = *states_[as];
   const AsNode& node = topo_->as_at(as);
   const std::uint32_t base = (*pop_offsets_)[as];
-  if (!state.reachable()) {
-    for (std::size_t p = 0; p < node.pops.size(); ++p)
-      pop_sites_[base + p] = anycast::kUnknownSite;
-    return;
-  }
   for (std::size_t p = 0; p < node.pops.size(); ++p) {
-    const CandidateRoute* chosen = &state.best();
-    if (state.candidates.size() > 1) {
-      double best_distance = std::numeric_limits<double>::max();
-      std::uint64_t best_tiebreak = 0;
-      for (const CandidateRoute& cand : state.candidates) {
-        const double d = geo::distance_km(
-            node.pops[p].location, node.pops[cand.egress_pop].location);
-        if (d < best_distance - 1e-9 ||
-            (std::abs(d - best_distance) <= 1e-9 &&
-             cand.tiebreak < best_tiebreak)) {
-          best_distance = d;
-          best_tiebreak = cand.tiebreak;
-          chosen = &cand;
-        }
-      }
-    }
-    pop_sites_[base + p] = chosen->site;
+    const auto pop = static_cast<std::uint16_t>(p);
+    pop_sites_[base + p] =
+        state.reachable() ? nearest_egress(node, pop, state.candidates).site
+                          : anycast::kUnknownSite;
   }
 }
 

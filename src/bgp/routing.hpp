@@ -83,6 +83,14 @@ struct AsRoutingState {
   bool multi_site() const;
 };
 
+/// Hot-potato (§6.2): among an AS's equal-best `candidates`, the one
+/// whose egress PoP of `node` is nearest the PoP `from_pop`; distances
+/// within 1e-9 km go to the lower tiebreak. A lone candidate is returned
+/// without computing a distance. `candidates` must not be empty.
+const CandidateRoute& nearest_egress(
+    const topology::AsNode& node, std::uint16_t from_pop,
+    std::span<const CandidateRoute> candidates);
+
 /// Fraction of tied advertisement decisions that are re-rolled per
 /// epoch instead of following nearest-egress hot-potato. Models IGP
 /// re-weighting, maintenance, and TE changes between measurement dates

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -112,7 +110,6 @@ class Kernel {
   /// hierarchy is cyclic). Converges to the canonical fixpoint.
   void run_full() {
     refresh_upstreams();
-    touched_.clear();
     for (const AsId v : up_order_) recompute_cust(v);
     for (AsId v = 0; v < topo_.as_count(); ++v) recompute_peer(v);
     for (auto it = up_order_.rbegin(); it != up_order_.rend(); ++it)
@@ -122,10 +119,10 @@ class Kernel {
   /// Affected-set delta propagation: recomputes only ASes reachable from
   /// the changed announcements through the three valley-free stages,
   /// stopping wherever a recomputed candidate list comes out unchanged.
-  /// `seed_upstreams` are the upstream ASes of the touched sites.
-  void run_delta(std::span<const AsId> seed_upstreams) {
+  /// `seed_upstreams` are the upstream ASes of the changed sites. Returns
+  /// the ASes the run visited, ascending.
+  std::vector<AsId> run_delta(std::span<const AsId> seed_upstreams) {
     refresh_upstreams();
-    touched_.clear();
     const AsId n = topo_.as_count();
 
     // Stage 1: customer routes climb provider edges. Buckets by DAG rank
@@ -143,7 +140,6 @@ class Kernel {
     for (std::uint32_t r = 0; r < rank_count_; ++r) {
       for (std::size_t i = 0; i < up_buckets[r].size(); ++i) {
         const AsId v = up_buckets[r][i];
-        touch(v);
         if (!recompute_cust(v)) continue;
         cust_changed.push_back(v);
         for (const Link& l : topo_.as_at(v).links)
@@ -163,14 +159,16 @@ class Kernel {
         peer_dirty.push_back(l.neighbor);
       }
     }
-    for (const AsId v : peer_dirty) {
-      touch(v);
-      recompute_peer(v);
-    }
+    for (const AsId v : peer_dirty) recompute_peer(v);
 
     // Stage 3: every AS whose *final* selection changed re-advertises to
     // its customer cone; descend in reverse rank order so providers are
-    // settled before their customers recompute.
+    // settled before their customers recompute. `published` moves only
+    // when a run is published, and full() and every apply() end with
+    // that, so during this run published[v] is v's pre-delta final list.
+    const auto selection_changed = [this](AsId v) {
+      return lists_[v].final_list() != published[v]->candidates;
+    };
     std::vector<std::vector<AsId>> down_buckets(rank_count_);
     std::vector<bool> queued_down(n, false);
     const auto notify_customers = [&](AsId v) {
@@ -181,63 +179,42 @@ class Kernel {
         down_buckets[up_rank_[l.neighbor]].push_back(l.neighbor);
       }
     };
-    std::vector<AsId> sorted_touched = touched_keys();
-    for (const AsId v : sorted_touched)
-      if (lists_[v].final_list() != touched_.at(v)) notify_customers(v);
+    for (AsId v = 0; v < n; ++v)
+      if ((queued_up[v] || queued_peer[v]) && selection_changed(v))
+        notify_customers(v);
     for (std::uint32_t r = rank_count_; r-- > 0;) {
       for (std::size_t i = 0; i < down_buckets[r].size(); ++i) {
         const AsId v = down_buckets[r][i];
-        touch(v);
-        if (!recompute_prov(v)) continue;
-        if (lists_[v].final_list() != touched_.at(v)) notify_customers(v);
+        if (recompute_prov(v) && selection_changed(v)) notify_customers(v);
       }
     }
-  }
 
-  /// ASes visited (and snapshotted) by the last run, sorted.
-  std::vector<AsId> touched_keys() const {
-    std::vector<AsId> keys;
-    keys.reserve(touched_.size());
-    for (const auto& [v, unused] : touched_) keys.push_back(v);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    std::vector<AsId> visited;
+    for (AsId v = 0; v < n; ++v)
+      if (queued_up[v] || queued_peer[v] || queued_down[v])
+        visited.push_back(v);
+    return visited;
   }
 
   const std::vector<CandidateRoute>& final_list(AsId v) const {
     return lists_[v].final_list();
   }
 
-  /// Applies `delta` to the session deployment, returning the indices of
-  /// sites whose configuration actually changed (no-op fields ignored).
-  std::vector<std::uint32_t> apply_config(const anycast::ConfigDelta& delta) {
-    std::vector<std::uint32_t> changed_sites;
-    for (const anycast::SiteDelta& change : delta.sites) {
-      if (change.site < 0 ||
-          static_cast<std::size_t>(change.site) >= deployment_.sites.size())
-        continue;
-      anycast::AnycastSite& site =
-          deployment_.sites[static_cast<std::size_t>(change.site)];
-      bool changes = false;
-      if (change.prepend && *change.prepend != site.prepend) {
-        site.prepend = *change.prepend;
-        changes = true;
-      }
-      if (change.enabled && *change.enabled != site.enabled) {
-        site.enabled = *change.enabled;
-        changes = true;
-      }
-      if (change.hidden && *change.hidden != site.hidden) {
-        site.hidden = *change.hidden;
-        changes = true;
-      }
-      if (changes)
-        changed_sites.push_back(static_cast<std::uint32_t>(change.site));
+  /// Applies `delta` to the session deployment and returns the upstream
+  /// ASes of the sites whose configuration differs afterwards: a field
+  /// set to its current value, or moved and moved back within the delta,
+  /// seeds nothing.
+  std::vector<AsId> apply_config(const anycast::ConfigDelta& delta) {
+    const anycast::Deployment before = deployment_;
+    delta.apply_to(deployment_);
+    std::vector<AsId> seeds;
+    for (const anycast::SiteDelta& change :
+         anycast::ConfigDelta::diff(before, deployment_).sites) {
+      const AsId upstream = topo_.find_as(
+          deployment_.sites[static_cast<std::size_t>(change.site)].upstream);
+      if (upstream != topology::kNoAs) seeds.push_back(upstream);
     }
-    return changed_sites;
-  }
-
-  AsId upstream_as(std::uint32_t site_index) const {
-    return topo_.find_as(deployment_.sites[site_index].upstream);
+    return seeds;
   }
 
  private:
@@ -293,10 +270,6 @@ class Kernel {
     }
   }
 
-  /// Snapshots an AS's pre-delta final routes on first visit so stage 3
-  /// and the publish step can tell whether the selection really changed.
-  void touch(AsId v) { touched_.try_emplace(v, lists_[v].final_list()); }
-
   std::uint64_t tiebreak(AsId receiver, AsId sender, SiteId site) const {
     // Salted so a different epoch (salt) re-rolls which tied candidate an
     // AS canonically prefers — the §5.5 routing shift.
@@ -310,31 +283,17 @@ class Kernel {
 
   /// The route the neighbor on `lv` advertises to `receiver`: what a
   /// real multi-PoP network announces at an interconnect is the route
-  /// *its routers at that PoP* selected (hot-potato), so among the
-  /// sender's equal-best candidates we pick the one whose egress is
-  /// nearest the sender-side attachment PoP. This is how catchment
-  /// diversity at tied transits propagates into their customer cones
-  /// (§6.2). Epoch jitter re-rolls a fraction of tied decisions per salt
-  /// (IGP re-weighting, maintenance, TE — the §5.5 shift mechanism).
+  /// *its routers at that PoP* selected, so the sender picks by
+  /// nearest_egress from the sender-side attachment PoP. This is how
+  /// catchment diversity at tied transits propagates into their customer
+  /// cones (§6.2). Epoch jitter re-rolls a fraction of tied decisions per
+  /// salt (IGP re-weighting, maintenance, TE — the §5.5 shift mechanism).
   CandidateRoute make_offer(AsId receiver, const Link& lv, RouteClass cls,
                             const std::vector<CandidateRoute>& fl) const {
     const AsId sender = lv.neighbor;
     const AsNode& sender_node = topo_.as_at(sender);
-    const geo::LatLon here = sender_node.pops[lv.remote_pop].location;
-    const CandidateRoute* chosen = nullptr;
-    double best_distance = std::numeric_limits<double>::max();
-    for (const CandidateRoute& candidate : fl) {
-      const double d = geo::distance_km(
-          here, sender_node.pops[candidate.egress_pop].location);
-      const bool closer =
-          d < best_distance - 1e-9 ||
-          (std::abs(d - best_distance) <= 1e-9 && chosen != nullptr &&
-           candidate.tiebreak < chosen->tiebreak);
-      if (chosen == nullptr || closer) {
-        chosen = &candidate;
-        best_distance = d;
-      }
-    }
+    const CandidateRoute* chosen =
+        &nearest_egress(sender_node, lv.remote_pop, fl);
     if (fl.size() > 1) {
       const std::uint64_t jitter = util::hash_combine(
           options_.tiebreak_salt,
@@ -448,8 +407,6 @@ class Kernel {
   bool incremental_ok_ = true;
   std::vector<std::pair<AsId, std::uint32_t>> upstreams_;  // (AS, site)
   std::vector<CandidateRoute> scratch_;
-  /// AS -> pre-delta final list, snapshotted on first visit per run.
-  std::unordered_map<AsId, std::vector<CandidateRoute>> touched_;
 
  public:
   /// Published, structurally shared per-AS states — the storage handed
@@ -517,7 +474,7 @@ struct RoutingEngine::Impl : Kernel {
     std::vector<AsId> changed;
     for (const AsId v : ases) {
       const std::vector<CandidateRoute>& fl = final_list(v);
-      if (published[v] != nullptr && published[v]->candidates == fl) continue;
+      if (published[v]->candidates == fl) continue;
       auto state = std::make_shared<AsRoutingState>();
       state->candidates = fl;
       published[v] = std::move(state);
@@ -569,9 +526,8 @@ ApplyResult RoutingEngine::apply(const anycast::ConfigDelta& delta) {
   // Seed the frontier with the upstreams adjacent to every site whose
   // configuration actually changes. The upstream set is identical before
   // and after the change (upstream attachment is immutable), so one seed
-  // per touched site covers announce, withdraw, and prepend alike.
-  const std::vector<std::uint32_t> changed_sites =
-      impl_->apply_config(delta);
+  // per changed site covers announce, withdraw, and prepend alike.
+  const std::vector<AsId> seeds = impl_->apply_config(delta);
 
   ApplyResult result;
   if (impl_->current == nullptr || !impl_->incremental_supported()) {
@@ -583,20 +539,13 @@ ApplyResult RoutingEngine::apply(const anycast::ConfigDelta& delta) {
     result.changed_ases = impl_->publish(*topo_);
     result.table = impl_->make_table(*topo_, options_, impl_->current,
                                      result.changed_ases);
-  } else if (changed_sites.empty()) {
-    // Every field was a no-op: the current table already answers.
+  } else if (seeds.empty()) {
+    // The delta's net effect is nothing: the current table answers.
     result.table = impl_->current;
   } else {
-    std::vector<AsId> seeds;
-    seeds.reserve(changed_sites.size());
-    for (const std::uint32_t s : changed_sites) {
-      const AsId upstream = impl_->upstream_as(s);
-      if (upstream != topology::kNoAs) seeds.push_back(upstream);
-    }
-    impl_->run_delta(seeds);
-    const std::vector<AsId> touched = impl_->touched_keys();
-    result.recomputed_ases = touched.size();
-    result.changed_ases = impl_->publish_ases(touched);
+    const std::vector<AsId> visited = impl_->run_delta(seeds);
+    result.recomputed_ases = visited.size();
+    result.changed_ases = impl_->publish_ases(visited);
     result.table = impl_->make_table(*topo_, options_, impl_->current,
                                      result.changed_ases);
   }

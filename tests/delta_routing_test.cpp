@@ -5,10 +5,12 @@
 // structurally sharing the state of every untouched AS.
 //
 // The sweep drives ≥50 seeded topologies through random
-// announce / withdraw / prepend sequences (plus no-op deltas and
-// delta-then-revert round-trips) and compares every applied table
-// bit-for-bit against a fresh full(). A concurrent case hammers one
-// engine from writer and reader threads (the TSan lane runs it).
+// announce / withdraw / prepend sequences (plus no-op deltas, net no-op
+// deltas and delta-then-revert round-trips) and compares every applied
+// table bit-for-bit against a fresh full(). A second sweep sends the
+// 1-3-site deltas that /load and the playbook send over scale-generator
+// worlds. A concurrent case hammers one engine from writer and reader
+// threads (the TSan lane runs it).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +22,7 @@
 #include "bgp/routing.hpp"
 #include "bgp/routing_engine.hpp"
 #include "topology/generator.hpp"
+#include "topology/scale_generator.hpp"
 
 namespace vp::bgp {
 namespace {
@@ -151,8 +154,96 @@ TEST_P(DeltaRouting, DeltaThenRevertRoundTripsExactly) {
   expect_identical(topo, *reverted.table, *before, "after revert");
 }
 
+// A delta that moves a site and moves it back has no net effect: like
+// any other no-op it returns the current table and visits no AS.
+TEST_P(DeltaRouting, NetNoOpDeltaReturnsCurrentTable) {
+  const std::uint64_t seed = GetParam();
+  const topology::Topology topo = make_topo(seed);
+  const anycast::Deployment base = anycast::make_tangled(topo);
+  RoutingEngine engine{topo, base};
+  const auto table = engine.full();
+
+  const auto site = static_cast<anycast::SiteId>(seed % base.sites.size());
+  const int prepend = base.sites[static_cast<std::size_t>(site)].prepend;
+  anycast::ConfigDelta delta;
+  for (const anycast::ConfigDelta& step :
+       {anycast::ConfigDelta::set_prepend(site, prepend + 2),
+        anycast::ConfigDelta::withdraw(site),
+        anycast::ConfigDelta::announce(site),
+        anycast::ConfigDelta::set_prepend(site, prepend)})
+    delta.sites.insert(delta.sites.end(), step.sites.begin(),
+                       step.sites.end());
+  const ApplyResult result = engine.apply(delta);
+  EXPECT_EQ(result.table, table);
+  EXPECT_EQ(result.recomputed_ases, 0u);
+  EXPECT_TRUE(result.changed_ases.empty());
+  EXPECT_FALSE(result.full_recompute);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaRouting,
                          ::testing::Range<std::uint64_t>(1, 51));
+
+/// One batch of 1-3 site changes, the shape /load and the playbook
+/// send: prepend depths mostly, withdraws and announces mixed in; a site
+/// may appear twice.
+anycast::ConfigDelta random_multi_site_delta(std::mt19937_64& rng,
+                                             std::size_t site_count) {
+  anycast::ConfigDelta delta;
+  const std::size_t changes = 1 + rng() % 3;
+  for (std::size_t k = 0; k < changes; ++k) {
+    anycast::SiteDelta change;
+    change.site = static_cast<anycast::SiteId>(rng() % site_count);
+    switch (rng() % 4) {
+      case 0:
+        change.enabled = false;
+        break;
+      case 1:
+        change.enabled = true;
+        break;
+      default:
+        change.prepend = static_cast<int>(rng() % 4);
+    }
+    delta.sites.push_back(change);
+  }
+  return delta;
+}
+
+class ScaleDeltaRouting : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Scale-generator worlds with nine generated sites over eight transits,
+// so two sites share an upstream.
+TEST_P(ScaleDeltaRouting, MultiSiteDeltasMatchFreshFullCompute) {
+  const std::uint64_t seed = GetParam();
+  topology::ScaleConfig config;
+  config.seed = seed;
+  config.as_count = 3'000;
+  config.target_blocks = 30'000;
+  config.transit_count = 8;
+  config.threads = 1;
+  const topology::Topology topo = topology::generate_scale_topology(config);
+  const anycast::Deployment base = anycast::make_generated(topo, 9, seed);
+  ASSERT_EQ(base.sites.size(), 9u);
+  RoutingOptions options;
+  options.tiebreak_salt = seed * 0x9e3779b97f4a7c15ULL + 3;
+
+  RoutingEngine engine{topo, base, options};
+  engine.full();
+  std::mt19937_64 rng{seed ^ 0x5ca1e};
+  std::size_t changed = 0;
+  for (int step = 0; step < 10; ++step) {
+    const ApplyResult result =
+        engine.apply(random_multi_site_delta(rng, base.sites.size()));
+    ASSERT_NE(result.table, nullptr);
+    EXPECT_FALSE(result.full_recompute);
+    changed += result.changed_ases.size();
+    RoutingEngine fresh{topo, engine.deployment(), options};
+    expect_identical(topo, *result.table, *fresh.full(), "scale delta");
+  }
+  EXPECT_GT(changed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScaleDeltaRouting,
+                         ::testing::Range<std::uint64_t>(1, 6));
 
 // Writer threads push deltas through one engine while reader threads
 // walk whatever table is current. Tables are immutable and apply() is
