@@ -40,37 +40,19 @@ double LoadSplit::fraction_to(anycast::SiteId site,
 LoadSplit predict_load(const dnsload::LoadModel& load,
                        const core::CatchmentMap& map,
                        std::size_t site_count, LoadWeight weight) {
-  LoadSplit out;
-  out.site_queries.assign(site_count, 0.0);
-  for (const dnsload::BlockLoad& bl : load.blocks()) {
-    const double volume =
-        weight == LoadWeight::kQueries
-            ? bl.daily_queries
-            : bl.daily_queries * static_cast<double>(bl.good_fraction);
-    const anycast::SiteId site = map.site_of(bl.block);
-    if (site >= 0 && static_cast<std::size_t>(site) < site_count) {
-      out.site_queries[static_cast<std::size_t>(site)] += volume;
-    } else {
-      out.unknown_queries += volume;
-    }
-  }
-  return out;
+  return split_load(
+      load, site_count, [&map](net::Block24 b) { return map.site_of(b); },
+      weight);
 }
 
 LoadSplit actual_load(const dnsload::LoadModel& load,
                       const bgp::RoutingTable& routes,
                       const sim::FlipModel& flips, std::uint32_t round) {
-  LoadSplit out;
-  out.site_queries.assign(routes.deployment().sites.size(), 0.0);
-  for (const dnsload::BlockLoad& bl : load.blocks()) {
-    const anycast::SiteId site = flips.site_in_round(routes, bl.block, round);
-    if (site >= 0) {
-      out.site_queries[static_cast<std::size_t>(site)] += bl.daily_queries;
-    } else {
-      out.unknown_queries += bl.daily_queries;  // unreachable AS (rare)
-    }
-  }
-  return out;
+  // Unreachable ASes (rare) land in unknown.
+  return split_load(load, routes.deployment().sites.size(),
+                    [&](net::Block24 b) {
+                      return flips.site_in_round(routes, b, round);
+                    });
 }
 
 std::vector<std::vector<double>> hourly_load_by_site(

@@ -57,6 +57,30 @@ enum class LoadWeight {
   kGoodReplies,  // queries that produce useful answers
 };
 
+/// The one per-site split loop: each querying block's volume goes to the
+/// site `site_of(block)` names, or to unknown when that is not a site
+/// below `site_count`. Blocks are summed in LoadModel::blocks() order.
+template <typename SiteOf>
+LoadSplit split_load(const dnsload::LoadModel& load, std::size_t site_count,
+                     SiteOf&& site_of,
+                     LoadWeight weight = LoadWeight::kQueries) {
+  LoadSplit out;
+  out.site_queries.assign(site_count, 0.0);
+  for (const dnsload::BlockLoad& bl : load.blocks()) {
+    const double volume =
+        weight == LoadWeight::kQueries
+            ? bl.daily_queries
+            : bl.daily_queries * static_cast<double>(bl.good_fraction);
+    const anycast::SiteId site = site_of(bl.block);
+    if (site >= 0 && static_cast<std::size_t>(site) < site_count) {
+      out.site_queries[static_cast<std::size_t>(site)] += volume;
+    } else {
+      out.unknown_queries += volume;
+    }
+  }
+  return out;
+}
+
 /// Prediction: catchment map (measured) x load model (historical logs).
 LoadSplit predict_load(const dnsload::LoadModel& load,
                        const core::CatchmentMap& map,

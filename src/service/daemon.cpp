@@ -338,7 +338,6 @@ void Daemon::publish(std::uint32_t round, core::RoundResult result,
     report.stddev_moved_fraction = drift_stats_.stddev();
     drift_ = report;
   }
-  prev_good_ = map_;
   map_ = std::move(served);
   const bool journal_ok = journal_status_ != core::JournalStatus::kIoError;
   state_ = journal_ok ? MapState::kFresh : MapState::kDegraded;
@@ -530,15 +529,11 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
     table = session_->route_to(target);
   }
 
-  // Predicted catchment over the querying blocks under that table, then
-  // the paper's §5.4 load split.
-  core::CatchmentMap predicted;
-  for (const dnsload::BlockLoad& entry : load_.blocks()) {
-    const anycast::SiteId site = table->site_for_block(entry.block);
-    if (site != anycast::kUnknownSite) predicted.set(entry.block, site);
-  }
-  const analysis::LoadSplit split =
-      analysis::predict_load(load_, predicted, deployment_.sites.size());
+  // The paper's §5.4 load split, each querying block at its site under
+  // that table.
+  const analysis::LoadSplit split = analysis::split_load(
+      load_, deployment_.sites.size(),
+      [&table](net::Block24 b) { return table->site_for_block(b); });
 
   std::string body = "{\"config\":\"" + json_escape(config) + "\",\"sites\":[";
   for (std::size_t s = 0; s < deployment_.sites.size(); ++s) {

@@ -249,7 +249,6 @@ class Daemon {
   mutable std::mutex state_mutex_;
   std::condition_variable stop_cv_;
   std::shared_ptr<const ServedMap> map_;          // guarded by state_mutex_
-  std::shared_ptr<const ServedMap> prev_good_;    // drift baseline
   MapState state_ = MapState::kInit;              // guarded by state_mutex_
   DegradedReason reason_ = DegradedReason::kNone;
   DriftReport drift_;                             // guarded by state_mutex_
