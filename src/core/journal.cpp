@@ -11,9 +11,8 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -333,18 +332,15 @@ CampaignJournal::OpenResult CampaignJournal::open(
   close();
   OpenResult out;
   if (resume) {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      const std::string data{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-      Parsed parsed = parse_journal(data, manifest);
+    if (const std::optional<std::string> data = util::read_file(path)) {
+      Parsed parsed = parse_journal(*data, manifest);
       if (parsed.status == JournalStatus::kFingerprintMismatch ||
           parsed.status == JournalStatus::kCorrupt) {
         out.status = parsed.status;  // refuse; file left untouched
         return out;
       }
       if (parsed.status == JournalStatus::kResumed) {
-        if (parsed.valid_bytes < data.size() &&
+        if (parsed.valid_bytes < data->size() &&
             ::truncate(path.c_str(),
                        static_cast<off_t>(parsed.valid_bytes)) != 0) {
           out.status = JournalStatus::kIoError;
@@ -357,7 +353,7 @@ CampaignJournal::OpenResult CampaignJournal::open(
         }
         out.status = JournalStatus::kResumed;
         out.completed = std::move(parsed.completed);
-        out.truncated_bytes = data.size() - parsed.valid_bytes;
+        out.truncated_bytes = data->size() - parsed.valid_bytes;
         auto& registry = obs::metrics();
         registry.counter("vp_journal_rounds_loaded_total")
             .add(out.completed.size());

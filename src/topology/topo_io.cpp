@@ -1,8 +1,6 @@
 #include "topology/topo_io.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "geo/world.hpp"
 #include "util/atomic_file.hpp"
@@ -312,14 +310,12 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
 
 bool load_topology(const std::string& path, Topology& out,
                    std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> image = util::read_file(path);
+  if (!image) {
     error = "cannot open " + path;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return deserialize_topology(buffer.str(), out, error);
+  return deserialize_topology(*image, out, error);
 }
 
 }  // namespace vp::topology

@@ -1,6 +1,7 @@
 #include "util/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -94,6 +95,30 @@ bool atomic_write_file(const std::string& path, std::string_view contents) {
   }
   fsync_parent_dir(path);
   return true;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return std::nullopt;
+  // One byte past the file's size, so a regular file ends on a read of 0
+  // without growing the string; a pipe (size 0) grows it as it goes.
+  struct stat st {};
+  const bool sized = ::fstat(fd, &st) == 0 && st.st_size > 0;
+  std::string data(sized ? static_cast<std::size_t>(st.st_size) + 1 : 65536,
+                   '\0');
+  std::size_t got = 0;
+  for (;;) {
+    if (got == data.size()) data.resize(2 * got);
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd);
+  data.resize(got);
+  return data;
 }
 
 }  // namespace vp::util

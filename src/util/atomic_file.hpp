@@ -6,11 +6,13 @@
 // atomic_write_file() gives that guarantee the classic POSIX way —
 // write to a sibling temp file, fsync it, rename() over the target,
 // fsync the directory — and the journal layer (core/journal.hpp) frames
-// its append-only records with the CRC32 implemented here.
+// its append-only records with the CRC32 implemented here. read_file() is
+// the one whole-file reader (topology images, journals on resume).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -35,5 +37,10 @@ bool write_all(int fd, const char* data, std::size_t size);
 /// file or the new one, never a truncated or interleaved mix. Returns
 /// false (and removes the temp file) on any I/O failure.
 bool atomic_write_file(const std::string& path, std::string_view contents);
+
+/// The whole file at `path`, read into one string sized from the file up
+/// front. nullopt when the file cannot be opened; a read that fails part
+/// way yields the bytes read until then.
+std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace vp::util
