@@ -7,6 +7,7 @@
 #include <array>
 #include <cerrno>
 #include <cstdio>
+#include <memory>
 
 namespace vp::util {
 
@@ -98,25 +99,25 @@ bool atomic_write_file(const std::string& path, std::string_view contents) {
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return std::nullopt;
+  const auto close = [](std::FILE* f) { std::fclose(f); };
+  const std::unique_ptr<std::FILE, decltype(close)> file{
+      std::fopen(path.c_str(), "rb"), close};
+  if (!file) return std::nullopt;
   // One byte past the file's size, so a regular file ends on a read of 0
   // without growing the string; a pipe (size 0) grows it as it goes.
   struct stat st {};
-  const bool sized = ::fstat(fd, &st) == 0 && st.st_size > 0;
+  const bool sized =
+      ::fstat(::fileno(file.get()), &st) == 0 && st.st_size > 0;
   std::string data(sized ? static_cast<std::size_t>(st.st_size) + 1 : 65536,
                    '\0');
   std::size_t got = 0;
   for (;;) {
     if (got == data.size()) data.resize(2 * got);
-    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-    } else if (n == 0 || errno != EINTR) {
-      break;
-    }
+    const std::size_t n =
+        std::fread(data.data() + got, 1, data.size() - got, file.get());
+    if (n == 0) break;
+    got += n;
   }
-  ::close(fd);
   data.resize(got);
   return data;
 }
