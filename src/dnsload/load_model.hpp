@@ -87,7 +87,8 @@ class LoadModel {
 
   const LoadConfig& config() const { return config_; }
 
-  /// Every querying block with its daily volume, descending by block id.
+  /// Every querying block with its daily volume, in Topology::blocks()
+  /// order.
   std::span<const BlockLoad> blocks() const { return blocks_; }
 
   double total_daily_queries() const { return total_daily_; }
