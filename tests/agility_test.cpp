@@ -10,6 +10,7 @@
 #include "agility/playbook.hpp"
 #include "analysis/scenario.hpp"
 #include "geo/world.hpp"
+#include "util/atomic_file.hpp"
 
 namespace vp::agility {
 namespace {
@@ -172,6 +173,33 @@ TEST(AttackGenerator, FlashCrowdIsGeographicallyLocal) {
     if (!first) first = geo->location;
     EXPECT_LE(geo::distance_km(*first, geo->location),
               2.0 * spec.radius_km + 1.0);
+  }
+}
+
+// Each kind's offered load at its default spec, bit for bit: the rows,
+// their milli-query volumes and the three totals.
+TEST(AttackGenerator, OfferedLoadIsPinned) {
+  const Fixture f;
+  const std::pair<AttackKind, std::uint32_t> kPins[] = {
+      {AttackKind::kPolarized, 0x55e378e8u},
+      {AttackKind::kFlashCrowd, 0x44bfa0e4u},
+      {AttackKind::kSpoofedFlood, 0x7c7fd892u},
+      {AttackKind::kVolumetric, 0x501bc184u},
+  };
+  for (const auto& [kind, pin] : kPins) {
+    AttackSpec spec;
+    spec.kind = kind;
+    const OfferedLoad out = f.offered(spec);
+    ASSERT_EQ(out.rows.size(), out.milliq.size());
+    std::uint32_t crc = util::crc32(out.rows.data(),
+                                    out.rows.size() * sizeof out.rows[0]);
+    crc = util::crc32(out.milliq.data(),
+                      out.milliq.size() * sizeof out.milliq[0], crc);
+    for (const std::uint64_t total :
+         {out.legit_milliq, out.attack_milliq, out.total_milliq})
+      crc = util::crc32(&total, sizeof total, crc);
+    EXPECT_EQ(crc, pin) << to_string(kind) << " " << out.rows.size()
+                        << " rows";
   }
 }
 

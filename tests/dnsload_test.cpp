@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dnsload/load_model.hpp"
 #include "sim/responsiveness.hpp"
 #include "topology/generator.hpp"
+#include "util/atomic_file.hpp"
 
 namespace vp::dnsload {
 namespace {
@@ -66,6 +68,28 @@ TEST_F(LoadTest, DailyQueriesLookupAgreesWithBlocks) {
   }
   EXPECT_NEAR(sum, load().total_daily_queries(), sum * 1e-9);
   EXPECT_DOUBLE_EQ(load().daily_queries(net::Block24{0xffffff}), 0.0);
+}
+
+// daily_queries bit for bit: for every block of the topology, in row
+// order, then for blocks it lacks (0, one below and one past the block
+// span, 0xffffff), which read 0.
+TEST_F(LoadTest, DailyQueriesArePinned) {
+  std::uint32_t crc = 0;
+  const auto fold = [&crc](double queries) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &queries, sizeof bits);
+    crc = util::crc32(&bits, sizeof bits, crc);
+  };
+  for (const topology::BlockInfo& info : topo().blocks())
+    fold(load().daily_queries(info.block));
+  const std::uint32_t first = topo().block_first();
+  ASSERT_GT(first, 0u);
+  const auto past = first + static_cast<std::uint32_t>(topo().block_span());
+  for (const std::uint32_t b : {0u, first - 1, past, 0xffffffu}) {
+    EXPECT_EQ(load().daily_queries(net::Block24{b}), 0.0) << b;
+    fold(load().daily_queries(net::Block24{b}));
+  }
+  EXPECT_EQ(crc, 0x9875f826u);
 }
 
 TEST_F(LoadTest, LoadIsHeavyTailed) {

@@ -21,6 +21,7 @@
 #include "geo/world.hpp"
 #include "hitlist/hitlist.hpp"
 #include "sim/internet.hpp"
+#include "topology/generator.hpp"
 #include "topology/scale_generator.hpp"
 #include "topology/topo_io.hpp"
 #include "topology/topology.hpp"
@@ -524,6 +525,11 @@ TEST(GeneratorDeterminism, ForgedGeoRecordForUnlistedBlockIsRejected) {
             "topology image: geo record for an unlisted block");
 }
 
+// Record sizes: a block is index, AS, PoP, prefix (4+4+2+4); a geo
+// record index, lat, lon, center, country, continent (4+8+8+2+2+1).
+constexpr std::size_t kBlockRecord = 14;
+constexpr std::size_t kGeoRecord = 25;
+
 /// Reverses `count` records of `size` bytes starting at `at`, keeping
 /// each record whole.
 void reverse_records(std::string& bytes, std::size_t at, std::size_t count,
@@ -532,6 +538,54 @@ void reverse_records(std::string& bytes, std::size_t at, std::size_t count,
   for (std::size_t i = 0, j = count - 1; i < j; ++i, --j)
     std::swap_ranges(first + i * size, first + (i + 1) * size,
                      first + j * size);
+}
+
+/// Recomputes the CRC-32 that frames `bytes`.
+void reframe(std::string& bytes) {
+  const std::uint32_t crc = util::crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+}
+
+/// `topo`'s image with its block and geo sections reversed, record by
+/// record, and the CRC recomputed. The stored digest is still `topo`'s.
+std::string reversed_sections(const Topology& topo) {
+  const std::size_t blocks = topo.block_count();
+  const std::size_t geo = topo.geodb().size();
+  std::string bytes = topology::serialize_topology(topo);
+  const std::size_t geo_at = bytes.size() - 4 - geo * kGeoRecord;
+  const std::size_t block_at = geo_at - blocks * kBlockRecord;
+  reverse_records(bytes, block_at, blocks, kBlockRecord);
+  reverse_records(bytes, geo_at, geo, kGeoRecord);
+  reframe(bytes);
+  return bytes;
+}
+
+/// The digest of `topo` with its blocks listed in the opposite order:
+/// the same records in the opposite slots, each AS's block range
+/// mirrored.
+std::uint64_t reversed_digest(const Topology& topo) {
+  const std::size_t blocks = topo.block_count();
+  Topology reversed = topo;
+  for (std::size_t i = 0; i < blocks; ++i)
+    reversed.set_block(static_cast<std::uint32_t>(blocks - 1 - i),
+                       topo.blocks()[i]);
+  for (topology::AsId v = 0; v < topo.as_count(); ++v) {
+    topology::AsNode& node = reversed.as_mutable(v);
+    if (node.block_count > 0)
+      node.first_block = static_cast<std::uint32_t>(blocks) -
+                         (node.first_block + node.block_count);
+  }
+  return topology::structural_digest(reversed);
+}
+
+/// reversed_sections() carrying reversed_digest(): an image the loader
+/// accepts.
+std::string reversed_image(const Topology& topo) {
+  std::string bytes = reversed_sections(topo);
+  const std::uint64_t digest = reversed_digest(topo);
+  std::memcpy(bytes.data() + 8, &digest, sizeof digest);
+  reframe(bytes);
+  return bytes;
 }
 
 /// Seconds deserialize_topology takes on `bytes`; `error` gets its
@@ -553,10 +607,6 @@ double timed_load(const std::string& bytes, Topology& restored,
 // with the reversed topology's digest stored instead it accepts, and
 // answers as the original does.
 TEST(GeneratorDeterminism, ReversedImageLoadsInLinearTime) {
-  // Record sizes: a block is index, AS, PoP, prefix (4+4+2+4); a geo
-  // record index, lat, lon, center, country, continent (4+8+8+2+2+1).
-  constexpr std::size_t kBlockRecord = 14;
-  constexpr std::size_t kGeoRecord = 25;
   constexpr double kBoundSeconds = 10.0;
   ScaleConfig config;
   config.as_count = 16'000;
@@ -566,39 +616,13 @@ TEST(GeneratorDeterminism, ReversedImageLoadsInLinearTime) {
   const std::size_t geo = topo.geodb().size();
   ASSERT_GE(blocks, 200'000u);
 
-  std::string bytes = topology::serialize_topology(topo);
-  const std::size_t geo_at = bytes.size() - 4 - geo * kGeoRecord;
-  const std::size_t block_at = geo_at - blocks * kBlockRecord;
-  reverse_records(bytes, block_at, blocks, kBlockRecord);
-  reverse_records(bytes, geo_at, geo, kGeoRecord);
-  const auto reframe = [&bytes] {
-    const std::uint32_t crc = util::crc32(bytes.data(), bytes.size() - 4);
-    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
-  };
-  reframe();
-
   Topology restored;
   std::string error;
-  double seconds = timed_load(bytes, restored, error);
+  double seconds = timed_load(reversed_sections(topo), restored, error);
   EXPECT_EQ(error, "rebuilt topology does not match stored digest");
   EXPECT_LT(seconds, kBoundSeconds) << blocks << " blocks, stored digest";
 
-  // The reversed topology: the same records in the opposite slots, each
-  // AS's block range mirrored.
-  Topology reversed = topo;
-  for (std::size_t i = 0; i < blocks; ++i)
-    reversed.set_block(static_cast<std::uint32_t>(blocks - 1 - i),
-                       topo.blocks()[i]);
-  for (topology::AsId v = 0; v < topo.as_count(); ++v) {
-    topology::AsNode& node = reversed.as_mutable(v);
-    if (node.block_count > 0)
-      node.first_block = static_cast<std::uint32_t>(blocks) -
-                         (node.first_block + node.block_count);
-  }
-  const std::uint64_t digest = topology::structural_digest(reversed);
-  std::memcpy(bytes.data() + 8, &digest, sizeof digest);
-  reframe();
-  seconds = timed_load(bytes, restored, error);
+  seconds = timed_load(reversed_image(topo), restored, error);
   ASSERT_EQ(error, "");
   EXPECT_LT(seconds, kBoundSeconds) << blocks << " blocks, reversed digest";
   EXPECT_EQ(restored.block_count(), blocks);
@@ -617,6 +641,53 @@ TEST(GeneratorDeterminism, ReversedImageLoadsInLinearTime) {
       ASSERT_EQ(got_geo->location.lat, want_geo->location.lat);
     }
   }
+}
+
+/// CRC-32 of every block's geolocation from one below the block span to
+/// one past it: whether a record is set and, if so, its coordinates'
+/// bits, center, country code and continent.
+std::uint32_t geo_pin(const Topology& topo) {
+  const std::uint32_t first = topo.block_first();
+  const auto past = first + static_cast<std::uint32_t>(topo.block_span());
+  std::uint32_t crc = 0;
+  const auto fold = [&crc](const auto& value) {
+    crc = util::crc32(&value, sizeof value, crc);
+  };
+  for (std::uint32_t b = first - 1; b <= past; ++b) {
+    const auto rec = topo.geodb().lookup(net::Block24{b});
+    fold(static_cast<std::uint8_t>(rec.has_value()));
+    if (!rec) continue;
+    std::uint64_t lat = 0, lon = 0;
+    std::memcpy(&lat, &rec->location.lat, sizeof lat);
+    std::memcpy(&lon, &rec->location.lon, sizeof lon);
+    fold(lat);
+    fold(lon);
+    fold(rec->center_id);
+    fold(rec->country[0]);
+    fold(rec->country[1]);
+    fold(static_cast<std::uint8_t>(rec->continent));
+  }
+  return crc;
+}
+
+// Every block's geolocation, bit for bit, from both generators and from
+// an image whose blocks and geo records come in reverse order.
+TEST(GeneratorDeterminism, GeoRecordsArePinned) {
+  const Topology paper =
+      topology::generate_topology(topology::TopologyConfig::scaled(0.05));
+  ASSERT_GT(paper.block_first(), 0u);
+  EXPECT_EQ(geo_pin(paper), 0x91f7384cu);
+
+  const Topology scale = generate_scale_topology(small_config(5));
+  ASSERT_GT(scale.block_first(), 0u);
+  EXPECT_EQ(geo_pin(scale), 0xa4a92ad5u);
+
+  Topology restored;
+  std::string error;
+  ASSERT_TRUE(
+      topology::deserialize_topology(reversed_image(scale), restored, error))
+      << error;
+  EXPECT_EQ(geo_pin(restored), 0xa4a92ad5u);
 }
 
 }  // namespace
