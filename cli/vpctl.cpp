@@ -613,7 +613,7 @@ int cmd_gen(const Args& args) {
   table.add_row({"announced prefixes",
                  util::with_commas(topo.announced_prefixes().size())});
   table.add_row({"/24 blocks", util::with_commas(topo.block_count())});
-  table.add_row({"geolocated blocks", util::with_commas(topo.geodb().size())});
+  table.add_row({"geolocated blocks", util::with_commas(topo.geo_count())});
   std::printf("%s", table.to_string().c_str());
   if (gen_seconds > 0.0) {
     std::printf("built in %.2fs (%s blocks/s)\n", gen_seconds,

@@ -97,10 +97,16 @@ OfferedLoad offered_load(const topology::Topology& topo,
   // the target catchment — a deterministic k-of-n sample.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> volumetric_pool;
 
+  // The base's querying blocks are in row order too: one cursor walks
+  // them beside the rows.
   const auto blocks = topo.blocks();
+  const auto load_rows = base.rows();
+  std::size_t next_load = 0;
   for (std::uint32_t row = 0; row < blocks.size(); ++row) {
     const topology::BlockInfo& info = blocks[row];
-    const double legit = base.daily_queries(info.block);
+    double legit = 0.0;
+    if (next_load < load_rows.size() && load_rows[next_load] == row)
+      legit = base.blocks()[next_load++].daily_queries;
     double weight = 0.0;
     switch (spec.kind) {
       case AttackKind::kPolarized: {
@@ -111,7 +117,7 @@ OfferedLoad offered_load(const topology::Topology& topo,
         break;
       }
       case AttackKind::kFlashCrowd: {
-        const auto geo = topo.geodb().lookup(info.block);
+        const auto geo = topo.geo(info.block);
         if (!geo || geo::distance_km(geo->location, epicenter) > spec.radius_km)
           break;
         // Querying blocks surge in proportion to their usual volume;

@@ -109,7 +109,8 @@ anycast::SiteId resolve_target(const AttackSpec& spec,
 /// attack traffic, normalized so the attack totals spec.magnitude x the
 /// baseline. `baseline_routes` supplies the catchment the attacker is
 /// assumed to have mapped (polarized/volumetric target selection) — the
-/// pre-response table, exactly what a real attacker observes.
+/// pre-response table, exactly what a real attacker observes. `base`
+/// must be a load model of `topo`: its rows() index topo.blocks().
 OfferedLoad offered_load(const topology::Topology& topo,
                          const dnsload::LoadModel& base,
                          const bgp::RoutingTable& baseline_routes,

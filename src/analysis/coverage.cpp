@@ -24,14 +24,14 @@ CoverageReport compute_coverage(const topology::Topology& topo,
   report.atlas_blocks_considered = atlas_blocks.size();
   report.atlas_blocks_responding = atlas_responding_blocks.size();
   for (const std::uint32_t b : atlas_responding_blocks)
-    if (topo.geodb().lookup(net::Block24{b})) ++report.atlas_blocks_geolocatable;
+    if (topo.geo(net::Block24{b})) ++report.atlas_blocks_geolocatable;
 
   report.verf_blocks_considered = verfploeter_map.blocks_probed;
   report.verf_blocks_responding = verfploeter_map.mapped_blocks();
   report.verf_blocks_nonresponding =
       verfploeter_map.blocks_probed - verfploeter_map.mapped_blocks();
   for (const auto& [block, site] : verfploeter_map.entries()) {
-    if (topo.geodb().lookup(block)) {
+    if (topo.geo(block)) {
       ++report.verf_blocks_geolocatable;
     } else {
       ++report.verf_blocks_no_location;

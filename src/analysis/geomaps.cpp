@@ -13,7 +13,7 @@ geo::GeoBinner bin_catchment(const topology::Topology& topo,
                              std::size_t site_count) {
   geo::GeoBinner binner{site_count + 1};
   for (const auto& [block, site] : map.entries()) {
-    const auto geo_record = topo.geodb().lookup(block);
+    const auto geo_record = topo.geo(block);
     if (!geo_record) continue;
     const std::size_t category =
         site >= 0 && static_cast<std::size_t>(site) < site_count
@@ -47,7 +47,7 @@ geo::GeoBinner bin_load(const topology::Topology& topo,
                         std::size_t site_count) {
   geo::GeoBinner binner{site_count + 1};
   for (const dnsload::BlockLoad& bl : load.blocks()) {
-    const auto geo_record = topo.geodb().lookup(bl.block);
+    const auto geo_record = topo.geo(bl.block);
     if (!geo_record) continue;
     const anycast::SiteId site = map.site_of(bl.block);
     const std::size_t category =
@@ -65,7 +65,7 @@ geo::GeoBinner bin_load_plain(const topology::Topology& topo,
                               const dnsload::LoadModel& load) {
   geo::GeoBinner binner{1};
   for (const dnsload::BlockLoad& bl : load.blocks()) {
-    const auto geo_record = topo.geodb().lookup(bl.block);
+    const auto geo_record = topo.geo(bl.block);
     if (!geo_record) continue;
     binner.add(geo_record->location, 0, bl.daily_queries / 86400.0);
   }

@@ -60,7 +60,7 @@ std::vector<PlacementCandidate> recommend_sites(
   samples.reserve(round.map.mapped_blocks());
   double total_weight = 0.0;
   for (const auto& [block, site] : round.map.entries()) {
-    const auto geo_record = topo.geodb().lookup(block);
+    const auto geo_record = topo.geo(block);
     if (!geo_record) continue;
     BlockSample sample;
     sample.location = geo_record->location;

@@ -67,7 +67,7 @@ std::vector<std::vector<double>> hourly_load_by_site(
             ? static_cast<std::size_t>(site)
             : site_count;  // UNKNOWN
     double lon = 0.0;
-    if (const auto geo = topo.geodb().lookup(bl.block)) lon = geo->location.lon;
+    if (const auto geo = topo.geo(bl.block)) lon = geo->location.lon;
     for (int h = 0; h < 24; ++h) {
       const double queries_this_hour =
           bl.daily_queries * dnsload::LoadModel::hourly_weight(lon, h);

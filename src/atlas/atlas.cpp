@@ -59,7 +59,7 @@ AtlasPlatform::AtlasPlatform(const topology::Topology& topo,
     vp.block = info.block;
     vp.as_id = info.as_id;
     vp.pop = info.pop;
-    if (const auto geo = topo.geodb().lookup(info.block)) {
+    if (const auto geo = topo.geo(info.block)) {
       vp.location = geo->location;
     } else {
       vp.location = topo.as_at(info.as_id).pops[info.pop].location;

@@ -43,7 +43,8 @@ LoadModel::LoadModel(const topology::Topology& topo,
   const std::uint64_t membership_seed =
       config.membership_seed != 0 ? config.membership_seed : config.seed;
   double raw_total = 0.0;
-  for (const topology::BlockInfo& info : topo.blocks()) {
+  for (std::uint32_t row = 0; row < topo.block_count(); ++row) {
+    const topology::BlockInfo& info = topo.blocks()[row];
     const std::uint64_t h = util::hash_combine(
         util::hash_combine(membership_seed, 0xd05), info.block.index());
     const bool responsive = responsiveness.ever_responds(info.block);
@@ -56,14 +57,11 @@ LoadModel::LoadModel(const topology::Topology& topo,
     double volume = rng.pareto(1.0, kParetoAlpha);
     if (rng.chance(kHotspotRate)) volume *= kHotspotMultiplier;
     if (!responsive) volume *= kNonresponsiveVolumeMultiplier;
-    // The record is a temporary: keep the country code itself, not a
-    // view into it.
-    const geo::GeoRecord record =
-        topo.geodb().lookup(info.block).value_or(geo::GeoRecord{});
-    // Stash per-block country multiplier lookup via geodb; blocks without
-    // geolocation keep multiplier 1.
-    volume *= country_volume_multiplier(config.profile,
-                                        std::string_view{record.country, 2});
+    // Blocks without geolocation keep multiplier 1.
+    if (const geo::GeoRecord* geo = topo.geo(info.block)) {
+      volume *= country_volume_multiplier(config.profile,
+                                          std::string_view{geo->country, 2});
+    }
     volume = std::min(volume, kMaxBlockMultiple);
 
     BlockLoad load;
@@ -73,23 +71,26 @@ LoadModel::LoadModel(const topology::Topology& topo,
         std::clamp(rng.normal(kGoodReplyMean, 0.15), 0.02, 0.98));
     raw_total += volume;
     blocks_.push_back(load);
+    rows_.push_back(row);
   }
   // Normalize so the mean per-block volume is kMeanDailyPerBlock.
   const double target_total =
       kMeanDailyPerBlock * static_cast<double>(blocks_.size());
   const double factor = raw_total > 0 ? target_total / raw_total : 0.0;
-  index_.reserve(blocks_.size() * 2);
-  for (std::uint32_t i = 0; i < blocks_.size(); ++i) {
-    blocks_[i].daily_queries *= factor;
-    total_daily_ += blocks_[i].daily_queries;
-    total_good_ += blocks_[i].daily_queries * blocks_[i].good_fraction;
-    index_.emplace(blocks_[i].block, i);
+  for (BlockLoad& load : blocks_) {
+    load.daily_queries *= factor;
+    total_daily_ += load.daily_queries;
+    total_good_ += load.daily_queries * load.good_fraction;
   }
 }
 
 double LoadModel::daily_queries(net::Block24 block) const {
-  const auto it = index_.find(block);
-  return it == index_.end() ? 0.0 : blocks_[it->second].daily_queries;
+  const topology::BlockInfo* info = topo_->block_info(block);
+  if (info == nullptr) return 0.0;
+  const auto row = static_cast<std::uint32_t>(info - topo_->blocks().data());
+  const auto it = std::ranges::lower_bound(rows_, row);
+  if (it == rows_.end() || *it != row) return 0.0;
+  return blocks_[static_cast<std::size_t>(it - rows_.begin())].daily_queries;
 }
 
 double LoadModel::hourly_weight(double lon_degrees, int hour_utc) {

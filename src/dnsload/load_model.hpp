@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ipv4.hpp"
@@ -81,6 +80,7 @@ struct BlockLoad {
 
 class LoadModel {
  public:
+  /// `topo` must outlive the model: daily_queries() finds blocks in it.
   LoadModel(const topology::Topology& topo,
             const sim::ResponsivenessModel& responsiveness,
             const LoadConfig& config);
@@ -90,6 +90,9 @@ class LoadModel {
   /// Every querying block with its daily volume, in Topology::blocks()
   /// order.
   std::span<const BlockLoad> blocks() const { return blocks_; }
+
+  /// The Topology::blocks() row of each blocks() entry, ascending.
+  std::span<const std::uint32_t> rows() const { return rows_; }
 
   double total_daily_queries() const { return total_daily_; }
   double total_daily_good_replies() const { return total_good_; }
@@ -105,7 +108,7 @@ class LoadModel {
   const topology::Topology* topo_;
   LoadConfig config_;
   std::vector<BlockLoad> blocks_;
-  std::unordered_map<net::Block24, std::uint32_t> index_;
+  std::vector<std::uint32_t> rows_;
   double total_daily_ = 0.0;
   double total_good_ = 0.0;
 };

@@ -6,32 +6,6 @@
 
 namespace vp::geo {
 
-std::optional<GeoRecord> GeoDatabase::lookup(net::Block24 block) const {
-  const std::uint32_t off = block.index() - first_;  // wraps below first_
-  if (off >= records_.size() || !present_[off]) return std::nullopt;
-  return records_[off];
-}
-
-void GeoDatabase::prepare_span(net::Block24 lo, net::Block24 hi) {
-  first_ = lo.index();
-  const std::size_t slots = hi.index() - first_ + 1;
-  records_.assign(slots, GeoRecord{});
-  present_.assign(slots, 0);
-  count_ = 0;
-}
-
-void GeoDatabase::set(net::Block24 block, const GeoRecord& record) {
-  const std::uint32_t slot = block.index() - first_;
-  records_[slot] = record;
-  present_[slot] = 1;
-}
-
-void GeoDatabase::recount() {
-  std::size_t n = 0;
-  for (const std::uint8_t p : present_) n += p;
-  count_ = n;
-}
-
 GeoBin GeoBin::of(LatLon loc) {
   const double lon = std::clamp(loc.lon, -180.0, 179.999);
   const double lat = std::clamp(loc.lat, -90.0, 89.999);

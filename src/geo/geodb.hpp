@@ -1,20 +1,18 @@
-// Per-block geolocation database (the MaxMind-GeoLite2 stand-in, §4).
+// Per-block geolocation (the MaxMind-GeoLite2 stand-in, §4) and its
+// 2-degree map bins.
 //
-// The topology generator fills this database as it assigns /24 blocks to
-// ASes; analysis code queries it to build the 2-degree-binned coverage maps
-// (Figures 2-4) and the regional tables. A small fraction of blocks is
-// deliberately left un-geolocatable, mirroring the 678 blocks the paper
-// drops (Table 4).
+// The topology generators give each /24 block a GeoRecord as they assign
+// it to an AS (Topology::geo() reads it back); analysis code bins them into
+// the coverage maps (Figures 2-4) and the regional tables. A small fraction
+// of blocks is deliberately left un-geolocatable, mirroring the 678 blocks
+// the paper drops (Table 4).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "geo/world.hpp"
-#include "net/ipv4.hpp"
 
 namespace vp::geo {
 
@@ -24,56 +22,6 @@ struct GeoRecord {
   std::uint16_t center_id = 0;  // index into world_centers()
   char country[3] = {'?', '?', '\0'};
   Continent continent = Continent::kEurope;
-};
-
-/// Flat, direct-mapped store over the allocated /24 span. The allocated
-/// block range is dense in practice (the generators hand out blocks from a
-/// contiguous allocator), so a presence byte + record per span slot is far
-/// smaller and faster than the hash map it replaces — and the slices are
-/// disjoint per writer, which is what lets the scale generator fill the
-/// database from parallel shard workers.
-///
-/// The generators and the image loader all fill it the same way:
-/// prepare_span() once, set() each record, then recount().
-class GeoDatabase {
- public:
-  /// The block's record; nullopt for a block never set ("un-geolocatable").
-  std::optional<GeoRecord> lookup(net::Block24 block) const;
-
-  std::size_t size() const { return count_; }
-
-  /// Sizes the store to cover [lo, hi] inclusive (lo <= hi) and drops any
-  /// record already in it. After this, set() may be called concurrently
-  /// for distinct blocks inside the span.
-  void prepare_span(net::Block24 lo, net::Block24 hi);
-
-  /// Writes one record inside the prepared span. Thread-safe for distinct
-  /// blocks (plain disjoint writes, no size bookkeeping). Call recount()
-  /// once all writers are done.
-  void set(net::Block24 block, const GeoRecord& record);
-
-  /// Counts the records set, for size().
-  void recount();
-
-  /// Approximate heap footprint.
-  std::size_t memory_bytes() const {
-    return records_.capacity() * sizeof(GeoRecord) + present_.capacity();
-  }
-
-  /// Visits every (block, record) pair in ascending block order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      if (present_[i])
-        fn(net::Block24{first_ + static_cast<std::uint32_t>(i)}, records_[i]);
-    }
-  }
-
- private:
-  std::uint32_t first_ = 0;
-  std::vector<GeoRecord> records_;
-  std::vector<std::uint8_t> present_;  // byte-wide: no racy bit RMW
-  std::size_t count_ = 0;
 };
 
 /// A 2-degree geographic bin, the paper's map resolution ("two-degree

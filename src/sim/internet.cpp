@@ -36,7 +36,7 @@ struct DataplaneMetrics {
 
 double InternetSim::propagation_ms(net::Block24 block, anycast::SiteId site,
                                    const bgp::RoutingTable& routes) const {
-  const auto geo = topo_->geodb().lookup(block);
+  const auto geo = topo_->geo(block);
   if (!geo || site < 0) return 40.0;  // fallback when either end lacks geo
   const auto& site_loc =
       routes.deployment().sites[static_cast<std::size_t>(site)].location;

@@ -183,17 +183,6 @@ class Generator {
     make_regionals();
     make_stubs();
     topo_.seal();
-    // Records were drawn in allocation order; the store is sized once,
-    // over the span seal() indexed.
-    geo::GeoDatabase& geodb = topo_.geodb_mutable();
-    if (topo_.block_span() > 0) {
-      geodb.prepare_span(
-          net::Block24{topo_.block_first()},
-          net::Block24{topo_.block_first() +
-                       static_cast<std::uint32_t>(topo_.block_span() - 1)});
-    }
-    for (const auto& [block, rec] : geo_records_) geodb.set(block, rec);
-    geodb.recount();
     return std::move(topo_);
   }
 
@@ -226,7 +215,8 @@ class Generator {
           rec.country[1] = c.country[1];
           rec.country[2] = '\0';
           rec.continent = c.continent;
-          geo_records_.emplace_back(block, rec);
+          topo_.set_geo(
+              static_cast<std::uint32_t>(topo_.block_count() - 1), rec);
         }
       }
     }
@@ -555,7 +545,6 @@ class Generator {
   CenterSampler block_sampler_;
   BlockAllocator allocator_;
   Topology topo_;
-  std::vector<std::pair<net::Block24, geo::GeoRecord>> geo_records_;
   std::vector<AsId> transits_;
   std::vector<AsId> transit_like_;  // e.g. Vultr
   std::vector<AsId> specials_;

@@ -469,7 +469,6 @@ Topology ScaleGenerator::generate() const {
   std::vector<Assigned> assigned;
   std::vector<std::uint32_t> as_assigned_first(n + 1, 0);
   std::uint64_t cursor = 0;
-  std::uint32_t min_block = 0xffffffff, max_block = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
     as_assigned_first[v] = static_cast<std::uint32_t>(assigned.size());
     AsNode& node = topo.as_mutable(v);
@@ -482,8 +481,6 @@ Topology ScaleGenerator::generate() const {
       const std::uint32_t base = prefix.base().value() >> 8;
       assigned.push_back(Assigned{static_cast<std::uint32_t>(cursor), base,
                                   count, prefix_index});
-      min_block = std::min(min_block, base);
-      max_block = std::max(max_block, base + count - 1);
       cursor += count;
     }
   }
@@ -494,10 +491,6 @@ Topology ScaleGenerator::generate() const {
   // writes a disjoint pre-sized slice, so the result is independent of
   // the partition (and TSan-clean).
   topo.begin_bulk_blocks(cursor);
-  if (cursor > 0) {
-    topo.geodb_mutable().prepare_span(net::Block24{min_block},
-                                      net::Block24{max_block});
-  }
   const auto centers = geo::world_centers();
   util::parallel_for(shards, threads, [&](std::size_t sb, std::size_t se) {
     for (std::size_t s = sb; s < se; ++s) {
@@ -537,14 +530,13 @@ Topology ScaleGenerator::generate() const {
               rec.country[1] = c.country[1];
               rec.country[2] = '\0';
               rec.continent = c.continent;
-              topo.geodb_mutable().set(block, rec);
+              topo.set_geo(pfx.slot + i, rec);
             }
           }
         }
       }
     }
   });
-  topo.geodb_mutable().recount();
   topo.seal();
   return topo;
 }

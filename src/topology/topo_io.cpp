@@ -1,7 +1,5 @@
 #include "topology/topo_io.hpp"
 
-#include <algorithm>
-
 #include "geo/world.hpp"
 #include "util/atomic_file.hpp"
 #include "util/byte_codec.hpp"
@@ -64,8 +62,8 @@ std::uint64_t structural_digest(const Topology& topo) {
     fold((static_cast<std::uint64_t>(b.block.index()) << 32) | b.as_id);
     fold((static_cast<std::uint64_t>(b.pop) << 32) | b.prefix_index);
   }
-  fold(topo.geodb().size());
-  topo.geodb().for_each([&](net::Block24 block, const geo::GeoRecord& rec) {
+  fold(topo.geo_count());
+  topo.for_each_geo([&](net::Block24 block, const geo::GeoRecord& rec) {
     fold((static_cast<std::uint64_t>(block.index()) << 24) |
          (static_cast<std::uint64_t>(rec.center_id) << 8) |
          static_cast<std::uint64_t>(rec.continent));
@@ -80,7 +78,7 @@ std::string serialize_topology(const Topology& topo) {
   put_le(out, static_cast<std::uint64_t>(topo.as_count()));
   put_le(out, static_cast<std::uint64_t>(topo.announced_prefixes().size()));
   put_le(out, static_cast<std::uint64_t>(topo.block_count()));
-  put_le(out, static_cast<std::uint64_t>(topo.geodb().size()));
+  put_le(out, static_cast<std::uint64_t>(topo.geo_count()));
   for (const AsNode& node : topo.ases()) {
     put_le(out, node.asn.value);
     put_le(out, static_cast<std::uint8_t>(node.tier));
@@ -119,7 +117,7 @@ std::string serialize_topology(const Topology& topo) {
     put_le(out, b.pop);
     put_le(out, b.prefix_index);
   }
-  topo.geodb().for_each([&](net::Block24 block, const geo::GeoRecord& rec) {
+  topo.for_each_geo([&](net::Block24 block, const geo::GeoRecord& rec) {
     put_le(out, block.index());
     put_le(out, rec.location.lat);
     put_le(out, rec.location.lon);
@@ -251,17 +249,7 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
       return refuse("block outside its prefix");
     blocks.push_back(b);
   }
-  // Sorted block indices: a repeat is a block listed twice, and a geo
-  // record must name one of them (else the direct-mapped geo table would
-  // stretch to any /24 the image names). The first and last bound the
-  // geo store, sized here once, as seal() sizes the block index: neither
-  // grows with the order the image lists its blocks and records in.
-  std::vector<std::uint32_t> listed(blocks.size());
-  std::ranges::transform(blocks, listed.begin(),
-                         [](const BlockInfo& b) { return b.block.index(); });
-  std::ranges::sort(listed);
-  if (std::ranges::adjacent_find(listed) != listed.end())
-    return refuse("block listed twice");
+  topo.reserve_blocks(blocks.size());
   for (const BlockInfo& b : blocks) {
     // An AS's blocks are one run of the list: its first_block and
     // block_count are read as a range (delta routing's changed blocks).
@@ -271,10 +259,12 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
       return refuse("block outside its AS's run");
     topo.add_block(b.block, b.as_id, b.pop, b.prefix_index);
   }
-  geo::GeoDatabase& geodb = topo.geodb_mutable();
-  if (geo_count > 0 && !listed.empty())
-    geodb.prepare_span(net::Block24{listed.front()},
-                       net::Block24{listed.back()});
+  // The block index, built in one pass whatever the order: a block listed
+  // twice indexes only its last row, and a geo record finds its row
+  // through it, so no record lands outside the image's own blocks.
+  topo.seal();
+  for (const BlockInfo& b : topo.blocks())
+    if (topo.block_info(b.block) != &b) return refuse("block listed twice");
   for (std::uint64_t i = 0; i < geo_count && r.ok(); ++i) {
     const auto index = r.get<std::uint32_t>();
     geo::GeoRecord rec;
@@ -290,16 +280,15 @@ bool deserialize_topology(const std::string& bytes, Topology& out,
       return reject("geo continent byte");
     rec.continent = static_cast<geo::Continent>(continent);
     if (!r.ok()) break;
-    if (!std::ranges::binary_search(listed, index))
-      return refuse("geo record for an unlisted block");
-    geodb.set(net::Block24{index}, rec);
+    const BlockInfo* info =
+        index > 0xffffff ? nullptr : topo.block_info(net::Block24{index});
+    if (info == nullptr) return refuse("geo record for an unlisted block");
+    topo.set_geo(static_cast<std::uint32_t>(info - topo.blocks().data()), rec);
   }
-  geodb.recount();
   if (!r.ok()) {
     error = "truncated topology image";
     return false;
   }
-  topo.seal();
   if (structural_digest(topo) != stored_digest) {
     error = "rebuilt topology does not match stored digest";
     return false;

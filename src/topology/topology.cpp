@@ -35,6 +35,17 @@ const BlockInfo* Topology::block_info(net::Block24 block) const {
   return slot == kNoBlockSlot ? nullptr : &blocks_[slot];
 }
 
+const geo::GeoRecord* Topology::geo(net::Block24 block) const {
+  const BlockInfo* info = block_info(block);
+  if (info == nullptr) return nullptr;
+  const auto row = static_cast<std::size_t>(info - blocks_.data());
+  return geo_set_[row] ? &geo_[row] : nullptr;
+}
+
+std::size_t Topology::geo_count() const {
+  return static_cast<std::size_t>(std::ranges::count(geo_set_, 1));
+}
+
 AsId Topology::add_as(AsNode node) {
   const auto id = static_cast<AsId>(ases_.size());
   by_asn_.emplace(node.asn.value, id);
@@ -92,10 +103,18 @@ std::uint32_t Topology::announce(AsId as_id, net::Prefix prefix) {
   return index;
 }
 
+void Topology::reserve_blocks(std::size_t count) {
+  blocks_.reserve(count);
+  geo_.reserve(count);
+  geo_set_.reserve(count);
+}
+
 void Topology::add_block(net::Block24 block, AsId as_id, std::uint16_t pop,
                          std::uint32_t prefix_index) {
   const auto index = static_cast<std::uint32_t>(blocks_.size());
   blocks_.push_back(BlockInfo{block, as_id, pop, prefix_index});
+  geo_.emplace_back();
+  geo_set_.push_back(0);
   AsNode& node = ases_[as_id];
   if (node.block_count == 0) node.first_block = index;
   ++node.block_count;
@@ -103,16 +122,19 @@ void Topology::add_block(net::Block24 block, AsId as_id, std::uint16_t pop,
 
 void Topology::begin_bulk_blocks(std::size_t total) {
   blocks_.assign(total, BlockInfo{});
+  geo_.assign(total, geo::GeoRecord{});
+  geo_set_.assign(total, 0);
 }
 
 std::size_t Topology::memory_bytes() const {
   std::size_t bytes = ases_.capacity() * sizeof(AsNode) +
                       prefixes_.capacity() * sizeof(AnnouncedPrefix) +
                       blocks_.capacity() * sizeof(BlockInfo) +
+                      geo_.capacity() * sizeof(geo::GeoRecord) +
+                      geo_set_.capacity() +
                       block_slots_.capacity() * sizeof(std::uint32_t) +
                       by_asn_.size() * (sizeof(std::uint32_t) + sizeof(AsId) +
-                                        2 * sizeof(void*)) +
-                      geodb_.memory_bytes();
+                                        2 * sizeof(void*));
   for (const AsNode& node : ases_) {
     bytes += node.pops.capacity() * sizeof(Pop) +
              node.links.capacity() * sizeof(Link);

@@ -36,7 +36,22 @@ class Topology {
   std::uint32_t block_first() const { return block_first_; }
   std::size_t block_span() const { return block_slots_.size(); }
 
-  const geo::GeoDatabase& geodb() const { return geodb_; }
+  /// The block's geolocation record; nullptr for an unallocated or
+  /// un-geolocatable block. Valid once seal() has indexed the blocks.
+  const geo::GeoRecord* geo(net::Block24 block) const;
+  std::size_t geo_count() const;
+
+  /// Visits every geolocated (block, record) pair in ascending block
+  /// order, through the block index.
+  template <typename Fn>
+  void for_each_geo(Fn&& fn) const {
+    for (std::size_t off = 0; off < block_slots_.size(); ++off) {
+      const std::uint32_t row = block_slots_[off];
+      if (row != kNoBlockSlot && geo_set_[row])
+        fn(net::Block24{block_first_ + static_cast<std::uint32_t>(off)},
+           geo_[row]);
+    }
+  }
 
   // --- build API (used by the generator) -----------------------------------
   AsId add_as(AsNode node);
@@ -55,17 +70,25 @@ class Topology {
   /// distributing blocks across the AS's PoPs. Returns the prefix index.
   std::uint32_t announce(AsId as_id, net::Prefix prefix);
 
+  /// Reserves room for `count` blocks, so adding them leaves no slack.
+  void reserve_blocks(std::size_t count);
+
   /// Appends one /24 under an announced prefix, homed at `pop`, and
   /// extends its AS's block range (an AS's blocks are added together).
+  /// The block has no geolocation until set_geo() gives it one.
   void add_block(net::Block24 block, AsId as_id, std::uint16_t pop,
                  std::uint32_t prefix_index);
 
-  geo::GeoDatabase& geodb_mutable() { return geodb_; }
+  /// Geolocates blocks()[row]. Thread-safe for distinct rows.
+  void set_geo(std::uint32_t row, const geo::GeoRecord& record) {
+    geo_[row] = record;
+    geo_set_[row] = 1;
+  }
 
   // --- bulk block build (scale generator) ----------------------------------
-  /// Pre-sizes blocks_ so set_block() may fill disjoint slices from
-  /// parallel workers. Per-AS first_block/block_count must be assigned by
-  /// the caller (via as_mutable).
+  /// Pre-sizes the block rows so set_block() and set_geo() may fill
+  /// disjoint slices from parallel workers. Per-AS first_block/block_count
+  /// must be assigned by the caller (via as_mutable).
   void begin_bulk_blocks(std::size_t total);
 
   /// Writes one pre-assigned block slot. Thread-safe for distinct indexes.
@@ -79,8 +102,8 @@ class Topology {
   void seal();
 
   /// Approximate heap footprint of the topology (adjacency, prefixes,
-  /// blocks, indexes, geo database) — the scale benchmarks report this as
-  /// bytes/AS.
+  /// blocks, block index, geo records) — the scale benchmarks report this
+  /// as bytes/AS.
   std::size_t memory_bytes() const;
 
  private:
@@ -89,13 +112,16 @@ class Topology {
   std::vector<AsNode> ases_;
   std::vector<AnnouncedPrefix> prefixes_;
   std::vector<BlockInfo> blocks_;
+  // Columns over blocks_' rows: the geo record and whether the block has
+  // one (byte-wide, so parallel set_geo() calls do no bit RMW).
+  std::vector<geo::GeoRecord> geo_;
+  std::vector<std::uint8_t> geo_set_;
   std::unordered_map<std::uint32_t, AsId> by_asn_;
   // Direct-mapped block -> blocks_ slot over the allocated /24 span, built
-  // by seal() (dense in practice; kNoBlockSlot marks holes). Replaces a
-  // hash map that dominated both lookup latency and memory at 6.4M blocks.
+  // by seal() (dense in practice; kNoBlockSlot marks holes). blocks_ and
+  // its columns are all found through it.
   std::uint32_t block_first_ = 0;
   std::vector<std::uint32_t> block_slots_;
-  geo::GeoDatabase geodb_;
 };
 
 }  // namespace vp::topology

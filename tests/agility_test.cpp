@@ -168,8 +168,8 @@ TEST(AttackGenerator, FlashCrowdIsGeographicallyLocal) {
   for (std::size_t i = 0; i < out.rows.size(); ++i) {
     if (f.attack_part(out, i) == 0) continue;
     const auto& info = f.scenario.topo().blocks()[out.rows[i]];
-    const auto geo = f.scenario.topo().geodb().lookup(info.block);
-    ASSERT_TRUE(geo.has_value());
+    const auto geo = f.scenario.topo().geo(info.block);
+    ASSERT_NE(geo, nullptr);
     if (!first) first = geo->location;
     EXPECT_LE(geo::distance_km(*first, geo->location),
               2.0 * spec.radius_km + 1.0);

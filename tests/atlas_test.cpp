@@ -70,7 +70,7 @@ TEST_F(AtlasTest, EuropeanSkewIsPresent) {
   // half the probes even though it has well under a third of the blocks.
   std::size_t europe_vps = 0;
   for (const Vp& vp : platform().vps()) {
-    const auto geo_record = topo().geodb().lookup(vp.block);
+    const auto geo_record = topo().geo(vp.block);
     if (geo_record && geo_record->continent == geo::Continent::kEurope)
       ++europe_vps;
   }
@@ -78,7 +78,7 @@ TEST_F(AtlasTest, EuropeanSkewIsPresent) {
                           static_cast<double>(platform().vps().size());
   std::size_t europe_blocks = 0;
   for (const topology::BlockInfo& info : topo().blocks()) {
-    const auto geo_record = topo().geodb().lookup(info.block);
+    const auto geo_record = topo().geo(info.block);
     if (geo_record && geo_record->continent == geo::Continent::kEurope)
       ++europe_blocks;
   }

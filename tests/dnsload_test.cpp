@@ -175,7 +175,7 @@ TEST_F(LoadTest, NlProfileConcentratesInEurope) {
   const LoadModel nl{topo(), model(), config};
   double europe = 0, total = 0;
   for (const BlockLoad& bl : nl.blocks()) {
-    const auto geo_record = topo().geodb().lookup(bl.block);
+    const auto geo_record = topo().geo(bl.block);
     if (!geo_record) continue;
     total += bl.daily_queries;
     if (geo_record->continent == geo::Continent::kEurope)
@@ -186,7 +186,7 @@ TEST_F(LoadTest, NlProfileConcentratesInEurope) {
   // And the root-like profile must NOT be Europe-dominated.
   double root_europe = 0, root_total = 0;
   for (const BlockLoad& bl : load().blocks()) {
-    const auto geo_record = topo().geodb().lookup(bl.block);
+    const auto geo_record = topo().geo(bl.block);
     if (!geo_record) continue;
     root_total += bl.daily_queries;
     if (geo_record->continent == geo::Continent::kEurope)

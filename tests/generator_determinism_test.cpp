@@ -204,16 +204,13 @@ Topology pinned_topology() {
   rec.country[0] = 'F';
   rec.country[1] = 'R';
   rec.continent = geo::Continent::kEurope;
-  geo::GeoDatabase& db = topo.geodb_mutable();
-  db.prepare_span(net::Block24{0x0a0000}, net::Block24{0x0a0800});
-  db.set(net::Block24{0x0a0000}, rec);
+  topo.set_geo(0, rec);  // 10.0.0.0/24
   rec.location = {35.625, 139.75};
   rec.center_id = 9;
   rec.country[0] = 'J';
   rec.country[1] = 'P';
   rec.continent = geo::Continent::kAsia;
-  db.set(net::Block24{0x0a0800}, rec);
-  db.recount();
+  topo.set_geo(2, rec);  // 10.8.0.0/24
   topo.seal();
   return topo;
 }
@@ -258,19 +255,17 @@ TEST(GeneratorDeterminism, DescendingBlockImageRoundTrips) {
   topo.add_block(net::Block24{0x0a0003}, transit, 0, low);
   topo.add_block(net::Block24{0x0a0001}, transit, 0, low);
   topo.add_block(net::Block24{0x0a0000}, transit, 0, low);
-  geo::GeoDatabase& db = topo.geodb_mutable();
-  db.prepare_span(net::Block24{0x0a0000}, net::Block24{0x0a0801});
-  for (const std::uint32_t b : {0x0a0801u, 0x0a0003u, 0x0a0000u}) {
-    const std::uint16_t c = b == 0x0a0801 ? 1 : 0;
+  // Rows 0, 2 and 4: 10.8.1.0/24, 10.0.3.0/24 and 10.0.0.0/24.
+  for (const std::uint32_t row : {0u, 2u, 4u}) {
+    const std::uint16_t c = row == 0 ? 1 : 0;
     geo::GeoRecord rec;
     rec.location = centers[c].location;
     rec.center_id = c;
     rec.country[0] = centers[c].country[0];
     rec.country[1] = centers[c].country[1];
     rec.continent = centers[c].continent;
-    db.set(net::Block24{b}, rec);
+    topo.set_geo(row, rec);
   }
-  db.recount();
   topo.seal();
 
   const std::string bytes = topology::serialize_topology(topo);
@@ -279,7 +274,7 @@ TEST(GeneratorDeterminism, DescendingBlockImageRoundTrips) {
   ASSERT_TRUE(topology::deserialize_topology(bytes, restored, error)) << error;
   EXPECT_EQ(topology::serialize_topology(restored), bytes);
   ASSERT_EQ(restored.block_count(), 5u);
-  EXPECT_EQ(restored.geodb().size(), 3u);
+  EXPECT_EQ(restored.geo_count(), 3u);
   for (std::uint32_t b = 0x09ffff; b <= 0x0a0802; ++b) {
     const net::Block24 block{b};
     const topology::BlockInfo* want = topo.block_info(block);
@@ -291,9 +286,9 @@ TEST(GeneratorDeterminism, DescendingBlockImageRoundTrips) {
       EXPECT_EQ(got->pop, want->pop);
       EXPECT_EQ(got->prefix_index, want->prefix_index);
     }
-    const auto want_geo = topo.geodb().lookup(block);
-    const auto got_geo = restored.geodb().lookup(block);
-    ASSERT_EQ(got_geo.has_value(), want_geo.has_value()) << std::hex << b;
+    const geo::GeoRecord* want_geo = topo.geo(block);
+    const geo::GeoRecord* got_geo = restored.geo(block);
+    ASSERT_EQ(got_geo == nullptr, want_geo == nullptr) << std::hex << b;
     if (want_geo) {
       EXPECT_EQ(got_geo->center_id, want_geo->center_id);
       EXPECT_EQ(got_geo->location.lat, want_geo->location.lat);
@@ -351,9 +346,7 @@ Topology forgeable(std::uint8_t prefix_length = 24) {
   geo::GeoRecord rec;
   rec.location = centers[0].location;
   rec.continent = centers[0].continent;
-  topo.geodb_mutable().prepare_span(kForgedBlock, kForgedBlock);
-  topo.geodb_mutable().set(kForgedBlock, rec);
-  topo.geodb_mutable().recount();
+  topo.set_geo(0, rec);
   topo.seal();
   return topo;
 }
@@ -374,10 +367,10 @@ std::string forged_error(Forge forge) {
 }
 
 void set_geo(Topology& topo, std::uint16_t center, std::uint8_t continent) {
-  geo::GeoRecord rec = *topo.geodb().lookup(kForgedBlock);
+  geo::GeoRecord rec = *topo.geo(kForgedBlock);
   rec.center_id = center;
   rec.continent = static_cast<geo::Continent>(continent);
-  topo.geodb_mutable().set(kForgedBlock, rec);  // in place: still one record
+  topo.set_geo(0, rec);  // in place: still one record
 }
 
 TEST(GeneratorDeterminism, ForgeableImageLoads) {
@@ -513,22 +506,57 @@ TEST(GeneratorDeterminism, ForgedSplitAsBlockRunIsRejected) {
 }
 
 TEST(GeneratorDeterminism, ForgedGeoRecordForUnlistedBlockIsRejected) {
-  EXPECT_EQ(forged_error([](Topology& t) {
-              const geo::GeoRecord rec = *t.geodb().lookup(kForgedBlock);
-              const net::Block24 unlisted{0x010001};  // 1.0.1.0
-              geo::GeoDatabase& db = t.geodb_mutable();
-              db.prepare_span(kForgedBlock, unlisted);
-              db.set(kForgedBlock, rec);
-              db.set(unlisted, rec);
-              db.recount();
-            }),
-            "topology image: geo record for an unlisted block");
+  // The image's last geo record (25 bytes before the CRC-32) opens with
+  // its block: 1.0.1.0/24 is unlisted, and so is 1.1.0.0/24 spelled with
+  // a ninth bit that a /24 index drops (it would read as 1.0.0.0/24).
+  for (const std::uint32_t unlisted : {0x010001u, 0x1010000u}) {
+    std::string bytes = topology::serialize_topology(forgeable());
+    const std::size_t block_at = bytes.size() - 4 - 25;
+    std::uint32_t block = 0;
+    std::memcpy(&block, bytes.data() + block_at, sizeof block);
+    ASSERT_EQ(block, kForgedBlock.index());
+    std::memcpy(bytes.data() + block_at, &unlisted, sizeof unlisted);
+    const std::uint32_t crc = util::crc32(bytes.data(), bytes.size() - 4);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+    EXPECT_EQ(load_error(bytes),
+              "topology image: geo record for an unlisted block")
+        << std::hex << unlisted;
+  }
 }
 
 // Record sizes: a block is index, AS, PoP, prefix (4+4+2+4); a geo
 // record index, lat, lon, center, country, continent (4+8+8+2+2+1).
 constexpr std::size_t kBlockRecord = 14;
 constexpr std::size_t kGeoRecord = 25;
+
+// Two blocks far apart, 1.0.0.0/24 and 223.255.255.0/24, each with a geo
+// record: a 197-byte image. Only the block index spans the /24s between
+// them (4 bytes each, 56 MiB); when the geo records had a direct-mapped
+// table of their own over that span, this image loaded into 404 MiB.
+TEST(GeneratorDeterminism, FarApartBlocksLoadIntoLittleMemory) {
+  const auto centers = geo::world_centers();
+  Topology topo;
+  topology::AsNode node;
+  node.pops.push_back(topology::Pop{0, centers[0].location});
+  const topology::AsId as = topo.add_as(std::move(node));
+  for (const char* text : {"1.0.0.0/24", "223.255.255.0/24"}) {
+    const net::Prefix prefix = *net::Prefix::parse(text);
+    const std::uint32_t index = topo.announce(as, prefix);
+    topo.add_block(net::Block24::containing(prefix.base()), as, 0, index);
+    geo::GeoRecord rec;
+    rec.location = centers[0].location;
+    rec.continent = centers[0].continent;
+    topo.set_geo(static_cast<std::uint32_t>(topo.block_count() - 1), rec);
+  }
+  topo.seal();
+  const std::string bytes = topology::serialize_topology(topo);
+  EXPECT_EQ(bytes.size(), 197u);
+  Topology restored;
+  std::string error;
+  ASSERT_TRUE(topology::deserialize_topology(bytes, restored, error)) << error;
+  EXPECT_EQ(restored.geo_count(), 2u);
+  EXPECT_LT(restored.memory_bytes(), std::size_t{100} << 20);
+}
 
 /// Reverses `count` records of `size` bytes starting at `at`, keeping
 /// each record whole.
@@ -550,7 +578,7 @@ void reframe(std::string& bytes) {
 /// record, and the CRC recomputed. The stored digest is still `topo`'s.
 std::string reversed_sections(const Topology& topo) {
   const std::size_t blocks = topo.block_count();
-  const std::size_t geo = topo.geodb().size();
+  const std::size_t geo = topo.geo_count();
   std::string bytes = topology::serialize_topology(topo);
   const std::size_t geo_at = bytes.size() - 4 - geo * kGeoRecord;
   const std::size_t block_at = geo_at - blocks * kBlockRecord;
@@ -561,20 +589,20 @@ std::string reversed_sections(const Topology& topo) {
 }
 
 /// The digest of `topo` with its blocks listed in the opposite order:
-/// the same records in the opposite slots, each AS's block range
-/// mirrored.
+/// the same ASes and prefixes, then each block and its geo record added
+/// last row first, so each AS's block range comes out mirrored.
 std::uint64_t reversed_digest(const Topology& topo) {
-  const std::size_t blocks = topo.block_count();
-  Topology reversed = topo;
-  for (std::size_t i = 0; i < blocks; ++i)
-    reversed.set_block(static_cast<std::uint32_t>(blocks - 1 - i),
-                       topo.blocks()[i]);
-  for (topology::AsId v = 0; v < topo.as_count(); ++v) {
-    topology::AsNode& node = reversed.as_mutable(v);
-    if (node.block_count > 0)
-      node.first_block = static_cast<std::uint32_t>(blocks) -
-                         (node.first_block + node.block_count);
+  Topology reversed;
+  for (const topology::AsNode& node : topo.ases()) reversed.add_as(node);
+  for (const topology::AnnouncedPrefix& p : topo.announced_prefixes())
+    reversed.announce(p.origin, p.prefix);
+  for (auto b = topo.blocks().rbegin(); b != topo.blocks().rend(); ++b) {
+    reversed.add_block(b->block, b->as_id, b->pop, b->prefix_index);
+    if (const geo::GeoRecord* rec = topo.geo(b->block))
+      reversed.set_geo(
+          static_cast<std::uint32_t>(reversed.block_count() - 1), *rec);
   }
+  reversed.seal();
   return topology::structural_digest(reversed);
 }
 
@@ -613,7 +641,7 @@ TEST(GeneratorDeterminism, ReversedImageLoadsInLinearTime) {
   config.target_blocks = 208'000;
   const Topology topo = generate_scale_topology(config);
   const std::size_t blocks = topo.block_count();
-  const std::size_t geo = topo.geodb().size();
+  const std::size_t geo = topo.geo_count();
   ASSERT_GE(blocks, 200'000u);
 
   Topology restored;
@@ -626,16 +654,16 @@ TEST(GeneratorDeterminism, ReversedImageLoadsInLinearTime) {
   ASSERT_EQ(error, "");
   EXPECT_LT(seconds, kBoundSeconds) << blocks << " blocks, reversed digest";
   EXPECT_EQ(restored.block_count(), blocks);
-  EXPECT_EQ(restored.geodb().size(), geo);
+  EXPECT_EQ(restored.geo_count(), geo);
   for (const topology::BlockInfo& info : topo.blocks()) {
     const topology::BlockInfo* got = restored.block_info(info.block);
     ASSERT_NE(got, nullptr) << info.block.to_string();
     ASSERT_EQ(got->as_id, info.as_id);
     ASSERT_EQ(got->pop, info.pop);
     ASSERT_EQ(got->prefix_index, info.prefix_index);
-    const auto want_geo = topo.geodb().lookup(info.block);
-    const auto got_geo = restored.geodb().lookup(info.block);
-    ASSERT_EQ(got_geo.has_value(), want_geo.has_value());
+    const geo::GeoRecord* want_geo = topo.geo(info.block);
+    const geo::GeoRecord* got_geo = restored.geo(info.block);
+    ASSERT_EQ(got_geo == nullptr, want_geo == nullptr);
     if (want_geo) {
       ASSERT_EQ(got_geo->center_id, want_geo->center_id);
       ASSERT_EQ(got_geo->location.lat, want_geo->location.lat);
@@ -654,8 +682,8 @@ std::uint32_t geo_pin(const Topology& topo) {
     crc = util::crc32(&value, sizeof value, crc);
   };
   for (std::uint32_t b = first - 1; b <= past; ++b) {
-    const auto rec = topo.geodb().lookup(net::Block24{b});
-    fold(static_cast<std::uint8_t>(rec.has_value()));
+    const geo::GeoRecord* rec = topo.geo(net::Block24{b});
+    fold(static_cast<std::uint8_t>(rec != nullptr));
     if (!rec) continue;
     std::uint64_t lat = 0, lon = 0;
     std::memcpy(&lat, &rec->location.lat, sizeof lat);

@@ -68,7 +68,7 @@ std::string build_summary() {
   out << "links " << link_records / 2 << "\n";
   out << "prefixes " << topo.announced_prefixes().size() << "\n";
   out << "blocks " << topo.block_count() << "\n";
-  out << "geo_blocks " << topo.geodb().size() << "\n";
+  out << "geo_blocks " << topo.geo_count() << "\n";
   for (int tier = 0; tier < 3; ++tier) {
     out << "degree_hist_" << tier;
     for (std::size_t b = 0; b < kBuckets; ++b)

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "geo/geodb.hpp"
 #include "geo/world.hpp"
+#include "topology/topology.hpp"
 
 namespace vp::geo {
 namespace {
@@ -81,52 +84,31 @@ TEST(Distance, AntipodesNearHalfCircumference) {
   EXPECT_NEAR(distance_km(a, b), 20015, 50);
 }
 
-// --- geodb ---------------------------------------------------------------------
+// --- geo records on topology blocks ------------------------------------------
 
-TEST(GeoDatabase, LookupHitAndMiss) {
-  GeoDatabase db;
+TEST(TopologyGeo, LookupHitAndMiss) {
+  topology::Topology topo;
+  topology::AsNode node;
+  node.pops.push_back(topology::Pop{});
+  const topology::AsId as = topo.add_as(std::move(node));
+  const std::uint32_t prefix =
+      topo.announce(as, *net::Prefix::parse("10.0.0.0/23"));
+  topo.add_block(net::Block24{0x0a0000}, as, 0, prefix);
+  topo.add_block(net::Block24{0x0a0001}, as, 0, prefix);
   GeoRecord rec;
   rec.location = {52.0, 5.0};
   rec.country[0] = 'N';
   rec.country[1] = 'L';
-  db.prepare_span(net::Block24{100}, net::Block24{101});
-  db.set(net::Block24{100}, rec);
-  db.recount();
-  const auto hit = db.lookup(net::Block24{100});
-  ASSERT_TRUE(hit);
+  topo.set_geo(0, rec);
+  topo.seal();
+  const GeoRecord* hit = topo.geo(net::Block24{0x0a0000});
+  ASSERT_NE(hit, nullptr);
   EXPECT_DOUBLE_EQ(hit->location.lat, 52.0);
-  EXPECT_FALSE(db.lookup(net::Block24{101}));  // in the span, never set
-  EXPECT_FALSE(db.lookup(net::Block24{99}));   // below the span
-  EXPECT_FALSE(db.lookup(net::Block24{102}));  // above it
-  EXPECT_EQ(db.size(), 1u);
-}
-
-TEST(GeoDatabase, PrepareSpanDropsEarlierRecords) {
-  GeoDatabase db;
-  GeoRecord rec;
-  rec.location = {52.0, 5.0};
-  db.prepare_span(net::Block24{100}, net::Block24{110});
-  db.set(net::Block24{100}, rec);
-  db.set(net::Block24{110}, rec);
-  db.recount();
-  ASSERT_EQ(db.size(), 2u);
-  // A new span over the same slots and past them starts empty.
-  db.prepare_span(net::Block24{100}, net::Block24{200});
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_FALSE(db.lookup(net::Block24{100}));
-  EXPECT_FALSE(db.lookup(net::Block24{110}));
-  rec.location = {-33.9, 151.2};
-  db.set(net::Block24{200}, rec);
-  db.recount();
-  EXPECT_EQ(db.size(), 1u);
-  ASSERT_TRUE(db.lookup(net::Block24{200}));
-  EXPECT_DOUBLE_EQ(db.lookup(net::Block24{200})->location.lat, -33.9);
-  // So does one below it.
-  db.prepare_span(net::Block24{50}, net::Block24{60});
-  db.recount();
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_FALSE(db.lookup(net::Block24{50}));
-  EXPECT_FALSE(db.lookup(net::Block24{200}));
+  EXPECT_EQ(std::string{hit->country}, "NL");
+  EXPECT_EQ(topo.geo(net::Block24{0x0a0001}), nullptr);  // a block, no record
+  EXPECT_EQ(topo.geo(net::Block24{0x09ffff}), nullptr);  // below the blocks
+  EXPECT_EQ(topo.geo(net::Block24{0x0a0002}), nullptr);  // above them
+  EXPECT_EQ(topo.geo_count(), 1u);
 }
 
 // --- binning ---------------------------------------------------------------------

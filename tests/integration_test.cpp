@@ -84,14 +84,14 @@ TEST_F(IntegrationTest, AtlasIsBlindWhereVerfploeterIsNot) {
   // China: Verfploeter maps plenty of blocks, Atlas has near-zero VPs.
   std::size_t verf_cn = 0;
   for (const auto& [block, site] : broot_map().entries()) {
-    const auto geo_record = scenario().topo().geodb().lookup(block);
+    const auto geo_record = scenario().topo().geo(block);
     if (geo_record && geo_record->country[0] == 'C' &&
         geo_record->country[1] == 'N')
       ++verf_cn;
   }
   std::size_t atlas_cn = 0;
   for (const auto& vp : scenario().atlas().vps()) {
-    const auto geo_record = scenario().topo().geodb().lookup(vp.block);
+    const auto geo_record = scenario().topo().geo(vp.block);
     if (geo_record && geo_record->country[0] == 'C' &&
         geo_record->country[1] == 'N')
       ++atlas_cn;

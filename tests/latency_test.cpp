@@ -57,7 +57,7 @@ TEST_F(LatencyTest, RttTracksDistanceToSite) {
   double near_sum = 0, far_sum = 0;
   int near_n = 0, far_n = 0;
   for (const auto& [block, site] : round().map.entries()) {
-    const auto geo_record = scenario().topo().geodb().lookup(block);
+    const auto geo_record = scenario().topo().geo(block);
     if (!geo_record) continue;
     const float rtt = round().map.rtt_of(block);
     const double km = geo::distance_km(

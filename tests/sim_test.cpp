@@ -257,7 +257,7 @@ TEST_F(SimTest, RttScalesWithDistance) {
   for (const topology::BlockInfo& info : topo().blocks()) {
     const ReplyBehavior b = model.behavior(info.block, 0);
     if (!b.responds || b.alias || b.late || b.copies != 1) continue;
-    const auto geo_record = topo().geodb().lookup(info.block);
+    const auto geo_record = topo().geo(info.block);
     if (!geo_record) continue;
     const auto target =
         info.block.address(model.responsive_host(info.block));

@@ -182,7 +182,7 @@ TEST_F(TopologyTest, SpecialAsesPresent) {
 TEST_F(TopologyTest, GeolocationNearlyComplete) {
   std::size_t located = 0;
   for (const BlockInfo& info : topo().blocks())
-    if (topo().geodb().lookup(info.block)) ++located;
+    if (topo().geo(info.block)) ++located;
   const double fraction =
       static_cast<double>(located) / static_cast<double>(topo().block_count());
   EXPECT_GT(fraction, 0.995);
