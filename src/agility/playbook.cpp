@@ -35,18 +35,22 @@ std::string label_for(const anycast::ConfigDelta& delta,
   std::string label;
   for (const anycast::SiteDelta& change : delta.sites) {
     if (!label.empty()) label += " & ";
-    const std::string& code =
-        base.sites[static_cast<std::size_t>(change.site)].code;
+    // Piece by piece: "+" + std::to_string(...) inlines into a
+    // basic_string::insert that GCC's -O3 flags with -Wrestrict.
+    label += base.sites[static_cast<std::size_t>(change.site)].code;
     if (change.enabled && !*change.enabled) {
-      label += code + " withdraw";
+      label += " withdraw";
     } else if (change.enabled && *change.enabled) {
-      label += code + " announce";
-      if (change.prepend && *change.prepend > 0)
-        label += "+" + std::to_string(*change.prepend);
+      label += " announce";
+      if (change.prepend && *change.prepend > 0) {
+        label += '+';
+        label += std::to_string(*change.prepend);
+      }
     } else if (change.prepend) {
-      label += code + "+" + std::to_string(*change.prepend);
+      label += '+';
+      label += std::to_string(*change.prepend);
     } else {
-      label += code + " ?";
+      label += " ?";
     }
   }
   return label;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
@@ -185,9 +184,9 @@ Deployment make_generated(const topology::Topology& topo,
         topo.as_at(transits[k % transits.size()]);
     const std::uint64_t h = util::mix64(util::hash_combine(seed, k));
     const topology::Pop& pop = host.pops[h % host.pops.size()];
-    char code[8];
-    std::snprintf(code, sizeof(code), "S%02zu", k);
-    d.sites.push_back(AnycastSite{code, host.asn, pop.location});
+    std::string code = k < 10 ? "S0" : "S";  // S00 ... S119
+    code += std::to_string(k);
+    d.sites.push_back(AnycastSite{std::move(code), host.asn, pop.location});
   }
   return d;
 }
