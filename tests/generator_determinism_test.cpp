@@ -507,8 +507,8 @@ TEST(GeneratorDeterminism, ForgedSplitAsBlockRunIsRejected) {
 
 TEST(GeneratorDeterminism, ForgedGeoRecordForUnlistedBlockIsRejected) {
   // The image's last geo record (25 bytes before the CRC-32) opens with
-  // its block: 1.0.1.0/24 is unlisted, and so is 1.1.0.0/24 spelled with
-  // a ninth bit that a /24 index drops (it would read as 1.0.0.0/24).
+  // its block: 1.0.1.0/24 is unlisted, and so is 0x1010000, an index past
+  // 24 bits that Block24 would mask to the listed 1.0.0.0/24.
   for (const std::uint32_t unlisted : {0x010001u, 0x1010000u}) {
     std::string bytes = topology::serialize_topology(forgeable());
     const std::size_t block_at = bytes.size() - 4 - 25;
